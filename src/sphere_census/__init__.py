@@ -34,6 +34,7 @@ from .charts import (
     SpherePoint,
     chordal,
     evaluate,
+    evaluate_many,
     format_map,
     parse_map,
     to_chart,

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import charts, degree as degree_mod
 from .charts import (
     Chart,
@@ -22,8 +24,11 @@ from .charts import (
     as_product_view,
     as_rational,
     chart_value,
+    chart_values,
     chordal,
     evaluate,
+    evaluate_many,
+    latitudes,
     to_chart,
 )
 from .winding import SampledCurve, circle, latitude_circle, winding_number
@@ -197,15 +202,14 @@ def _window_repelling(spec: MapSpec, s_lo: float, s_hi: float, samples: int) -> 
 def _boundaries_repel(spec, lower, s_lo, upper, s_hi) -> bool:
     ok = True
     for curve, s_ref, outward_up in ((upper, s_hi, True), (lower, s_lo, False)):
-        for z in curve.points:
-            s_img = evaluate(spec, SpherePoint(z, curve.chart)).latitude()
-            excess = (s_img - s_ref) if outward_up else (s_ref - s_img)
-            if abs(s_img - s_ref) <= REPEL_MARGIN:
-                raise BoundaryTouchesImage(
-                    f"boundary latitude {s_ref:.6g} image within margin"
-                )
-            if excess < 0:
-                ok = False
+        s_img = latitudes(*evaluate_many(spec, curve.points, curve.chart is Chart.NORTH))
+        if (np.abs(s_img - s_ref) <= REPEL_MARGIN).any():
+            raise BoundaryTouchesImage(
+                f"boundary latitude {s_ref:.6g} image within margin"
+            )
+        excess = (s_img - s_ref) if outward_up else (s_ref - s_img)
+        if (excess < 0).any():
+            ok = False
     return ok
 
 
@@ -274,8 +278,9 @@ def check_hypothesis_h(spec: MapSpec) -> HypothesisReport:
             p = SpherePoint(_probe.point_at(t), Chart.NORTH)
             return chart_value(evaluate(spec, p), Chart.NORTH)
 
-        pts = tuple(image_value(t) for t in probe.params)
-        image = SampledCurve(pts, Chart.NORTH, param_fn=image_value, params=probe.params)
+        pts = chart_values(*evaluate_many(spec, probe.points, True), Chart.NORTH)
+        image = SampledCurve(tuple(pts.tolist()), Chart.NORTH, param_fn=image_value,
+                             params=probe.params)
         w = winding_number(image, s_val)
         if w != 0:
             return HypothesisReport(False, witness=probe,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from . import annuli
+from . import annuli, degree as degree_mod
 from .charts import (
     Chart,
     Iterate,
@@ -27,6 +27,7 @@ from .charts import (
     as_rational,
     chordal,
     evaluate,
+    evaluate_many,
     format_map,
     from_latlon,
     solve_profile_level,
@@ -147,9 +148,9 @@ def _product_fixed_points(spec: MapSpec, view) -> FixedPointSet:
     if hi == INF:
         pts.append(N_POLE)
     shifted = _shifted(view.radial)
-    plateau = [abs(shifted(s)) for s in np.linspace(-18.0, 18.0, 2001)
-               if math.isfinite(shifted(s))]
-    if plateau and max(plateau) < 1e-12:
+    plateau = shifted.many(np.linspace(-18.0, 18.0, 2001))
+    plateau = np.abs(plateau[np.isfinite(plateau)])
+    if plateau.size and plateau.max() < 1e-12:
         # the radial coordinate is fixed at every latitude: fixed points form
         # circles (d = 1, vanishing twist) or meridian-type curves (d != 1)
         if d == 1:
@@ -188,6 +189,12 @@ class _shifted:
             return v
         return v - s
 
+    def many(self, s: np.ndarray) -> np.ndarray:
+        v = self.profile.many(s)
+        finite = ~np.isinf(v)
+        v[finite] -= np.asarray(s)[finite]
+        return v
+
     def pole_crossings(self):
         return self.profile.pole_crossings()
 
@@ -204,6 +211,11 @@ class _mod_twist:
 
     def __call__(self, s: float) -> float:
         return _angle_mod(self.twist(s))
+
+    def many(self, s: np.ndarray) -> np.ndarray:
+        # an infinite twist wraps to nan, silently as in float arithmetic
+        with np.errstate(invalid="ignore"):
+            return _angle_mod(self.twist.many(s))
 
     def pole_crossings(self):
         return ()
@@ -285,6 +297,7 @@ class CrosscheckRow:
 class CrosscheckReport:
     map_id: str
     status: str                 # ok | hypothesis_failed | attractors_not_verified
+                                # | scope_unavailable
     detail: str
     rows: tuple[CrosscheckRow, ...]
     witness: object = None
@@ -299,13 +312,13 @@ class CrosscheckReport:
 def poles_attracting(spec: MapSpec, probes: int = 20, seed: int = 7) -> bool:
     """Orbits of random points near each anchor pole must converge to it."""
     rng = np.random.default_rng(seed)
+    orbit = Iterate(spec, 100)
     for pole in anchor_poles(spec):
-        for _ in range(probes):
-            val = pole.value + 0.05 * math.e ** complex(0, rng.uniform(0, 2 * math.pi))
-            p = SpherePoint(val, pole.chart)
-            for _ in range(100):
-                p = evaluate(spec, p)
-            if chordal(p, pole) > 1e-3:
+        starts = [pole.value + 0.05 * math.e ** complex(0, rng.uniform(0, 2 * math.pi))
+                  for _ in range(probes)]
+        ends, north = evaluate_many(orbit, starts, pole.chart is Chart.NORTH)
+        for v, n in zip(ends.tolist(), north.tolist()):
+            if chordal(SpherePoint(v, Chart.NORTH if n else Chart.SOUTH), pole) > 1e-3:
                 return False
     return True
 
@@ -318,17 +331,22 @@ def theorem_a_crosscheck(spec: MapSpec, n_max: int) -> CrosscheckReport:
     """
     map_id = format_map(spec)
     status, detail, witness = "ok", "", None
-    hyp = annuli.check_hypothesis_h(spec)
-    if not hyp.passed:
-        status = "hypothesis_failed"
-        detail = (
-            "an inessential loop has an essential image "
-            f"(image winding {hyp.witness_image_winding})"
-        )
-        witness = hyp.witness
-    elif not poles_attracting(spec):
-        status = "attractors_not_verified"
-        detail = "orbits near at least one pole do not converge to it"
+    try:
+        anchor_poles(spec)
+    except ValueError as exc:  # a quadratic without an attracting finite fixed point
+        status, detail = "scope_unavailable", str(exc)
+    else:
+        hyp = annuli.check_hypothesis_h(spec)
+        if not hyp.passed:
+            status = "hypothesis_failed"
+            detail = (
+                "an inessential loop has an essential image "
+                f"(image winding {hyp.witness_image_winding})"
+            )
+            witness = hyp.witness
+        elif not poles_attracting(spec):
+            status = "attractors_not_verified"
+            detail = "orbits near at least one pole do not converge to it"
     rows = []
     d = spec.declared_degree
     for n in range(1, n_max + 1):
@@ -342,7 +360,7 @@ def theorem_a_crosscheck(spec: MapSpec, n_max: int) -> CrosscheckReport:
                     abs(c.delta - 1) for c in comps if c.repelling
                 )
                 bounds = t3_sum <= count and d ** n <= count
-            except annuli.AnnuliError:
+            except (annuli.AnnuliError, degree_mod.ImageHitsPole):
                 t3_sum, bounds = None, None
         rows.append(
             CrosscheckRow(n=n, degree_power=d ** n, theorem3_sum=t3_sum,

@@ -160,6 +160,10 @@ class AffineProfile:
             return lo if s < 0 else hi
         return self.a * s + self.b
 
+    def many(self, s: np.ndarray) -> np.ndarray:
+        """``__call__`` on an array of latitudes."""
+        return _on_finite(self, s, lambda x: self.a * x + self.b)
+
     def end_limits(self) -> tuple[float, float]:
         if self.a > 0:
             return (-INF, INF)
@@ -188,6 +192,10 @@ class PolyProfile:
             lo, hi = self.end_limits()
             return lo if s < 0 else hi
         return float(npoly.polyval(s, self.coeffs))
+
+    def many(self, s: np.ndarray) -> np.ndarray:
+        """``__call__`` on an array of latitudes."""
+        return _on_finite(self, s, lambda x: npoly.polyval(x, self.coeffs))
 
     def end_limits(self) -> tuple[float, float]:
         deg = len(self.coeffs) - 1
@@ -250,6 +258,37 @@ class PiecewiseLinearProfile:
         t = self._segment_param(s, s0, s1)
         return _ramp(t, v0, v1)
 
+    def many(self, s: np.ndarray) -> np.ndarray:
+        """``__call__`` on an array of latitudes, one segment at a time."""
+        s = np.asarray(s, dtype=float)
+        nodes = self.nodes
+        # the segment the scalar scan stops at: the first interior node >= s
+        seg = 1 + np.searchsorted([n[0] for n in nodes[1:-1]], s, side="left")
+        out = np.empty(s.shape)
+        for hi in range(1, len(nodes)):
+            m = seg == hi
+            if not m.any():
+                continue
+            (s0, v0), (s1, v1) = nodes[hi - 1], nodes[hi]
+            x = s[m]
+            vals = np.where(x == s0, v0, v1)
+            inner = (x != s0) & (x != s1)
+            if inner.any():
+                t = self._segment_params(x[inner], s0, s1)
+                vals[inner] = _ramp_many(t, v0, v1)
+            out[m] = vals
+        return out
+
+    @staticmethod
+    def _segment_params(s: np.ndarray, s0: float, s1: float) -> np.ndarray:
+        if s0 == -INF and s1 == INF:
+            return 0.5 * (1.0 + _libm(math.tanh, 0.5 * s))
+        if s0 == -INF:
+            return _libm(math.exp, s - s1)
+        if s1 == INF:
+            return 1.0 - _libm(math.exp, s0 - s)
+        return (s - s0) / (s1 - s0)
+
     @staticmethod
     def _segment_param(s: float, s0: float, s1: float) -> float:
         if s0 == -INF and s1 == INF:
@@ -284,6 +323,45 @@ def _ramp(t: float, v0: float, v1: float) -> float:
     return core if v1 > 0 else -core
 
 
+def _ramp_many(t: np.ndarray, v0: float, v1: float) -> np.ndarray:
+    """``_ramp`` on an array of segment parameters."""
+    if math.isfinite(v0) and math.isfinite(v1):
+        return v0 + t * (v1 - v0)
+    if math.isfinite(v0):
+        tail = _libm(math.log1p, -t)
+        return v0 - tail if v1 > 0 else v0 + tail
+    if math.isfinite(v1):
+        tail = _libm(math.log, t)
+        return v1 - tail if v0 > 0 else v1 + tail
+    if (t == 1.0).any():
+        raise ZeroDivisionError("float division by zero")
+    core = _libm(math.log, t / (1.0 - t))
+    return core if v1 > 0 else -core
+
+
+def _libm(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
+    """A ``math`` function applied elementwise to 1-D arrays.
+
+    numpy's vectorised log, exp, tanh, log1p and arctan2 differ from libm
+    in the last bit on some inputs; a latitude one ulp off can flip a
+    repelling or level-set test, so the batch calls libm like the scalar
+    path does.
+    """
+    return np.fromiter(map(fn, *(a.tolist() for a in args)), dtype=float,
+                       count=args[0].size)
+
+
+def _on_finite(profile, s: np.ndarray, fn) -> np.ndarray:
+    """fn on the finite latitudes; the declared end limits at s = +-inf."""
+    s = np.asarray(s, dtype=float)
+    ends = np.isinf(s)
+    out = np.asarray(fn(np.where(ends, 0.0, s)), dtype=float)
+    if ends.any():
+        lo, hi = profile.end_limits()
+        out[ends] = np.where(s[ends] < 0, lo, hi)
+    return out
+
+
 ZERO_PROFILE = AffineProfile(0.0, 0.0)
 
 RadialProfile = Union[AffineProfile, PolyProfile, PiecewiseLinearProfile]
@@ -298,6 +376,9 @@ class _ComposedRadial:
 
     def __call__(self, s: float) -> float:
         return self.outer(self.inner(s))
+
+    def many(self, s: np.ndarray) -> np.ndarray:
+        return self.outer.many(self.inner.many(s))
 
     def end_limits(self) -> tuple[float, float]:
         return (self(-INF), self(INF))
@@ -326,7 +407,7 @@ def solve_profile_level(profile, level: float, s_cap: float = 18.0,
         # stay off the crossing latitudes themselves
         ss[0] += 1e-9 * (hi - lo)
         ss[-1] -= 1e-9 * (hi - lo)
-        vals = np.array([profile(s) - level for s in ss])
+        vals = profile.many(ss) - level
         sgn = np.sign(vals)
         for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
             a, b = ss[i], ss[i + 1]
@@ -552,6 +633,232 @@ def _eval_product(spec: ProductMap, p: SpherePoint) -> SpherePoint:
     return from_latlon(s_out, spec.angular_degree * theta + tw)
 
 
+# ---------------------------------------------------------------------------
+# Batched evaluation
+# ---------------------------------------------------------------------------
+#
+# A batch is a complex array of chart coordinates plus a boolean array that
+# is True where the coordinate is in the north chart.  Every step repeats the
+# scalar arithmetic elementwise and gives the same bits: complex products and
+# quotients are spelled out on real parts in CPython's order (numpy's complex
+# loops may fuse a multiply-add), and transcendental functions go through
+# ``_libm``.
+
+
+def evaluate_many(spec: MapSpec, values, north) -> tuple[np.ndarray, np.ndarray]:
+    """``evaluate`` on many points: (values, north) -> (values, north).
+
+    ``values`` is a 1-D array of chart coordinates and ``north`` is True
+    where a coordinate is in the north chart (one flag, or one per point).
+    Each image equals ``evaluate`` of that point, coordinate and chart.
+    """
+    v = np.array(values, dtype=complex).ravel()
+    nor = np.broadcast_to(np.asarray(north, dtype=bool), v.shape).copy()
+    _check_coordinates(v)
+    # Python float arithmetic overflows to inf and yields nan silently;
+    # _check_coordinates then raises as the scalar SpherePoint does
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _apply_many(spec, v, nor)
+
+
+def chart_values(values: np.ndarray, north: np.ndarray, target: Chart) -> np.ndarray:
+    """``chart_value`` of each point: its raw coordinate in the target chart."""
+    to_north = target is Chart.NORTH
+    out = np.array(values, dtype=complex)
+    flip = north != to_north
+    if flip.any():
+        if (out[flip] == 0).any():
+            raise PoleHasNoCoordinate(
+                f"pole at origin of {target.other.value} chart has no "
+                f"{target.value} coordinate"
+            )
+        out[flip] = _cdiv(1.0, out[flip])
+    return out
+
+
+def latitudes(values: np.ndarray, north: np.ndarray) -> np.ndarray:
+    """``SpherePoint.latitude`` of each point."""
+    mag = np.hypot(values.real, values.imag)
+    out = np.where(north, -INF, INF)
+    off = mag != 0
+    lat = _libm(math.log, mag[off])
+    out[off] = np.where(north[off], lat, -lat)
+    return out
+
+
+def _angles(values: np.ndarray, north: np.ndarray) -> np.ndarray:
+    """``SpherePoint.angle`` of each point."""
+    out = np.zeros(values.shape)
+    off = values != 0
+    a = _libm(math.atan2, values.imag[off], values.real[off])
+    out[off] = np.where(north[off], a, -a)
+    return out
+
+
+def _apply_many(spec: MapSpec, v: np.ndarray, north: np.ndarray):
+    if isinstance(spec, Iterate):
+        for _ in range(spec.n):
+            v, north = _apply_many(spec.inner, v, north)
+        return v, north
+    v, north = _normalized_many(v, north)
+    if isinstance(spec, Power):
+        v, north = _power_many(spec.d, v, north)
+    elif isinstance(spec, Quadratic):
+        v, north = _quadratic_many(spec.c, v, north)
+    elif isinstance(spec, RationalPair):
+        v, north = _rational_many(spec.p, spec.q, v, north)
+    elif isinstance(spec, ProductMap):
+        v, north = _product_many(spec, v, north)
+    else:
+        raise TypeError(f"not a map spec: {spec!r}")
+    _check_coordinates(v)
+    return v, north
+
+
+def _check_coordinates(v: np.ndarray) -> None:
+    """The checks ``SpherePoint`` makes on a stored coordinate."""
+    if not np.isfinite(v).all():
+        raise ChartError("chart coordinates must be finite")
+    mag = np.hypot(v.real, v.imag)
+    over = mag > CHART_OVERFLOW
+    if over.any():
+        raise OverflowAtChartBoundary(f"|coordinate| = {mag[over][0]:.3g}")
+
+
+def _normalized_many(v: np.ndarray, north: np.ndarray):
+    big = np.hypot(v.real, v.imag) > 1.0
+    if big.any():
+        v = v.copy()
+        v[big] = _cdiv(1.0, v[big])
+        north = north ^ big
+    return v, north
+
+
+def _pack(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b with CPython's rounding: two products, then one add per part."""
+    return _pack(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _cdiv(a, b: np.ndarray) -> np.ndarray:
+    """a / b with CPython's rounding (divide by the larger part of b)."""
+    a = np.broadcast_to(np.asarray(a, dtype=complex), b.shape)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    if ((br == 0) & (bi == 0)).any():
+        raise ZeroDivisionError("complex division by zero")
+    re = np.empty(b.shape)
+    im = np.empty(b.shape)
+    m = np.abs(br) >= np.abs(bi)
+    ratio = bi[m] / br[m]
+    denom = br[m] + bi[m] * ratio
+    re[m] = (ar[m] + ai[m] * ratio) / denom
+    im[m] = (ai[m] - ar[m] * ratio) / denom
+    m = ~m
+    ratio = br[m] / bi[m]
+    denom = br[m] * ratio + bi[m]
+    re[m] = (ar[m] * ratio + ai[m]) / denom
+    im[m] = (ai[m] * ratio - ar[m]) / denom
+    return _pack(re, im)
+
+
+def _cpow(v: np.ndarray, n: int) -> np.ndarray:
+    """v ** n for an integer n >= 1, as CPython computes it."""
+    if n > 100:  # CPython switches to its polar formula here
+        return np.array([z ** n for z in v.tolist()], dtype=complex)
+    out = np.ones_like(v)
+    mask = 1
+    while True:
+        if n & mask:
+            out = _cmul(out, v)
+        mask <<= 1
+        if mask > n:
+            return out
+        v = _cmul(v, v)
+
+
+def _power_many(d: int, v: np.ndarray, north: np.ndarray):
+    if d == 0:
+        return np.ones_like(v), north
+    return _cpow(v, abs(d)), north if d > 0 else ~north
+
+
+def _quadratic_many(c: complex, v: np.ndarray, north: np.ndarray):
+    out = np.empty_like(v)
+    out_north = north.copy()
+    z = v[north]
+    z = _cmul(z, z) + c
+    _check_coordinates(z)
+    out[north], out_north[north] = _normalized_many(z, np.ones(z.shape, dtype=bool))
+    south = ~north
+    w = v[south]
+    # f(1/w) = (1 + c w^2)/w^2, expressed back in the south chart
+    num = _cmul(w, w)
+    den = 1 + _cmul(_cmul(c, w), w)
+    keep = np.hypot(den.real, den.imag) >= np.hypot(num.real, num.imag)
+    img = np.empty_like(w)
+    img[keep] = _cdiv(num[keep], den[keep])
+    img[~keep] = _cdiv(den[~keep], num[~keep])
+    out[south] = img
+    out_north[south] = ~keep
+    return out, out_north
+
+
+def _cpolyval(x: np.ndarray, coeffs) -> np.ndarray:
+    """numpy's Horner ``polyval`` at scalar points, with CPython's rounding."""
+    c = np.array(coeffs, dtype=complex)
+    zero = _pack(x.real * 0.0 - x.imag * 0.0, x.real * 0.0 + x.imag * 0.0)
+    acc = c[-1] + zero
+    for coeff in c[-2::-1]:
+        acc = coeff + _cmul(acc, x)
+    return acc
+
+
+def _rational_many(p_coeffs, q_coeffs, v: np.ndarray, north: np.ndarray):
+    d_max = max(len(p_coeffs), len(q_coeffs))
+    rev_p = tuple(reversed(tuple(p_coeffs) + (0j,) * (d_max - len(p_coeffs))))
+    rev_q = tuple(reversed(tuple(q_coeffs) + (0j,) * (d_max - len(q_coeffs))))
+    a = np.empty_like(v)
+    b = np.empty_like(v)
+    south = ~north
+    a[north] = _cpolyval(v[north], p_coeffs)
+    b[north] = _cpolyval(v[north], q_coeffs)
+    a[south] = _cpolyval(v[south], rev_p)
+    b[south] = _cpolyval(v[south], rev_q)
+    if ((a == 0) & (b == 0)).any():
+        raise OverflowAtChartBoundary("0/0 in rational evaluation")
+    flip = np.hypot(a.real, a.imag) > np.hypot(b.real, b.imag)
+    out = np.empty_like(v)
+    out[flip] = _cdiv(b[flip], a[flip])
+    out[~flip] = _cdiv(a[~flip], b[~flip])
+    return out, ~flip
+
+
+def _product_many(spec: ProductMap, v: np.ndarray, north: np.ndarray):
+    s = latitudes(v, north)
+    theta = _angles(v, north)
+    s_out = spec.radial.many(s)
+    # infinite radial images are the poles S = (0, north) and N = (0, south)
+    out = np.zeros_like(v)
+    out_north = s_out < 0
+    m = ~np.isinf(s_out)
+    s_fin = s_out[m]
+    ang = spec.angular_degree * theta[m] + spec.twist.many(s[m])
+    low = s_fin <= 0
+    x = np.where(low, s_fin, -s_fin)
+    y = np.where(low, ang, -ang)
+    # cmath.exp(x + iy) = exp(x) * (cos y + i sin y); here x <= 0
+    mag = _libm(math.exp, x)
+    out[m] = _pack(mag * _libm(math.cos, y), mag * _libm(math.sin, y))
+    out_north[m] = low
+    return out, out_north
+
+
 def as_plane_map(spec: MapSpec) -> Callable[[complex], complex]:
     """North-chart view of the map as a plane function z -> f(z)."""
 
@@ -624,6 +931,11 @@ class _ComposedTwist:
 
     def __call__(self, s: float) -> float:
         return self.d_out * self.h_in(s) + self.h_out(self.q_in(s))
+
+    def many(self, s: np.ndarray) -> np.ndarray:
+        # 0 * inf and inf - inf give nan, silently as in float arithmetic
+        with np.errstate(invalid="ignore"):
+            return self.d_out * self.h_in.many(s) + self.h_out.many(self.q_in.many(s))
 
     def end_limits(self) -> tuple[float, float]:
         return (self(-INF), self(INF))
@@ -703,17 +1015,23 @@ def _parse_number(tok: str) -> float:
     if tok == "-inf":
         return -INF
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError as exc:
         raise ParseError(f"bad number {tok!r}") from exc
+    if math.isnan(value):
+        raise ParseError(f"bad number {tok!r}")
+    return value
 
 
 def _parse_complex(tok: str) -> complex:
     tok = tok.strip().replace("i", "j")
     try:
-        return complex(tok)
+        value = complex(tok)
     except ValueError as exc:
         raise ParseError(f"bad complex number {tok!r}") from exc
+    if not cmath.isfinite(value):
+        raise ParseError(f"bad complex number {tok!r}")
+    return value
 
 
 def parse_profile(text: str) -> RadialProfile:

@@ -8,13 +8,14 @@ analysis failure, 2 parse/usage error; analysis errors go to stderr as JSON.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
 from pathlib import Path
 
 from . import annuli, census, degree as degree_mod, gallery, strip_lift
-from .charts import Chart, ParseError, format_map, parse_map
+from .charts import Chart, ParseError, SpherePoint, format_map, parse_map
 from .lefschetz import lefschetz_index
 from .winding import dump_curve_csv, load_curve_csv
 
@@ -60,14 +61,23 @@ def cmd_census(args) -> int:
     return 0
 
 
+def _parse_value(text: str) -> complex:
+    """A finite north-chart value written as re,im."""
+    try:
+        re_s, im_s = text.split(",")
+        value = complex(float(re_s), float(im_s))
+    except ValueError as exc:
+        raise ParseError(f"value {text!r} is not re,im") from exc
+    if not cmath.isfinite(value):
+        raise ParseError(f"value {text!r} is not finite")
+    return value
+
+
 def cmd_degree(args) -> int:
     spec = parse_map(args.map)
     y = None
     if args.value:
-        re_s, im_s = args.value.split(",")
-        from .charts import SpherePoint
-
-        y = SpherePoint(complex(float(re_s), float(im_s)), Chart.NORTH)
+        y = SpherePoint(_parse_value(args.value), Chart.NORTH)
     report = degree_mod.global_degree(spec, y=y)
     _json_out({
         "global": report.total,

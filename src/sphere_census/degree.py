@@ -22,8 +22,10 @@ from .charts import (
     as_product_view,
     as_rational,
     chart_value,
+    chart_values,
     chordal,
     evaluate,
+    evaluate_many,
     from_latlon,
     solve_profile_level,
     to_chart,
@@ -185,7 +187,8 @@ def local_degree(spec: MapSpec, x: SpherePoint, y: SpherePoint, radius: float) -
         p = SpherePoint(probe.point_at(t), x.chart)
         return chart_value(evaluate(spec, p), y.chart)
 
-    pts = tuple(image_value(t) for t in probe.params)
+    imgs = evaluate_many(spec, probe.points, x.chart is Chart.NORTH)
+    pts = tuple(chart_values(*imgs, y.chart).tolist())
     image = SampledCurve(pts, y.chart, param_fn=image_value, params=probe.params)
     if min(abs(z - y_val) for z in image.points) <= 1e-9:
         raise RadiusTooLarge("image circle passes through the target value")
@@ -262,23 +265,30 @@ def annular_degree(spec: MapSpec, core: SampledCurve) -> int:
         p = SpherePoint(core.point_at(t), core.chart)
         return chart_value(evaluate(spec, p), Chart.NORTH)
 
-    pts = []
-    for t in core.params:
-        img = evaluate(spec, SpherePoint(core.point_at(t), core.chart))
-        if img.is_pole or not (1e-6 < abs(chart_value(img, Chart.NORTH)) < 1e6):
-            raise ImageHitsPole(f"core image at parameter {t:.4f} is near a pole")
-        pts.append(chart_value(img, Chart.NORTH))
-    arr = np.asarray(pts)
+    vals, north = evaluate_many(
+        spec, [core.point_at(t) for t in core.params], core.chart is Chart.NORTH
+    )
+    pole = vals == 0
+    arr = np.zeros_like(vals)
+    arr[~pole] = chart_values(vals[~pole], north[~pole], Chart.NORTH)
+    mag = np.hypot(arr.real, arr.imag)
+    bad = pole | ~((1e-6 < mag) & (mag < 1e6))
+    if bad.any():
+        t = core.params[int(np.argmax(bad))]
+        raise ImageHitsPole(f"core image at parameter {t:.4f} is near a pole")
+    pts = tuple(arr.tolist())
     if curve_diameter(arr) < 1e-9 * max(1.0, float(np.abs(arr).max())):
         # constant on the sample grid; probe off-grid parameters to tell a
         # genuinely constant image (angular degree 0) from aliased sampling
-        probes = [image_value(t) for t in (0.1137, 0.4711, 0.7893)]
+        off_grid = [core.point_at(t) for t in (0.1137, 0.4711, 0.7893)]
+        imgs = evaluate_many(spec, off_grid, core.chart is Chart.NORTH)
+        probes = chart_values(*imgs, Chart.NORTH).tolist()
         if all(abs(v - pts[0]) < 1e-9 * max(1.0, abs(pts[0])) for v in probes):
             return 0
         raise ValueError(
             "core circle sampling aliases the image winding; resample denser"
         )
-    image = SampledCurve(tuple(pts), Chart.NORTH, param_fn=image_value, params=core.params)
+    image = SampledCurve(pts, Chart.NORTH, param_fn=image_value, params=core.params)
     return winding_number(image, 0j)
 
 

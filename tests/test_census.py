@@ -192,6 +192,25 @@ def test_crosscheck_quadratic_reports_hypothesis_failure():
     assert [r.count for r in report.rows] == [3.0, 5.0]
 
 
+def test_crosscheck_reports_quadratic_without_attractor():
+    # c near -1: both finite fixed points repel, so the annulus has no S anchor
+    report = theorem_a_crosscheck(Quadratic(-1.071666 + 0.073510j), 3)
+    assert report.status == "scope_unavailable"
+    assert "no attracting finite fixed point" in report.detail
+    assert [r.count for r in report.rows] == [3.0, 5.0, 9.0]
+    assert all(r.theorem3_sum is None for r in report.rows)
+
+
+def test_crosscheck_keeps_rows_when_core_image_hits_pole():
+    # the core s = 0 lands at s = 0.95 * (2^n - 1) under f^n, beyond the
+    # |s| < ln(1e6) window at n = 4, so decompose(f^4) raises ImageHitsPole
+    spec = ProductMap(AffineProfile(2.0, 0.95), 2)
+    report = theorem_a_crosscheck(spec, 4)
+    assert report.status == "ok"
+    assert [r.count for r in report.rows] == [3.0, 5.0, 9.0, 17.0]
+    assert [r.theorem3_sum for r in report.rows] == [1, 3, 7, None]
+
+
 def test_census_csv_schema():
     text = census_csv(Power(2), 3)
     lines = text.strip().splitlines()

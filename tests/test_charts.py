@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sphere_census.census import _mod_twist, _shifted
 from sphere_census.charts import (
     AffineProfile,
     Chart,
@@ -22,11 +23,14 @@ from sphere_census.charts import (
     Quadratic,
     RationalPair,
     S_POLE,
+    _ComposedRadial,
+    _ComposedTwist,
     SpherePoint,
     as_product_view,
     as_rational,
     chordal,
     evaluate,
+    evaluate_many,
     format_map,
     from_latlon,
     parse_map,
@@ -167,6 +171,80 @@ def test_iterate_equals_repeated_application():
     # poles exactly
     assert evaluate(Iterate(Power(2), 4), N_POLE) == N_POLE
     assert evaluate(Iterate(Power(-1), 3), S_POLE) == N_POLE
+
+
+THREE_BRANCH = PiecewiseLinearProfile(((-INF, -INF), (-1, INF), (1, -INF), (INF, INF)))
+
+radials = st.one_of(
+    st.builds(AffineProfile, st.sampled_from([-2.5, -1.5, 1.5, 2.0, 3.0]),
+              st.floats(-0.5, 0.5)),
+    st.builds(lambda a, c: PolyProfile((0.1, a, 0.0, c)),
+              st.floats(0.5, 2.0), st.sampled_from([-0.2, 0.3])),
+    st.just(THREE_BRANCH),
+    st.just(PiecewiseLinearProfile(((-INF, -INF), (-0.5, -0.2), (0.7, 1.4), (INF, INF)))),
+)
+twists = st.one_of(
+    st.just(AffineProfile(0.0, 0.0)),
+    st.builds(AffineProfile, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    st.builds(lambda a, b: PolyProfile((a, b, 0.1)), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+base_specs = st.one_of(
+    st.builds(Power, st.integers(-3, 3)),
+    st.builds(lambda re, im: Quadratic(complex(re, im)), st.floats(-1.2, 0.3), st.floats(-0.5, 0.5)),
+    st.sampled_from([RationalPair((0, 2, 0, 1), (1, 0, 3)), RationalPair((1, 0, 2), (3, 1)),
+                     RationalPair((1j, 0.3, 2 - 1j), (0.5, 1.5j))]),
+    st.builds(ProductMap, radials, st.sampled_from([-3, -2, -1, 1, 2, 3]), twists),
+)
+specs = st.one_of(base_specs, st.builds(Iterate, base_specs, st.integers(1, 3)))
+# both poles (0 in either chart), the unit circle, and general points
+coordinates = st.one_of(
+    st.just(0j),
+    st.floats(0.0, 2 * math.pi).map(lambda a: cmath.exp(1j * a)),
+    st.builds(lambda m, a: 10.0 ** m * cmath.exp(1j * a),
+              st.floats(-6.0, 6.0), st.floats(0.0, 2 * math.pi)),
+)
+
+
+@given(spec=specs, points=st.lists(st.tuples(coordinates, st.booleans()),
+                                   min_size=1, max_size=8))
+def test_evaluate_many_matches_evaluate(spec, points):
+    values = np.array([z for z, _ in points], dtype=complex)
+    north = np.array([n for _, n in points])
+    try:
+        want = [evaluate(spec, SpherePoint(z, Chart.NORTH if n else Chart.SOUTH))
+                for z, n in points]
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            evaluate_many(spec, values, north)
+        return
+    got, got_north = evaluate_many(spec, values, north)
+    # the batch repeats the scalar arithmetic, so the results are identical
+    assert [w.chart is Chart.NORTH for w in want] == got_north.tolist()
+    assert [w.value for w in want] == got.tolist()
+
+
+profiles = st.one_of(
+    radials,
+    twists,
+    st.builds(_ComposedRadial, radials, radials),
+    st.builds(_ComposedTwist, st.integers(-3, 3), twists, radials, twists),
+    radials.map(_shifted),
+    twists.map(_mod_twist),
+)
+
+
+@given(profile=profiles,
+       ss=st.lists(st.one_of(st.floats(-30.0, 30.0), st.sampled_from([-INF, INF, -1.0, 1.0])),
+                   min_size=1, max_size=12))
+def test_profile_many_matches_call(profile, ss):
+    try:
+        want = [profile(s) for s in ss]
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            profile.many(np.array(ss))
+        return
+    got = profile.many(np.array(ss)).tolist()
+    assert got == want or np.array_equal(got, want, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

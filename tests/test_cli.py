@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 from sphere_census.cli import main
 from sphere_census.winding import circle, dump_curve_csv
@@ -86,9 +87,16 @@ def test_check_h_pass_and_fail(capsys, tmp_path):
 
 
 def test_parse_error_exits_2(capsys):
-    code, out, err = run(capsys, "census", "--map", "power:k=2")
-    assert code == 2
-    assert json.loads(err)["error"] == "ParseError"
+    for argv in (
+        ("census", "--map", "power:k=2"),
+        ("census", "--map", "quad:c=nan"),
+        ("census", "--map", "product:q=affine(nan,0);d=2"),
+        ("degree", "--map", "power:d=2", "--value", "nan,0"),
+        ("degree", "--map", "power:d=2", "--value", "abc"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(err)["error"] == "ParseError"
 
 
 def test_analysis_error_exits_1(capsys):
@@ -113,3 +121,13 @@ def test_seed_env_var_changes_draws_not_results(capsys, monkeypatch):
     _, seeded, _ = run(capsys, "degree", "--map", "power:d=2")
     assert json.loads(base)["global"] == json.loads(seeded)["global"] == 2
     assert json.loads(base)["regular_value"] != json.loads(seeded)["regular_value"]
+
+
+def test_outputs_match_recorded_bytes(capsys):
+    # recorded from the scalar evaluation path; between them the queries run
+    # every batched sample set: probe and core circles, boundary circles, the
+    # hypothesis probe, pole orbits and the profile grids
+    cases = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    for case in cases:
+        got = run(capsys, *case["argv"])
+        assert got == (case["exit"], case["stdout"], case["stderr"]), case["argv"]
