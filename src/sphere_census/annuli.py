@@ -10,7 +10,7 @@ straightened form; only those decompose into annulus components.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -24,9 +24,7 @@ from .charts import (
     as_product_view,
     as_rational,
     chart_value,
-    chart_values,
     chordal,
-    evaluate,
     evaluate_many,
     latitudes,
     to_chart,
@@ -178,30 +176,24 @@ def decompose(spec: MapSpec, window: float = 1.0, core_samples: int | None = Non
         )
     intervals = [(c.s_lo, c.s_hi) for c in out]
     d_sums, _ = degree_mod.component_degrees(spec, intervals)
-    finished = []
-    for comp, d_i in zip(out, d_sums):
-        rep = _window_repelling(spec, comp.win_lo, comp.win_hi, core_samples)
-        finished.append(
-            AnnulusComponent(
-                s_lo=comp.s_lo, s_hi=comp.s_hi,
-                win_lo=comp.win_lo, win_hi=comp.win_hi,
-                delta=comp.delta, d_i=d_i, repelling=rep,
-                core=comp.core,
-                lower_circle=comp.lower_circle, upper_circle=comp.upper_circle,
-            )
-        )
-    return finished
+    return [replace(comp, d_i=d_i, repelling=is_repelling(spec, comp))
+            for comp, d_i in zip(out, d_sums)]
 
 
-def _window_repelling(spec: MapSpec, s_lo: float, s_hi: float, samples: int) -> bool:
-    lower = latitude_circle(s_lo, samples)
-    upper = latitude_circle(s_hi, samples)
-    return _boundaries_repel(spec, lower, s_lo, upper, s_hi)
+def is_repelling(spec: MapSpec, component: AnnulusComponent) -> bool:
+    """Both boundary circles map strictly outside the component.
 
-
-def _boundaries_repel(spec, lower, s_lo, upper, s_hi) -> bool:
+    Upper boundary samples must land strictly above its latitude, lower
+    samples strictly below; a sample within the margin makes the test
+    inconclusive (raised, never silently False).  A pole side is tested on
+    the window edge, sampled as densely as the core.
+    """
+    samples = len(component.core.points)
+    lower = component.lower_circle or latitude_circle(component.win_lo, samples)
+    upper = component.upper_circle or latitude_circle(component.win_hi, samples)
     ok = True
-    for curve, s_ref, outward_up in ((upper, s_hi, True), (lower, s_lo, False)):
+    for curve, s_ref, outward_up in ((upper, component.win_hi, True),
+                                     (lower, component.win_lo, False)):
         s_img = latitudes(*evaluate_many(spec, curve.points, curve.chart is Chart.NORTH))
         if (np.abs(s_img - s_ref) <= REPEL_MARGIN).any():
             raise BoundaryTouchesImage(
@@ -211,18 +203,6 @@ def _boundaries_repel(spec, lower, s_lo, upper, s_hi) -> bool:
         if (excess < 0).any():
             ok = False
     return ok
-
-
-def is_repelling(spec: MapSpec, component: AnnulusComponent) -> bool:
-    """Both boundary circles map strictly outside the component.
-
-    Upper boundary samples must land strictly above its latitude, lower
-    samples strictly below; a sample within the margin makes the test
-    inconclusive (raised, never silently False).
-    """
-    lower = component.lower_circle or latitude_circle(component.win_lo)
-    upper = component.upper_circle or latitude_circle(component.win_hi)
-    return _boundaries_repel(spec, lower, component.win_lo, upper, component.win_hi)
 
 
 def theorem3_bound(component: AnnulusComponent) -> int:
@@ -273,15 +253,7 @@ def check_hypothesis_h(spec: MapSpec) -> HypothesisReport:
         if winding_number(probe, s_val) != 0:
             raise UnsupportedSpec("probe circle is not inessential")
         probes += 1
-
-        def image_value(t: float, _probe=probe) -> complex:
-            p = SpherePoint(_probe.point_at(t), Chart.NORTH)
-            return chart_value(evaluate(spec, p), Chart.NORTH)
-
-        pts = chart_values(*evaluate_many(spec, probe.points, True), Chart.NORTH)
-        image = SampledCurve(tuple(pts.tolist()), Chart.NORTH, param_fn=image_value,
-                             params=probe.params)
-        w = winding_number(image, s_val)
+        w = winding_number(degree_mod.image_curve(spec, probe, Chart.NORTH), s_val)
         if w != 0:
             return HypothesisReport(False, witness=probe,
                                     witness_image_winding=w, probes=probes)

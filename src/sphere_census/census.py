@@ -26,12 +26,14 @@ from .charts import (
     as_product_view,
     as_rational,
     chordal,
+    dedup_points,
     evaluate,
     evaluate_many,
     format_map,
     from_latlon,
     solve_profile_level,
     to_chart,
+    wrap_angle,
 )
 
 INF = math.inf
@@ -156,17 +158,13 @@ def _product_fixed_points(spec: MapSpec, view) -> FixedPointSet:
         if d == 1:
             lats = tuple(
                 s for s in solve_profile_level(_mod_twist(view.twist), 0.0)
-            ) or ((0.0,) if abs(_angle_mod(view.twist(0.0))) < 1e-9 else ())
+            ) or ((0.0,) if abs(wrap_angle(view.twist(0.0))) < 1e-9 else ())
         else:
             lats = (0.0,)
-        if lats:
-            return FixedPointSet(points=tuple(_dedup(pts)),
-                                 continuum_latitudes=lats)
-        return FixedPointSet(points=tuple(_dedup(pts)))
+        return FixedPointSet(points=tuple(_dedup(pts)), continuum_latitudes=lats)
     for s in solve_profile_level(shifted, 0.0, grid=10000):
         if d == 1:
-            tw = view.twist(s) % (2 * math.pi)
-            if min(tw, 2 * math.pi - tw) < 1e-9:
+            if abs(wrap_angle(view.twist(s))) < 1e-9:
                 continua.append(s)
             continue
         for k in range(abs(d - 1)):
@@ -199,34 +197,27 @@ class _shifted:
         return self.profile.pole_crossings()
 
 
-def _angle_mod(a: float) -> float:
-    return (a + math.pi) % (2 * math.pi) - math.pi
-
-
 @dataclass(frozen=True)
 class _mod_twist:
-    """Twist offset wrapped to (-pi, pi]: zeros are whole fixed circles."""
+    """Twist offset wrapped to [-pi, pi): zeros are whole fixed circles."""
 
     twist: object
 
     def __call__(self, s: float) -> float:
-        return _angle_mod(self.twist(s))
+        return wrap_angle(self.twist(s))
 
     def many(self, s: np.ndarray) -> np.ndarray:
         # an infinite twist wraps to nan, silently as in float arithmetic
         with np.errstate(invalid="ignore"):
-            return _angle_mod(self.twist.many(s))
+            return wrap_angle(self.twist.many(s))
 
     def pole_crossings(self):
         return ()
 
 
 def _dedup(points) -> list[SpherePoint]:
-    kept: list[SpherePoint] = []
-    for p in sorted(points, key=lambda q: (q.latitude(), q.angle())):
-        if all(chordal(p, other) > DEDUP_RADIUS for other in kept):
-            kept.append(p)
-    return kept
+    return dedup_points(sorted(points, key=lambda q: (q.latitude(), q.angle())),
+                        DEDUP_RADIUS)
 
 
 # ---------------------------------------------------------------------------

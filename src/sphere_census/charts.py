@@ -142,6 +142,20 @@ def chordal(p: SpherePoint, q: SpherePoint) -> float:
     return num / den
 
 
+def dedup_points(points, radius: float) -> list[SpherePoint]:
+    """Points farther than ``radius`` (chordal) from every earlier kept one."""
+    kept: list[SpherePoint] = []
+    for p in points:
+        if all(chordal(p, other) > radius for other in kept):
+            kept.append(p)
+    return kept
+
+
+def wrap_angle(a):
+    """Angle (scalar or array) wrapped to [-pi, pi)."""
+    return (a + math.pi) % (2 * math.pi) - math.pi
+
+
 # ---------------------------------------------------------------------------
 # Radial profiles: evaluable R -> R extended to +-inf, with declared ends.
 # ---------------------------------------------------------------------------

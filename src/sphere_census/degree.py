@@ -24,13 +24,22 @@ from .charts import (
     chart_value,
     chart_values,
     chordal,
+    dedup_points,
     evaluate,
     evaluate_many,
     from_latlon,
     solve_profile_level,
     to_chart,
+    wrap_angle,
 )
-from .winding import SampledCurve, circle, curve_diameter, is_essential, winding_number
+from .winding import (
+    SampledCurve,
+    circle,
+    constant_off_grid,
+    curve_diameter,
+    is_essential,
+    winding_number,
+)
 
 PREIMAGE_DEDUP = 1e-7
 
@@ -108,7 +117,7 @@ def _rational_preimages(rat, y: SpherePoint) -> list[SpherePoint]:
     img_inf = evaluate_rational_at_infinity(pp, qq)
     if chordal(img_inf, y) < 1e-9:
         out.append(charts.N_POLE)
-    return _dedup_points(out, PREIMAGE_DEDUP)
+    return dedup_points(out, PREIMAGE_DEDUP)
 
 
 def evaluate_rational_at_infinity(pp: np.ndarray, qq: np.ndarray) -> SpherePoint:
@@ -148,25 +157,13 @@ def _product_preimages(view, y: SpherePoint) -> list[SpherePoint]:
     for s in solve_profile_level(view.radial, s_y):
         if d == 0:
             # image of this circle is a single point; generic y misses it
-            if abs(_angle_diff(view.twist(s), theta_y)) < 1e-9:
+            if abs(wrap_angle(view.twist(s) - theta_y)) < 1e-9:
                 raise PreimageClusterTooTight("angular-degree-0 circle preimage")
             continue
         for k in range(abs(d)):
             theta = (theta_y - view.twist(s) + 2 * math.pi * k) / d
             out.append(from_latlon(s, theta))
-    return _dedup_points(out, PREIMAGE_DEDUP)
-
-
-def _angle_diff(a: float, b: float) -> float:
-    return (a - b + math.pi) % (2 * math.pi) - math.pi
-
-
-def _dedup_points(points, radius: float) -> list[SpherePoint]:
-    kept: list[SpherePoint] = []
-    for p in points:
-        if all(chordal(p, other) > radius for other in kept):
-            kept.append(p)
-    return kept
+    return dedup_points(out, PREIMAGE_DEDUP)
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +179,26 @@ def local_degree(spec: MapSpec, x: SpherePoint, y: SpherePoint, radius: float) -
         raise ValueError("x does not map to y")
     y_val = y.value
     probe = circle(x.value, radius, samples=128, chart=x.chart)
-
-    def image_value(t: float) -> complex:
-        p = SpherePoint(probe.point_at(t), x.chart)
-        return chart_value(evaluate(spec, p), y.chart)
-
-    imgs = evaluate_many(spec, probe.points, x.chart is Chart.NORTH)
-    pts = tuple(chart_values(*imgs, y.chart).tolist())
-    image = SampledCurve(pts, y.chart, param_fn=image_value, params=probe.params)
+    image = image_curve(spec, probe, y.chart)
     if min(abs(z - y_val) for z in image.points) <= 1e-9:
         raise RadiusTooLarge("image circle passes through the target value")
     return winding_number(image, y_val)
+
+
+def image_curve(spec: MapSpec, curve: SampledCurve, target: Chart) -> SampledCurve:
+    """The image of a sampled curve in the target chart.
+
+    The samples are mapped in one batch; refinement maps parameter
+    midpoints one at a time through the curve's own parameterization.
+    """
+
+    def image_value(t: float) -> complex:
+        p = SpherePoint(curve.point_at(t), curve.chart)
+        return chart_value(evaluate(spec, p), target)
+
+    imgs = evaluate_many(spec, curve.points, curve.chart is Chart.NORTH)
+    pts = tuple(chart_values(*imgs, target).tolist())
+    return SampledCurve(pts, target, param_fn=image_value, params=curve.params)
 
 
 def global_degree(
@@ -237,9 +243,7 @@ def _degree_at(spec: MapSpec, y: SpherePoint) -> DegreeReport:
 
 def witness_radius(preimages) -> float:
     """Probe radius separated from every other witness by a factor >= 10."""
-    if not preimages:
-        return 0.05
-    if len(preimages) == 1:
+    if len(preimages) < 2:
         return 0.05
     sep = min(
         chordal(a, b)
@@ -278,12 +282,8 @@ def annular_degree(spec: MapSpec, core: SampledCurve) -> int:
         raise ImageHitsPole(f"core image at parameter {t:.4f} is near a pole")
     pts = tuple(arr.tolist())
     if curve_diameter(arr) < 1e-9 * max(1.0, float(np.abs(arr).max())):
-        # constant on the sample grid; probe off-grid parameters to tell a
-        # genuinely constant image (angular degree 0) from aliased sampling
-        off_grid = [core.point_at(t) for t in (0.1137, 0.4711, 0.7893)]
-        imgs = evaluate_many(spec, off_grid, core.chart is Chart.NORTH)
-        probes = chart_values(*imgs, Chart.NORTH).tolist()
-        if all(abs(v - pts[0]) < 1e-9 * max(1.0, abs(pts[0])) for v in probes):
+        # constant on the sample grid: angular degree 0, unless aliased
+        if constant_off_grid(image_value, pts[0], 1e-9):
             return 0
         raise ValueError(
             "core circle sampling aliases the image winding; resample denser"

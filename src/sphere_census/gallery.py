@@ -23,8 +23,6 @@ from .charts import (
     ProductMap,
     Quadratic,
     RationalPair,
-    chordal,
-    evaluate,
 )
 from .lefschetz import Rect, RectCertificate
 from .winding import SampledCurve, concatenate, winding_number
@@ -151,13 +149,9 @@ def check_strip_indices() -> tuple[bool, str]:
     for d, want in ((2, 1), (-1, -1), (0, -1)):
         spec = repelling_model(d)
         comp = annuli.decompose(spec)[0]
-        F = strip_lift.lift(spec, comp, k=0)
-        res = strip_lift.verify_index(F)
-        z = strip_lift.lift_fixed_point(F, res.m_used)
-        downstairs = F.project(z.real, z.imag)
-        residual = chordal(evaluate(spec, downstairs), downstairs)
-        ok = ok and res.index == want and residual < 1e-10
-        details.append(f"d={d}: index={res.index} m={res.m_used} residual={residual:.1e}")
+        (fp,) = strip_lift.nielsen_fixed_points(spec, comp, offsets=(0,))
+        ok = ok and fp.index == want and fp.residual < 1e-10
+        details.append(f"d={d}: index={fp.index} m={fp.m_used} residual={fp.residual:.1e}")
     return ok, "; ".join(details)
 
 

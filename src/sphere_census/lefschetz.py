@@ -20,6 +20,7 @@ from .charts import MapSpec, as_plane_map
 from .winding import (
     PointOnCurve,
     SampledCurve,
+    constant_off_grid,
     curve_diameter,
     winding_number,
 )
@@ -39,35 +40,26 @@ def _plane(f: Union[MapSpec, PlaneMap]) -> PlaneMap:
     return f if callable(f) else as_plane_map(f)
 
 
-def displacement_curve(f: Union[MapSpec, PlaneMap], curve: SampledCurve) -> SampledCurve:
-    """The closed curve t -> f(gamma(t)) - gamma(t), refinable via gamma."""
-    fn = _plane(f)
-
-    def disp(t: float) -> complex:
-        z = curve.point_at(t)
-        return fn(z) - z
-
-    pts = tuple(fn(z) - z for z in curve.points)
-    return SampledCurve(pts, curve.chart, param_fn=disp, params=curve.params)
-
-
 def lefschetz_index(f: Union[MapSpec, PlaneMap], curve: SampledCurve) -> int:
     """Winding of the displacement field of f along the curve, about 0."""
     fn = _plane(f)
+
+    def disp_at(t: float) -> complex:
+        z = curve.point_at(t)
+        return fn(z) - z
+
     diam = curve_diameter(curve.points)
     disp = [fn(z) - z for z in curve.points]
     low = min(abs(d) for d in disp)
     if low <= 1e-7 * diam:
         raise FixedPointOnCurve(f"min displacement {low:.3g} on a curve of size {diam:.3g}")
-    if max(abs(d - disp[0]) for d in disp) < 1e-12 * max(1.0, abs(disp[0])):
-        # constant on the sample grid; a few off-grid probes distinguish a
-        # genuinely constant field (winding 0) from aliased sampling
-        probes = [fn(curve.point_at(t)) - curve.point_at(t)
-                  for t in (0.1137, 0.4711, 0.7893)]
-        if all(abs(d - disp[0]) < 1e-12 * max(1.0, abs(disp[0])) for d in probes):
-            return 0
+    # constant on the sample grid: winding 0, unless aliased
+    if (max(abs(d - disp[0]) for d in disp) < 1e-12 * max(1.0, abs(disp[0]))
+            and constant_off_grid(disp_at, disp[0], 1e-12)):
+        return 0
+    field = SampledCurve(tuple(disp), curve.chart, param_fn=disp_at, params=curve.params)
     try:
-        return winding_number(displacement_curve(fn, curve), 0j)
+        return winding_number(field, 0j)
     except PointOnCurve as exc:
         raise FixedPointOnCurve(str(exc)) from exc
 
@@ -204,10 +196,6 @@ def rectangle_certificate(
 # ---------------------------------------------------------------------------
 
 
-def _boundary_index(fn: PlaneMap, rect: Rect, samples: int = 48) -> int:
-    return lefschetz_index(fn, boundary_curve(rect, samples))
-
-
 def fixed_point_in(
     f: Union[MapSpec, PlaneMap],
     rect: Rect,
@@ -222,7 +210,7 @@ def fixed_point_in(
     """
     fn = _plane(f)
     try:
-        if _boundary_index(fn, rect) == 0:
+        if lefschetz_index(fn, boundary_curve(rect, 48)) == 0:
             return None
     except FixedPointOnCurve:
         pass  # fixed point essentially on the outer boundary; descend anyway
@@ -242,7 +230,7 @@ def fixed_point_in(
             ]
             try:
                 for q in quads:
-                    if _boundary_index(fn, q) != 0:
+                    if lefschetz_index(fn, boundary_curve(q, 48)) != 0:
                         child = q
                         break
             except FixedPointOnCurve:

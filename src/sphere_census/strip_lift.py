@@ -25,7 +25,7 @@ from .charts import (
     evaluate,
     from_latlon,
 )
-from .lefschetz import Rect, fixed_point_in, lefschetz_index
+from .lefschetz import Rect, boundary_curve, fixed_point_in, lefschetz_index
 from .winding import SampledCurve
 
 Y_LO, Y_HI = 0.25, 0.75
@@ -174,24 +174,7 @@ def build_beta(F: StripMap, m: int) -> SampledCurve:
     if m < 0:
         raise ValueError("loop width must be >= 0")
     x_lo, x_hi = (0.0, 1.0) if m == 0 else (-float(m), float(m))
-    corners = [
-        complex(x_lo, Y_LO),
-        complex(x_hi, Y_LO),
-        complex(x_hi, Y_HI),
-        complex(x_lo, Y_HI),
-    ]
-
-    def at(t: float) -> complex:
-        t = t % 1.0
-        leg, frac = divmod(t * 4.0, 1.0)
-        a = corners[int(leg) % 4]
-        b = corners[(int(leg) + 1) % 4]
-        return a + frac * (b - a)
-
-    per_leg = max(16, 8 * (2 * m + 1))
-    n = 4 * per_leg
-    ts = [i / n for i in range(n)]
-    return SampledCurve(tuple(at(t) for t in ts), param_fn=at, params=tuple(ts))
+    return boundary_curve(Rect(x_lo, x_hi, Y_LO, Y_HI), max(16, 8 * (2 * m + 1)))
 
 
 @dataclass(frozen=True)

@@ -99,9 +99,8 @@ def circle(center: complex, radius: float, samples: int = 64,
     if radius <= 0:
         raise ValueError("radius must be positive")
     ts = [i / samples for i in range(samples)]
-    pts = [center + radius * cmath.exp(2j * math.pi * t) for t in ts]
     fn = lambda t: center + radius * cmath.exp(2j * math.pi * t)
-    return SampledCurve(tuple(pts), chart, param_fn=fn, params=tuple(ts))
+    return SampledCurve(tuple(fn(t) for t in ts), chart, param_fn=fn, params=tuple(ts))
 
 
 def latitude_circle(s: float, samples: int = 256) -> SampledCurve:
@@ -119,6 +118,17 @@ def curve_diameter(points: Sequence[complex]) -> float:
     zs = np.asarray(points, dtype=complex)
     center = zs.mean()
     return 2.0 * float(np.abs(zs - center).max())
+
+
+def constant_off_grid(value_at: Callable[[float], complex], ref: complex,
+                      rtol: float) -> bool:
+    """Do three off-grid parameters all map within ``rtol`` of ``ref``?
+
+    A curve that is constant on its sample grid is either constant or winds
+    between the samples (aliasing); these probes tell the two apart.
+    """
+    tol = rtol * max(1.0, abs(ref))
+    return all(abs(value_at(t) - ref) < tol for t in (0.1137, 0.4711, 0.7893))
 
 
 def winding_number(curve: SampledCurve, p: complex) -> int:

@@ -91,6 +91,26 @@ def test_is_repelling_endpoint_arithmetic():
     assert not is_repelling(shift, decompose(shift)[0])
 
 
+@pytest.mark.parametrize("spec", [
+    ProductMap(AffineProfile(2.0, 0.0), -48),
+    ProductMap(PiecewiseLinearProfile(((-INF, -INF), (-1, INF), (1, -INF), (INF, INF))), 2),
+])
+def test_is_repelling_matches_decompose(spec, monkeypatch):
+    comps = decompose(spec)
+    sampled = []
+    batch = annuli.evaluate_many
+
+    def counting(spec, values, north):
+        sampled.append(len(values))
+        return batch(spec, values, north)
+
+    monkeypatch.setattr(annuli, "evaluate_many", counting)
+    for c in comps:
+        assert is_repelling(spec, c) == c.repelling
+        # a pole side is sampled as densely as the core, as decompose does
+        assert sampled[-2:] == [len(c.core.points)] * 2
+
+
 def test_is_repelling_inconclusive_on_touching_boundary():
     # the identity radial fixes both boundary latitudes exactly
     spec = ProductMap(AffineProfile(1.0, 0.0), 2)

@@ -39,6 +39,17 @@ def test_doubling_map_on_unit_circle():
     assert lefschetz_index(fn, unit_circle) == 1
 
 
+def test_each_base_sample_is_mapped_once():
+    calls = []
+
+    def doubling(z):
+        calls.append(z)
+        return 2 * z
+
+    assert lefschetz_index(doubling, circle(0j, 1.0, 64)) == 1
+    assert len(calls) < 2 * 64
+
+
 def test_translation_has_zero_index():
     assert lefschetz_index(lambda z: z + 5, circle(0j, 1.0, 64)) == 0
 
