@@ -1,10 +1,16 @@
 """Fixed points of iterates, growth-rate estimates, and the inequality
 cross-checks tying the annulus machinery to the periodic-point counts.
 
-Counts are of distinct fixed points (no multiplicity).  Polynomial and
-rational specs are solved algebraically through the iterated fraction;
-product specs reduce to a one-dimensional radial fixed-point problem plus
-an exact angular congruence per radial solution.
+Counts are of distinct fixed points (no multiplicity).  Power maps use the
+closed form (the poles and the roots of unity).  Other quadratic and
+rational maps of degree D are solved by Aberth-Ehrlich on f^n(z) - z,
+evaluated through the n-fold recursion of the base map without expanding
+coefficients, and checked against the multiplicity sum D^n + 1: every
+approximation must pass the residual filter, and approximations merge only
+at a multiple fixed point (multiplier 1).  A failure raises
+``CensusIncomplete``, never a short count.  Product specs reduce to
+a one-dimensional radial fixed-point problem plus an exact angular
+congruence per radial solution.
 """
 from __future__ import annotations
 
@@ -12,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import annuli, degree as degree_mod
 from .charts import (
@@ -20,6 +25,9 @@ from .charts import (
     Iterate,
     MapSpec,
     N_POLE,
+    Power,
+    Quadratic,
+    RationalPair,
     S_POLE,
     SpherePoint,
     anchor_poles,
@@ -31,8 +39,8 @@ from .charts import (
     evaluate_many,
     format_map,
     from_latlon,
+    is_identity_profile,
     solve_profile_level,
-    to_chart,
     wrap_angle,
 )
 
@@ -43,6 +51,20 @@ DEDUP_RADIUS = 1e-6
 RESIDUAL_CAP = 1e-10
 RATE_TOL = 0.05
 
+# Aberth-Ehrlich: a root is converged once its correction is below ABERTH_TOL
+# relative to 1 + |w|, or once the correction stops shrinking below
+# ABERTH_STALL (rounding noise at a multiple root); pairwise sums are formed
+# PAIR_BLOCK differences at a time.
+ABERTH_SEED = 2017
+ABERTH_MAX_ITERS = 500
+ABERTH_TOL = 1e-13
+ABERTH_STALL = 1e-6
+PAIR_BLOCK = 1 << 16
+# approximations within DEDUP_RADIUS of one another count as one fixed point
+# only where f^n has multiplier within MULTIPLE_TOL of 1 (a multiple root)
+MULTIPLE_TOL = 1e-3
+GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+
 
 class CensusError(Exception):
     pass
@@ -50,6 +72,12 @@ class CensusError(Exception):
 
 class DegreeCapExceeded(CensusError):
     """The iterate's algebraic degree is beyond the desk-scale cap."""
+
+
+class CensusIncomplete(CensusError):
+    """The D^n + 1 approximations of the fixed points of a rational iterate
+    did not all converge, pass the residual filter, or merge only at
+    multiple fixed points; no count is given."""
 
 
 @dataclass(frozen=True)
@@ -70,74 +98,230 @@ class FixedPointSet:
 
 
 def fixed_points(spec: MapSpec, n: int = 1) -> FixedPointSet:
-    """All distinct solutions of f^n(p) = p, poles included."""
+    """All distinct solutions of f^n(p) = p, poles included.
+
+    Raises ``CensusIncomplete`` rather than return fewer fixed points of a
+    rational iterate than the multiplicity sum certifies.
+    """
     if n < 1:
         raise ValueError("iterate order must be >= 1")
-    iterate = spec if n == 1 else Iterate(spec, n)
-    flat = _flatten(iterate)
-    rat = as_rational(flat)
-    if rat is not None:
+    base, order = spec, n
+    while isinstance(base, Iterate):
+        base, order = base.inner, order * base.n
+    if isinstance(base, (Power, Quadratic, RationalPair)):
         if abs(spec.declared_degree) ** n > DEGREE_CAP:
             raise DegreeCapExceeded(
                 f"degree {spec.declared_degree}^{n} exceeds {DEGREE_CAP}"
             )
-        return _rational_fixed_points(flat, rat)
+        if isinstance(base, Power):
+            return _power_fixed_points(base.d ** order)
+        return _rational_fixed_points(base, order)
+    flat = base if order == 1 else Iterate(base, order)
     view = as_product_view(flat)
     if view is not None:
         return _product_fixed_points(flat, view)
     raise annuli.UnsupportedSpec(f"no fixed-point solver for {spec!r}")
 
 
-def _flatten(spec: MapSpec) -> MapSpec:
-    if isinstance(spec, Iterate) and isinstance(spec.inner, Iterate):
-        return _flatten(Iterate(spec.inner.inner, spec.n * spec.inner.n))
-    return spec
+_CONTINUUM = FixedPointSet(points=(), continuum_latitudes=(0.0,))
 
 
-def _rational_fixed_points(spec: MapSpec, rat) -> FixedPointSet:
-    p, q = (np.array(c, dtype=complex) for c in rat)
-    fixed_poly = npoly.polysub(p, npoly.polymul(np.array([0j, 1 + 0j]), q))
-    fixed_poly = np.trim_zeros(np.asarray(fixed_poly), "b")
-    if fixed_poly.size == 0:
-        # f is the identity: the whole sphere is fixed
-        return FixedPointSet(points=(), continuum_latitudes=(0.0,))
-    pts: list[SpherePoint] = []
-    if fixed_poly.size > 1:
-        for z in npoly.polyroots(fixed_poly):
-            pts.append(_polish_fixed(spec, SpherePoint(z, Chart.NORTH).normalized()))
-    if len(p) > len(q):  # f(infinity) = infinity
-        pts.append(N_POLE)
-    pts = [pt for pt in pts if chordal(evaluate(spec, pt), pt) < RESIDUAL_CAP]
-    return FixedPointSet(points=tuple(_dedup(pts)))
+def _power_fixed_points(e: int) -> FixedPointSet:
+    """Fixed points of z -> z**e: the |e - 1| roots of unity, plus both
+    poles when e >= 2; every point is fixed when e = 1."""
+    if e == 1:
+        return _CONTINUUM
+    m = abs(e - 1)
+    pts = [from_latlon(0.0, 2 * math.pi * k / m) for k in range(m)]
+    if e >= 2:
+        pts += [S_POLE, N_POLE]
+    return FixedPointSet(points=tuple(sorted(pts, key=_sort_key)))
 
 
-def _polish_fixed(spec: MapSpec, p: SpherePoint, iters: int = 8) -> SpherePoint:
-    """Newton refinement of f(z) - z = 0 with a numeric derivative,
-    run in the chart where the point is normalized."""
-    z = p.value
-    chart = p.chart
-    h = 1e-7
+def _rational_fixed_points(base: MapSpec, n: int) -> FixedPointSet:
+    """Fixed points of f^n for a quadratic or rational f of degree D.
 
-    def g(v: complex) -> complex:
-        img = evaluate(spec, SpherePoint(v, chart))
-        return to_chart(img, chart).value - v
+    Unless f^n is the identity they number D^n + 1 with multiplicity.  The
+    poles fixed exactly are kept as they are; Aberth-Ehrlich finds the
+    others, which must all pass the residual filter, and two of them may
+    merge only where the multiplier of f^n is within MULTIPLE_TOL of 1.
+    """
+    p, q = as_rational(base)
+    deg = base.declared_degree
+    if deg == 1:
+        # a Moebius iterate other than the identity fixes what f fixes (the
+        # eigenvectors of its matrix), and f^n itself may be too expanding
+        # for the residual filter
+        if _mobius_identity(p, q, n):
+            return _CONTINUUM
+        n = 1
+    iterate = base if n == 1 else Iterate(base, n)
+    poles = [pole for pole in (S_POLE, N_POLE) if evaluate(iterate, pole) == pole]
+    approx, multipliers = _aberth_fixed_points(p, q, deg, n, poles)
+    values, north = evaluate_many(
+        iterate, [pt.value for pt in approx], [pt.chart is Chart.NORTH for pt in approx])
+    kept = [
+        (pt, lam) for pt, lam, v, nor
+        in zip(approx, multipliers.tolist(), values.tolist(), north.tolist())
+        if chordal(SpherePoint(v, Chart.NORTH if nor else Chart.SOUTH), pt) < RESIDUAL_CAP
+    ]
+    total = deg ** n + 1
+    if len(kept) + len(poles) < total:
+        raise CensusIncomplete(
+            f"{format_map(iterate)}: {total - len(poles) - len(kept)} of {total} "
+            f"fixed points fail the residual filter"
+        )
+    # an approximation of a multiple fixed point at a pole merges into the pole
+    found = _dedup([pt for pt, _ in kept if all(chordal(pt, pole) > DEDUP_RADIUS
+                                               for pole in poles)] + poles)
+    # approximations merge only where the fixed point is multiple
+    found_ids = {id(pt) for pt in found}
+    simple = sum(abs(lam - 1.0) > MULTIPLE_TOL for pt, lam in kept if id(pt) not in found_ids)
+    if simple:
+        raise CensusIncomplete(
+            f"{format_map(iterate)}: {simple} of {total} approximations merge "
+            f"into another at a fixed point of multiplier away from 1"
+        )
+    return FixedPointSet(points=tuple(found))
 
-    for _ in range(iters):
-        try:
-            gz = g(z)
-        except Exception:
-            break
-        if abs(gz) < 1e-14:
-            break
-        dg = (g(z + h) - gz) / h
-        denom = dg
-        if denom == 0:
-            break
-        step = gz / denom
-        if not (math.isfinite(step.real) and math.isfinite(step.imag)):
-            break
-        z = z - step
-    return SpherePoint(z, chart)
+
+def _mobius_identity(p, q, n: int) -> bool:
+    """Whether the n-th iterate of (p1 z + p0)/(q1 z + q0) is the identity,
+    i.e. the n-th power of its matrix is scalar up to rounding."""
+    p0, p1 = (tuple(p) + (0j,))[:2]
+    q0, q1 = (tuple(q) + (0j,))[:2]
+    m = np.array([[p1, p0], [q1, q0]])
+    # a loxodromic power may overflow: not scalar
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.linalg.matrix_power(m / np.sqrt(np.linalg.det(m)), n)
+        off = max(abs(m[0, 1]), abs(m[1, 0]), abs(m[0, 0] - m[1, 1]))
+        return bool(np.isfinite(m).all() and off <= 1e-12 * abs(m).max())
+
+
+def _aberth_fixed_points(p, q, deg: int, n: int, poles):
+    """The D^n + 1 - len(poles) fixed points of f^n other than ``poles``,
+    and the multiplier of f^n at each.
+
+    Aberth-Ehrlich on G(w) = y1 - w y2, where (y1 : y2) is f^n at w after a
+    fixed unitary change of coordinates U, so no root sits at w = infinity.
+    Up to the constant det U, G = det[F^n(x), x] with x = U (w, 1) and F the
+    homogeneous form of f; G and G' come from the n-fold recursion of F with
+    the chain rule, and the coefficients of G are never formed.  The exact
+    poles take part in the pairwise sums as fixed roots.
+    """
+    rng = np.random.default_rng(ABERTH_SEED)
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    coeffs = np.zeros((2, deg + 1), dtype=complex)
+    coeffs[0, :len(p)] = p
+    coeffs[1, :len(q)] = q
+    # (w : 1) = U^H (z : 1): S = (0 : 1) and N = (1 : 0)
+    fixed = [u[1, 0].conjugate() / u[1, 1].conjugate() if pole == S_POLE
+             else u[0, 0].conjugate() / u[0, 1].conjugate() for pole in poles]
+    m = deg ** n + 1 - len(poles)
+    w = np.concatenate([_spiral(m), np.array(fixed, dtype=complex)])
+    active = np.arange(m)
+    last = np.full(m, INF)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(ABERTH_MAX_ITERS):
+            if active.size == 0:
+                break
+            ratio = _log_derivative(coeffs, deg, n, u, w[active])
+            step = 1.0 / (ratio - _pair_sums(w, active))
+            step[~np.isfinite(step)] = 0.0
+            w[active] -= step
+            size = np.abs(step)
+            scale = 1.0 + np.abs(w[active])
+            done = (size <= ABERTH_TOL * scale) | (
+                (size >= last[active]) & (size <= ABERTH_STALL * scale))
+            last[active] = size
+            active = active[~done]
+    if active.size:
+        raise CensusIncomplete(
+            f"Aberth iteration for {m} fixed points of an iterate of order {n} "
+            f"left {active.size} unconverged after {ABERTH_MAX_ITERS} steps"
+        )
+    a = u[0, 0] * w[:m] + u[0, 1]
+    b = u[1, 0] * w[:m] + u[1, 1]
+    points = [SpherePoint(x / y, Chart.NORTH) if abs(x) <= abs(y)
+              else SpherePoint(y / x, Chart.SOUTH)
+              for x, y in zip(a.tolist(), b.tolist())]
+    return points, _multipliers(coeffs, deg, n, u, w[:m])
+
+
+def _spiral(m: int) -> np.ndarray:
+    """m starting points spread evenly over the sphere (a golden spiral)."""
+    k = np.arange(m)
+    height = (2 * k + 1) / m - 1
+    return np.sqrt((1 + height) / (1 - height)) * np.exp(1j * GOLDEN_ANGLE * k)
+
+
+def _iterate_jet(coeffs, deg: int, n: int, u, w: np.ndarray):
+    """The start x0 = U (w, 1) and x = F^n(x0), each with its w-derivative.
+
+    Each pair (x, dx) is scaled by one factor per point after every step;
+    ratios that are homogeneous of degree 0 in it, such as G'/G or the
+    derivative of x1/x2 over that of x01/x02, are unchanged by that.
+    """
+    a0, b0 = u[0, 0] * w + u[0, 1], u[1, 0] * w + u[1, 1]
+    scale = 1.0 / np.maximum(np.abs(a0), np.abs(b0))
+    a0, b0 = a0 * scale, b0 * scale
+    da0, db0 = u[0, 0] * scale, u[1, 0] * scale
+    a, b, da, db = a0, b0, da0, db0
+    i = np.arange(deg + 1)[:, None]
+    pa = np.ones((deg + 1, w.size), dtype=complex)
+    pb = np.ones((deg + 1, w.size), dtype=complex)
+    for _ in range(n):
+        for k in range(1, deg + 1):              # a^k and b^k, k = 0..D
+            pa[k] = pa[k - 1] * a
+            pb[k] = pb[k - 1] * b
+        mono = pa * pb[::-1]                     # a^i b^(D-i)
+        low = pa[:-1] * pb[-2::-1]               # a^k b^(D-1-k)
+        dmono = np.zeros_like(mono)              # d/dw of a^i b^(D-i)
+        dmono[1:] += i[1:] * low * da
+        dmono[:-1] += i[:0:-1] * low * db
+        (a, b), (da, db) = coeffs @ mono, coeffs @ dmono
+        scale = 1.0 / np.maximum(np.abs(a), np.abs(b))
+        a, b, da, db = a * scale, b * scale, da * scale, db * scale
+    return (a0, b0, da0, db0), (a, b, da, db)
+
+
+def _log_derivative(coeffs, deg: int, n: int, u, w: np.ndarray) -> np.ndarray:
+    """G'/G at each w, through the homogeneous recursion of f^n."""
+    (a0, b0, da0, db0), (a, b, da, db) = _iterate_jet(coeffs, deg, n, u, w)
+    g = a * b0 - b * a0
+    dg = da * b0 + a * db0 - db * a0 - b * da0
+    return dg / g
+
+
+def _multipliers(coeffs, deg: int, n: int, u, w: np.ndarray) -> np.ndarray:
+    """The multiplier of f^n at each w, read as a fixed point.
+
+    With z = a0/b0 and f^n(z) = a/b, (f^n)'(z) is
+    (da b - a db) / (da0 b0 - a0 db0) * (b0/b)^2, and at a fixed point
+    b0/b = c where (a0, b0) = c (a, b), which holds in either chart.
+    """
+    (a0, b0, da0, db0), (a, b, da, db) = _iterate_jet(coeffs, deg, n, u, w)
+    c = (a0 * a.conjugate() + b0 * b.conjugate()) / (abs(a) ** 2 + abs(b) ** 2)
+    return (da * b - a * db) * c * c / (da0 * b0 - a0 * db0)
+
+
+def _pair_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum over j != i of 1 / (w_i - w_j) for each i in ``rows``, in blocks
+    of at most PAIR_BLOCK differences."""
+    out = np.empty(rows.size, dtype=complex)
+    step = max(1, PAIR_BLOCK // w.size)
+    for lo in range(0, rows.size, step):
+        block = rows[lo:lo + step]
+        dx = np.subtract.outer(w.real[block], w.real)
+        dy = np.subtract.outer(w.imag[block], w.imag)
+        inv = dx * dx
+        inv += dy * dy
+        inv[np.arange(block.size), block] = INF
+        np.reciprocal(inv, out=inv)
+        # 1 / (dx + i dy) = (dx - i dy) / (dx^2 + dy^2)
+        out.real[lo:lo + step] = np.einsum("ij,ij->i", dx, inv)
+        out.imag[lo:lo + step] = -np.einsum("ij,ij->i", dy, inv)
+    return out
 
 
 def _product_fixed_points(spec: MapSpec, view) -> FixedPointSet:
@@ -150,9 +334,7 @@ def _product_fixed_points(spec: MapSpec, view) -> FixedPointSet:
     if hi == INF:
         pts.append(N_POLE)
     shifted = _shifted(view.radial)
-    plateau = shifted.many(np.linspace(-18.0, 18.0, 2001))
-    plateau = np.abs(plateau[np.isfinite(plateau)])
-    if plateau.size and plateau.max() < 1e-12:
+    if is_identity_profile(view.radial) or _is_plateau(shifted):
         # the radial coordinate is fixed at every latitude: fixed points form
         # circles (d = 1, vanishing twist) or meridian-type curves (d != 1)
         if d == 1:
@@ -173,6 +355,13 @@ def _product_fixed_points(spec: MapSpec, view) -> FixedPointSet:
     pts = [pt for pt in pts if chordal(evaluate(spec, pt), pt) < RESIDUAL_CAP]
     return FixedPointSet(points=tuple(_dedup(pts)),
                          continuum_latitudes=tuple(continua))
+
+
+def _is_plateau(shifted) -> bool:
+    """Whether profile(s) - s vanishes to rounding on a sampled grid."""
+    plateau = shifted.many(np.linspace(-18.0, 18.0, 2001))
+    plateau = np.abs(plateau[np.isfinite(plateau)])
+    return bool(plateau.size and plateau.max() < 1e-12)
 
 
 @dataclass(frozen=True)
@@ -215,9 +404,12 @@ class _mod_twist:
         return ()
 
 
+def _sort_key(p: SpherePoint) -> tuple[float, float]:
+    return (p.latitude(), p.angle())
+
+
 def _dedup(points) -> list[SpherePoint]:
-    return dedup_points(sorted(points, key=lambda q: (q.latitude(), q.angle())),
-                        DEDUP_RADIUS)
+    return dedup_points(sorted(points, key=_sort_key), DEDUP_RADIUS)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ All types are immutable; evaluation is pure.
 """
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import re
@@ -142,11 +143,35 @@ def chordal(p: SpherePoint, q: SpherePoint) -> float:
     return num / den
 
 
+# Chordal distance is at least the difference of sphere heights tanh(s); the
+# slack covers rounding in both, so a pair outside a height window of r + slack
+# is farther than r apart as computed by ``chordal`` too.
+_HEIGHT_SLACK = 1e-12
+
+
+def _height(p: SpherePoint) -> float:
+    """Height of p on the unit sphere, tanh(latitude), in [-1, 1]."""
+    return math.tanh(p.latitude())
+
+
 def dedup_points(points, radius: float) -> list[SpherePoint]:
-    """Points farther than ``radius`` (chordal) from every earlier kept one."""
+    """Points farther than ``radius`` (chordal) from every earlier kept one.
+
+    Kept points are held sorted by height, so each point is compared only
+    with the kept ones inside its height window.
+    """
     kept: list[SpherePoint] = []
+    heights: list[float] = []
+    by_height: list[SpherePoint] = []
+    window = radius + _HEIGHT_SLACK
     for p in points:
-        if all(chordal(p, other) > radius for other in kept):
+        h = _height(p)
+        lo = bisect.bisect_left(heights, h - window)
+        hi = bisect.bisect_right(heights, h + window)
+        if all(chordal(p, other) > radius for other in by_height[lo:hi]):
+            at = bisect.bisect_right(heights, h)
+            heights.insert(at, h)
+            by_height.insert(at, p)
             kept.append(p)
     return kept
 
@@ -403,6 +428,19 @@ class _ComposedRadial:
             for s in solve_profile_level(self.inner, c):
                 out.append((s, sign))
         return tuple(sorted(set(out)))
+
+
+def is_identity_profile(profile) -> bool:
+    """Whether the profile is s -> s exactly: the affine identity, a
+    piecewise-linear profile with every node on the diagonal, or a
+    composition of such."""
+    if isinstance(profile, AffineProfile):
+        return profile.a == 1.0 and profile.b == 0.0
+    if isinstance(profile, PiecewiseLinearProfile):
+        return all(s == v for s, v in profile.nodes)
+    if isinstance(profile, _ComposedRadial):
+        return is_identity_profile(profile.outer) and is_identity_profile(profile.inner)
+    return False
 
 
 def solve_profile_level(profile, level: float, s_cap: float = 18.0,

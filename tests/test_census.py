@@ -2,12 +2,16 @@
 
 import cmath
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from sphere_census import census
+from sphere_census import census, charts
 from sphere_census.census import (
+    CensusIncomplete,
     DegreeCapExceeded,
     census_csv,
     fixed_points,
@@ -17,15 +21,24 @@ from sphere_census.census import (
 )
 from sphere_census.charts import (
     AffineProfile,
+    Chart,
     Iterate,
     N_POLE,
     Power,
     ProductMap,
     Quadratic,
+    RationalPair,
     S_POLE,
+    SpherePoint,
+    as_rational,
     chordal,
+    evaluate,
+    to_chart,
 )
 from sphere_census.gallery import DILATION
+
+# (z^3 + 2z) / (3z^2 + 1), degree 3
+CUBIC = RationalPair((0, 2, 0, 1), (1, 0, 3))
 
 
 def compose_poly(coeffs, n):
@@ -81,6 +94,54 @@ def test_quadratic_c0_fixed_points():
     assert abs(vals[1]) < 1e-12
 
 
+def test_parabolic_fixed_points_count_once():
+    # double roots of f^n(z) - z: z + 1 fixes only infinity, which stays
+    # exact; z^2 + 1/4 fixes 1/2 with multiplier 1
+    for n in (1, 3):
+        assert fixed_points(RationalPair((1, 1), (1,)), n).points == (N_POLE,)
+    for n in (1, 4, 8):
+        fps = fixed_points(Quadratic(0.25), n)
+        assert fps.count == 2 ** n
+        assert min(abs(p.value - 0.5) for p in fps.points) < 1e-6
+
+
+def test_multipliers_match_the_derivative():
+    # the fixed points of z^2 + c other than infinity, with (f^n)' = prod 2 f^k(z);
+    # at n = 2 the 2-cycle is returned in the south chart
+    p, q = as_rational(Quadratic(0.1))
+    for n in (1, 2):
+        points, lam = census._aberth_fixed_points(p, q, 2, n, [N_POLE])
+        for pt, got in zip(points, lam.tolist()):
+            z, want = to_chart(pt, Chart.NORTH).value, 1.0
+            for _ in range(n):
+                want, z = want * 2 * z, z * z + 0.1
+            assert abs(got - want) < 1e-9 * abs(want)
+
+
+def test_merge_at_a_simple_fixed_point_raises(monkeypatch):
+    # a second approximation of one simple fixed point, in place of another
+    # fixed point, must not pass as a count one short
+    solve = census._aberth_fixed_points
+
+    def twice(*args):
+        points, lam = solve(*args)
+        points[-1] = SpherePoint(points[0].value, points[0].chart)
+        lam[-1] = lam[0]
+        return points, lam
+
+    monkeypatch.setattr(census, "_aberth_fixed_points", twice)
+    with pytest.raises(CensusIncomplete, match="merge"):
+        fixed_points(Quadratic(0.1), 3)
+
+
+def test_mobius_iterates_fix_what_the_map_fixes():
+    # (1 + 2z)/(3 + z) is hyperbolic: f^40 has multiplier 2.618^40 at its
+    # repelling fixed point, and still exactly the two fixed points of f
+    spec = RationalPair((1, 2), (3, 1))
+    assert fixed_points(spec, 40).points == fixed_points(spec, 1).points
+    assert fixed_points(spec, 40).count == 2
+
+
 def test_power_counts_match_root_oracle():
     # independent composition + distinct-root count, plus the closed form
     for n in range(1, 9):
@@ -91,14 +152,97 @@ def test_power_counts_match_root_oracle():
         assert fps.count == 2 ** n + 1
 
 
-def test_quadratic_counts_match_root_oracle():
-    c = 0.1
+def sphere_xyz(p):
+    """Unit-sphere coordinates of a point from either chart."""
+    v = p.value if p.chart is Chart.NORTH else p.value.conjugate()
+    r2 = abs(v) ** 2
+    h = (r2 - 1) / (r2 + 1) if p.chart is Chart.NORTH else (1 - r2) / (1 + r2)
+    return (2 * v.real / (1 + r2), 2 * v.imag / (1 + r2), h)
+
+
+def certified_count(spec, n, fps):
+    """Number of points in fps after checking, by scalar evaluation, that
+    each is fixed by f^n and that no two coincide.  A map of degree D >= 2
+    has at most D^n + 1 fixed points, so reaching that count finds them all."""
+    f_n = Iterate(spec, n) if n > 1 else spec
+    for p in fps.points:
+        assert chordal(evaluate(f_n, p), p) < 1e-9
+    xyz = np.array([sphere_xyz(p) for p in fps.points])
+    gap2 = np.maximum(2.0 - 2.0 * xyz @ xyz.T, 0.0)
+    np.fill_diagonal(gap2, np.inf)
+    assert gap2.min() > 1e-12  # chordal separation above 1e-6
+    return len(fps.points)
+
+
+@pytest.fixture(scope="module")
+def quad_order_10():
+    """fixed_points(Quadratic(0.1), 10) and the peak memory it traced."""
+    tracemalloc.start()
+    try:
+        fps = fixed_points(Quadratic(0.1), 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return fps, peak
+
+
+def test_quadratic_counts_match_root_oracle(quad_order_10):
+    # the expanded-coefficient oracle is sound up to n = 6; beyond it every
+    # returned point is checked to be a distinct fixed point
+    for c, n_max in ((0.1, 10), (-0.5 + 0.3j, 9)):
+        for n in range(1, n_max + 1):
+            fps = quad_order_10[0] if (c, n) == (0.1, 10) else fixed_points(Quadratic(c), n)
+            if n <= 6:
+                poly = compose_poly([c, 0, 1], n)
+                poly[1] -= 1
+                assert fps.count == distinct_root_count(poly) + 1
+            assert certified_count(Quadratic(c), n, fps) == 2 ** n + 1, (c, n)
+
+
+def test_rational_counts_match_multiplicity_sum():
     for n in range(1, 7):
-        fps = fixed_points(Quadratic(c), n)
-        poly = compose_poly([c, 0, 1], n)
-        poly[1] -= 1
-        assert fps.count == distinct_root_count(poly) + 1
-        assert fps.count == 2 ** n + 1
+        fps = fixed_points(CUBIC, n)
+        assert certified_count(CUBIC, n, fps) == 3 ** n + 1, n
+
+
+def test_power_closed_form_at_the_degree_cap():
+    t0 = time.perf_counter()
+    fps = fixed_points(Power(2), 12)
+    assert time.perf_counter() - t0 < 1.0
+    assert fps.count == 4097
+    assert S_POLE in fps.points and N_POLE in fps.points
+
+
+def test_fixed_point_memory_is_blocked(quad_order_10):
+    # one unblocked 1025 x 1025 complex array of pairwise differences
+    # alone takes 16.8 MB
+    assert quad_order_10[1] < 8 * 2 ** 20
+
+
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(census, "ABERTH_MAX_ITERS", 1)
+    with pytest.raises(CensusIncomplete, match="unconverged"):
+        fixed_points(Quadratic(0.1), 4)
+
+
+def test_residual_shortfall_raises(monkeypatch):
+    monkeypatch.setattr(census, "RESIDUAL_CAP", 0.0)
+    with pytest.raises(CensusIncomplete, match="of 17 fixed points fail"):
+        fixed_points(Quadratic(0.1), 4)
+
+
+def test_no_coefficient_expansion_or_eigensolve(monkeypatch):
+    specs = (Quadratic(0.1), CUBIC, RationalPair((1, 2), (3, 1)), Power(-2),
+             Iterate(Quadratic(-0.5 + 0.3j), 2))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("coefficient expansion or companion solve")
+
+    monkeypatch.setattr(npoly, "polyroots", forbidden)
+    monkeypatch.setattr(charts, "compose_rational", forbidden)
+    for spec in specs:
+        for n in (1, 2, 3):
+            assert fixed_points(spec, n).count == abs(spec.declared_degree) ** n + 1
 
 
 def test_product_and_power_forms_agree():
@@ -118,7 +262,7 @@ def test_fixed_points_of_iterate_spec():
 
 
 def test_monotone_consistency():
-    for spec in (Power(2), Quadratic(0.1), ProductMap(AffineProfile(2.0, 0.0), 3)):
+    for spec in (Power(2), Quadratic(0.1), CUBIC, ProductMap(AffineProfile(2.0, 0.0), 3)):
         for n in (1, 2):
             small = fixed_points(spec, n).points
             large = fixed_points(spec, 2 * n).points

@@ -29,6 +29,7 @@ from sphere_census.charts import (
     as_product_view,
     as_rational,
     chordal,
+    dedup_points,
     evaluate,
     evaluate_many,
     format_map,
@@ -245,6 +246,37 @@ def test_profile_many_matches_call(profile, ss):
         return
     got = profile.many(np.array(ss)).tolist()
     assert got == want or np.array_equal(got, want, equal_nan=True)
+
+
+def dedup_all_pairs(points, radius):
+    """The greedy quadratic loop the height sweep replaced."""
+    kept = []
+    for p in points:
+        if all(chordal(p, other) > radius for other in kept):
+            kept.append(p)
+    return kept
+
+
+# clusters: a few base points, each copied with offsets near the radii, in
+# the chart coordinate or along a meridian (where height moves fastest)
+offsets = st.sampled_from([0.0, 1e-8, 1e-7, 2e-7, 1e-6, 3e-6, 1e-3])
+clustered_points = st.lists(coordinates, min_size=1, max_size=4).flatmap(
+    lambda bases: st.lists(st.one_of(
+        st.builds(
+            lambda k, eps, a, north: SpherePoint(
+                bases[k % len(bases)] + eps * cmath.exp(1j * a),
+                Chart.NORTH if north else Chart.SOUTH),
+            st.integers(0, 3), offsets, st.floats(0.0, 2 * math.pi), st.booleans()),
+        st.builds(
+            lambda k, ds, dt: from_latlon(math.log(abs(bases[k % len(bases)]) or 1.0) + ds,
+                                          cmath.phase(bases[k % len(bases)]) + dt),
+            st.integers(0, 3), offsets, offsets),
+    ), max_size=30))
+
+
+@given(points=clustered_points, radius=st.sampled_from([1e-7, 1e-6, 1e-4, 0.3]))
+def test_dedup_sweep_matches_all_pairs(points, radius):
+    assert dedup_points(points, radius) == dedup_all_pairs(points, radius)
 
 
 # ---------------------------------------------------------------------------

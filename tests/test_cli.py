@@ -1,8 +1,10 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
+from sphere_census import census
 from sphere_census.cli import main
 from sphere_census.winding import circle, dump_curve_csv
 
@@ -19,6 +21,28 @@ def test_census_csv_to_stdout(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,count,rate,bound_dn,theorem3_sum"
     assert [ln.split(",")[1] for ln in lines[1:]] == ["3", "5", "9", "17"]
+
+
+def test_census_incomplete_exits_1_without_csv(capsys, monkeypatch):
+    monkeypatch.setattr(census, "ABERTH_MAX_ITERS", 1)
+    code, out, err = run(capsys, "census", "--map", "quad:c=0.1+0.0i", "--n-max", "3")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "CensusIncomplete"
+
+
+def test_census_identity_profile_written_piecewise(capsys):
+    # every pwl node on the diagonal: q(s) = s, so whole curves are fixed
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "census", "--map",
+                       "product:q=pwl(-inf:-inf,0:0,inf:inf);d=2", "--n-max", "2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    # the iterate at n = 2 composes two pwl profiles rather than folding them
+    for line in out.strip().splitlines()[1:]:
+        row = line.split(",")
+        assert row[1] == "inf"
+        assert row[2] == ""  # rate undefined
 
 
 def test_census_writes_file(tmp_path, capsys):
