@@ -22,7 +22,6 @@ from .charts import (
     SpherePoint,
     anchor_poles,
     as_product_view,
-    as_rational,
     chart_value,
     chordal,
     evaluate_many,
@@ -35,6 +34,7 @@ INF = math.inf
 
 REPEL_MARGIN = 1e-9
 PROBE_RADIUS_CAP = 0.05
+WINDOW = 1.0
 
 
 class AnnuliError(Exception):
@@ -102,10 +102,7 @@ def pole_preimages(spec: MapSpec) -> list[PolePreimage]:
     view = as_product_view(spec)
     if view is not None:
         return _product_pole_preimages(view)
-    rat = as_rational(spec)
-    if rat is None:
-        raise UnsupportedSpec(f"cannot resolve pole preimages of {spec!r}")
-    return _rational_pole_preimages(spec, rat)
+    return _rational_pole_preimages(spec)
 
 
 def _product_pole_preimages(view) -> list[PolePreimage]:
@@ -123,11 +120,15 @@ def _product_pole_preimages(view) -> list[PolePreimage]:
     return out
 
 
-def _rational_pole_preimages(spec: MapSpec, rat) -> list[PolePreimage]:
+def _rational_pole_preimages(spec: MapSpec) -> list[PolePreimage]:
     south, north = anchor_poles(spec)
     comps: list[PolePreimage] = []
     for target, to_north in ((south, False), (north, True)):
-        for x in degree_mod.find_preimages(spec, target):
+        try:
+            preimages = degree_mod.find_preimages(spec, target)
+        except charts.ParseError as exc:
+            raise UnsupportedSpec(f"cannot resolve pole preimages of {spec!r}") from exc
+        for x in preimages:
             is_anchor = min(chordal(x, south), chordal(x, north)) < 1e-9
             kind = ComponentType.TYPE_I if is_anchor else ComponentType.TYPE_III
             comps.append(PolePreimage(kind, point=x, latitude=x.latitude(),
@@ -141,27 +142,26 @@ def _rational_pole_preimages(spec: MapSpec, rat) -> list[PolePreimage]:
 # ---------------------------------------------------------------------------
 
 
-def decompose(spec: MapSpec, window: float = 1.0, core_samples: int | None = None) -> list[AnnulusComponent]:
+def decompose(spec: MapSpec) -> list[AnnulusComponent]:
     """Annulus components between consecutive pole-preimage circles.
 
     Components reaching a pole are clipped to a finite working window (of
-    half-width ``window`` around the interior structure) for their boundary
+    half-width ``WINDOW`` around the interior structure) for their boundary
     circles and repelling test; the true bounds stay infinite.  Core circles
     are sampled densely enough for the map's angular action (aliasing-free).
     """
     comps = pole_preimages(spec)
     if any(c.kind is ComponentType.TYPE_III for c in comps):
         raise NotStraightened("type III components present")
-    if core_samples is None:
-        view = as_product_view(spec)
-        bound = abs(view.angular_degree) if view else abs(spec.declared_degree)
-        core_samples = max(256, 8 * bound)
+    view = as_product_view(spec)
+    bound = abs(view.angular_degree) if view else abs(spec.declared_degree)
+    core_samples = max(256, 8 * bound)
     cuts = sorted(c.latitude for c in comps if c.kind is ComponentType.TYPE_II)
     bounds = [-INF] + cuts + [INF]
     out = []
     for lo, hi in zip(bounds, bounds[1:]):
-        win_lo = lo if math.isfinite(lo) else min(-window, (hi - 1.0) if math.isfinite(hi) else -window)
-        win_hi = hi if math.isfinite(hi) else max(window, win_lo + 1.0)
+        win_lo = lo if math.isfinite(lo) else min(-WINDOW, (hi - 1.0) if math.isfinite(hi) else -WINDOW)
+        win_hi = hi if math.isfinite(hi) else max(WINDOW, win_lo + 1.0)
         core_s = 0.5 * (win_lo + win_hi)
         core = latitude_circle(core_s, core_samples)
         delta = degree_mod.annular_degree(spec, core)

@@ -443,14 +443,17 @@ def is_identity_profile(profile) -> bool:
     return False
 
 
-def solve_profile_level(profile, level: float, s_cap: float = 18.0,
-                        grid: int = 4096) -> list[float]:
-    """All finite s with profile(s) == level, by per-branch bisection.
+LEVEL_S_CAP = 18.0
+
+
+def solve_profile_level(profile, level: float, grid: int = 4096) -> list[float]:
+    """All finite s with |s| < LEVEL_S_CAP and profile(s) == level, by
+    per-branch bisection.
 
     Branches are the intervals between consecutive pole crossings (profile
     values are finite and continuous inside each).  Deterministic.
     """
-    cuts = [-s_cap] + sorted(s for s, _ in profile.pole_crossings()) + [s_cap]
+    cuts = [-LEVEL_S_CAP] + sorted(s for s, _ in profile.pole_crossings()) + [LEVEL_S_CAP]
     roots: list[float] = []
     for lo, hi in zip(cuts, cuts[1:]):
         if hi - lo < 1e-12:
@@ -926,8 +929,17 @@ def as_plane_map(spec: MapSpec) -> Callable[[complex], complex]:
 # ---------------------------------------------------------------------------
 
 
+def iterate_base(spec: MapSpec) -> tuple[MapSpec, int]:
+    """(f, n) with spec = f^n and f not an iterate."""
+    order = 1
+    while isinstance(spec, Iterate):
+        spec, order = spec.inner, order * spec.n
+    return spec, order
+
+
 def as_rational(spec: MapSpec) -> tuple[tuple[complex, ...], tuple[complex, ...]] | None:
-    """Ascending (P, Q) with f = P/Q, or None for product-type specs."""
+    """Ascending (P, Q) with f = P/Q; None for product-type specs and for
+    iterates of maps other than powers (those are never expanded)."""
     if isinstance(spec, Power):
         if spec.d >= 0:
             return ((0j,) * spec.d + (1 + 0j,), (1 + 0j,))
@@ -937,39 +949,10 @@ def as_rational(spec: MapSpec) -> tuple[tuple[complex, ...], tuple[complex, ...]
     if isinstance(spec, RationalPair):
         return (spec.p, spec.q)
     if isinstance(spec, Iterate):
-        if isinstance(spec.inner, Power):
-            return as_rational(Power(spec.inner.d ** spec.n))
-        base = as_rational(spec.inner)
-        if base is None:
-            return None
-        p, q = base
-        for _ in range(spec.n - 1):
-            p, q = compose_rational(base[0], base[1], p, q)
-        return p, q
+        base, n = iterate_base(spec)
+        if isinstance(base, Power):
+            return as_rational(Power(base.d ** n))
     return None
-
-
-def compose_rational(p_out, q_out, p_in, q_in):
-    """(P,Q) of (p_out/q_out) o (p_in/q_in)."""
-    a = np.array(p_in)
-    b = np.array(q_in)
-    d_max = max(len(p_out), len(q_out)) - 1
-    # powers a^i * b^(D-i)
-    pow_a = [np.array([1 + 0j])]
-    pow_b = [np.array([1 + 0j])]
-    for _ in range(d_max):
-        pow_a.append(npoly.polymul(pow_a[-1], a))
-        pow_b.append(npoly.polymul(pow_b[-1], b))
-
-    def lift(coeffs):
-        acc = np.array([0j])
-        for i, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            acc = npoly.polyadd(acc, c * npoly.polymul(pow_a[i], pow_b[d_max - i]))
-        return acc
-
-    return _trim(lift(p_out)), _trim(lift(q_out))
 
 
 @dataclass(frozen=True)
@@ -1006,9 +989,20 @@ class ProductView:
 
 
 def as_product_view(spec: MapSpec) -> ProductView | None:
-    """Product normal form for specs that preserve the latitude foliation."""
+    """Product normal form for specs that preserve the latitude foliation:
+    powers, product maps, z**2 and the monomials c*z**k, and their iterates."""
     if isinstance(spec, Power):
         return ProductView(AffineProfile(float(spec.d), 0.0), spec.d, ZERO_PROFILE)
+    if isinstance(spec, Quadratic) and spec.c == 0:
+        return as_product_view(Power(2))
+    if isinstance(spec, RationalPair):
+        terms = [[(i, a) for i, a in enumerate(cs) if a != 0] for cs in (spec.p, spec.q)]
+        if all(len(t) == 1 for t in terms):
+            # c*z**k: (s, theta) -> (k*s + log|c|, k*theta + arg c)
+            (i, a), (j, b) = terms[0][0], terms[1][0]
+            c, k = a / b, i - j
+            return ProductView(AffineProfile(float(k), math.log(abs(c))), k,
+                               AffineProfile(0.0, cmath.phase(c)))
     if isinstance(spec, ProductMap):
         return ProductView(spec.radial, spec.angular_degree, spec.twist)
     if isinstance(spec, Iterate):

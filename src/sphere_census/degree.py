@@ -28,6 +28,7 @@ from .charts import (
     evaluate,
     evaluate_many,
     from_latlon,
+    iterate_base,
     solve_profile_level,
     to_chart,
     wrap_angle,
@@ -84,29 +85,42 @@ def find_preimages(spec: MapSpec, y: SpherePoint) -> list[SpherePoint]:
     """All preimages of y, deterministically ordered.
 
     Rational specs are solved algebraically (companion-matrix roots of
-    P - y*Q); product specs reduce to a latitude level-set solve plus the
-    angular congruence.
+    P - y*Q).  An iterate f^n of a quadratic or rational f is solved level
+    by level, n rounds of f's own degree-D solve, and its coefficients are
+    never formed.  Product specs reduce to a latitude level-set solve plus
+    the angular congruence.
     """
-    rat = as_rational(spec)
-    if rat is not None:
-        return _rational_preimages(rat, y)
+    if as_rational(spec) is not None:
+        return _rational_preimages(spec, y)
+    base, n = iterate_base(spec)
+    if as_rational(base) is not None:
+        level = [y]
+        for _ in range(n):
+            level = [x for t in level for x in _rational_preimages(base, t)]
+            level = dedup_points(sorted(level, key=_north_order), PREIMAGE_DEDUP)
+        return level
     view = as_product_view(spec)
     if view is not None:
         return _product_preimages(view, y)
     raise charts.ParseError(f"no preimage solver for {spec!r}")
 
 
-def _rational_preimages(rat, y: SpherePoint) -> list[SpherePoint]:
-    p, q = (np.array(c, dtype=complex) for c in rat)
-    d_max = max(p.size, q.size) - 1
-    pp = np.pad(p, (0, d_max + 1 - p.size))
-    qq = np.pad(q, (0, d_max + 1 - q.size))
+def _north_order(p: SpherePoint) -> tuple:
+    """The order of ``_rational_preimages``: north-chart value, N last."""
+    if p == charts.N_POLE:
+        return (1,)
+    z = chart_value(p, Chart.NORTH)
+    return (0, round(z.real, 9), round(z.imag, 9))
+
+
+def _rational_preimages(spec: MapSpec, y: SpherePoint) -> list[SpherePoint]:
+    p, q = (np.array(c, dtype=complex) for c in as_rational(spec))
     out: list[SpherePoint] = []
     if y.normalized().is_pole and y.normalized().chart is Chart.SOUTH:
-        poly = qq  # preimages of N are the poles of the map
+        poly = q  # preimages of N are the poles of the map
     else:
         y_val = to_chart(y.normalized(), Chart.NORTH).value
-        poly = pp - y_val * qq
+        poly = npoly.polysub(p, y_val * q)
     poly_t = np.trim_zeros(poly, "b")
     if poly_t.size > 1:
         roots = npoly.polyroots(poly_t)
@@ -114,24 +128,14 @@ def _rational_preimages(rat, y: SpherePoint) -> list[SpherePoint]:
         for z in sorted(roots, key=lambda z: (round(z.real, 9), round(z.imag, 9))):
             out.append(SpherePoint(z, Chart.NORTH).normalized())
     # infinity is a preimage when the image of N matches y
-    img_inf = evaluate_rational_at_infinity(pp, qq)
-    if chordal(img_inf, y) < 1e-9:
+    if chordal(evaluate(spec, charts.N_POLE), y) < 1e-9:
         out.append(charts.N_POLE)
     return dedup_points(out, PREIMAGE_DEDUP)
 
 
-def evaluate_rational_at_infinity(pp: np.ndarray, qq: np.ndarray) -> SpherePoint:
-    a, b = pp[-1], qq[-1]
-    if b == 0:
-        return charts.N_POLE
-    if abs(a) > abs(b):
-        return SpherePoint(b / a, Chart.SOUTH)
-    return SpherePoint(a / b, Chart.NORTH)
-
-
-def _polish_root(poly: np.ndarray, z: complex, iters: int = 4) -> complex:
+def _polish_root(poly: np.ndarray, z: complex) -> complex:
     dpoly = npoly.polyder(poly)
-    for _ in range(iters):
+    for _ in range(4):
         val = complex(npoly.polyval(z, poly))
         dval = complex(npoly.polyval(z, dpoly))
         if dval == 0:
@@ -324,14 +328,13 @@ class CactusReport:
 def component_degrees(
     spec: MapSpec,
     intervals: list[tuple[float, float]],
-    seed: int | None = None,
 ) -> tuple[list[int], SpherePoint]:
     """Sphere degree of each latitude component: bucketed local-degree sums.
 
     One regular value serves every component; its preimages are assigned to
     components by latitude.
     """
-    rng = np.random.default_rng(default_seed() if seed is None else seed)
+    rng = np.random.default_rng(default_seed())
     last_exc: Exception | None = None
     for _ in range(32):
         y = from_latlon(rng.uniform(-0.6, 0.6), rng.uniform(0.0, 2 * math.pi))

@@ -142,9 +142,7 @@ def _side_direction(values: np.ndarray, line: float, outward_positive: bool) -> 
     return "none"
 
 
-def rectangle_certificate(
-    f: Union[MapSpec, PlaneMap], rect: Rect, samples_per_side: int = 64
-) -> RectCertificate:
+def rectangle_certificate(f: Union[MapSpec, PlaneMap], rect: Rect) -> RectCertificate:
     """Match the rectangle boundary behavior against the four patterns.
 
     When a pattern holds, the numeric index along the boundary is computed
@@ -152,7 +150,7 @@ def rectangle_certificate(
     failure, never a data condition.
     """
     fn = _plane(f)
-    m = samples_per_side
+    m = 64  # samples per side
     xs = np.linspace(rect.x0, rect.x1, m)
     ys = np.linspace(rect.y0, rect.y1, m)
 
@@ -182,7 +180,7 @@ def rectangle_certificate(
     else:
         return RectCertificate.NO_CERTIFICATE
 
-    idx = lefschetz_index(fn, boundary_curve(rect, samples_per_side))
+    idx = lefschetz_index(fn, boundary_curve(rect, m))
     if idx != cert.certified_index:
         raise CertificateIndexMismatch(
             f"{cert.value} rectangle certified {cert.certified_index} "
@@ -196,12 +194,7 @@ def rectangle_certificate(
 # ---------------------------------------------------------------------------
 
 
-def fixed_point_in(
-    f: Union[MapSpec, PlaneMap],
-    rect: Rect,
-    tol: float = 1e-12,
-    max_depth: int = 64,
-) -> complex | None:
+def fixed_point_in(f: Union[MapSpec, PlaneMap], rect: Rect) -> complex | None:
     """A fixed point inside the rectangle, or None when the index vanishes.
 
     Quadtree descent: keep a subrectangle whose boundary displacement index
@@ -215,7 +208,7 @@ def fixed_point_in(
     except FixedPointOnCurve:
         pass  # fixed point essentially on the outer boundary; descend anyway
     box = rect
-    for _ in range(max_depth):
+    for _ in range(64):
         if max(box.x1 - box.x0, box.y1 - box.y0) < 1e-6:
             break
         child = None
@@ -241,15 +234,16 @@ def fixed_point_in(
             break
         box = child
     z = complex(0.5 * (box.x0 + box.x1), 0.5 * (box.y0 + box.y1))
-    return _newton_polish(fn, z, tol)
+    return _newton_polish(fn, z)
 
 
-def _newton_polish(fn: PlaneMap, z: complex, tol: float, iters: int = 60) -> complex:
-    """2D Newton on g(z) = f(z) - z with a numeric Jacobian."""
+def _newton_polish(fn: PlaneMap, z: complex) -> complex:
+    """2D Newton on g(z) = f(z) - z with a numeric Jacobian, until
+    |g| < 1e-12 or for at most 60 steps."""
     h = 1e-7
-    for _ in range(iters):
+    for _ in range(60):
         g = fn(z) - z
-        if abs(g) < tol:
+        if abs(g) < 1e-12:
             return z
         gx = (fn(z + h) - (z + h) - g) / h
         gy = (fn(z + 1j * h) - (z + 1j * h) - g) / h

@@ -19,6 +19,7 @@ from sphere_census.annuli import (
 from sphere_census.charts import (
     AffineProfile,
     Chart,
+    Iterate,
     PiecewiseLinearProfile,
     Power,
     ProductMap,
@@ -47,6 +48,18 @@ def test_pole_preimages_quadratic_has_isolated_extra_preimage():
     third = next(c for c in comps if c.kind is ComponentType.TYPE_III)
     # the second preimage of the attractor is its negative
     assert abs(to_chart(third.point, Chart.NORTH).value - (-z_s)) < 1e-9
+
+
+def test_pole_preimages_of_quadratic_iterate_tag_type_iii():
+    spec = Iterate(Quadratic(0.1), 2)
+    comps = pole_preimages(spec)
+    kinds = sorted(c.kind.value for c in comps)
+    # f^2 has four preimages of the attractor and one of N, which is N
+    assert kinds == ["I", "I", "III", "III", "III"]
+    south = spec.inner.attracting_fixed_point()
+    for c in comps:
+        if c.kind is ComponentType.TYPE_III:
+            assert abs(to_chart(evaluate(spec, c.point), Chart.NORTH).value - south) < 1e-9
 
 
 def test_pole_preimages_three_branch_profile():

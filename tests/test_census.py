@@ -239,7 +239,7 @@ def test_no_coefficient_expansion_or_eigensolve(monkeypatch):
         raise AssertionError("coefficient expansion or companion solve")
 
     monkeypatch.setattr(npoly, "polyroots", forbidden)
-    monkeypatch.setattr(charts, "compose_rational", forbidden)
+    monkeypatch.setattr(npoly, "polymul", forbidden)
     for spec in specs:
         for n in (1, 2, 3):
             assert fixed_points(spec, n).count == abs(spec.declared_degree) ** n + 1

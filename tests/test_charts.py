@@ -371,12 +371,24 @@ def test_as_rational_flattens_power_iterates():
     assert len(p) - 1 == 8 and q == (1 + 0j,)
 
 
-def test_as_rational_composes_quadratic():
-    p, q = as_rational(Iterate(Quadratic(0.5), 2))
-    # (z^2 + c)^2 + c with c = 1/2: z^4 + z^2 + 3/4
-    want = np.array([0.75, 0, 1, 0, 1])
-    assert np.allclose(np.array(p, dtype=complex), want)
-    assert q == (1 + 0j,)
+@pytest.mark.parametrize("k", [-3, -1, 1, 2])
+def test_monomial_views_match_evaluate(k):
+    c = 1.7 - 0.6j
+    p, q = ((c,), (0j,) * -k + (1,)) if k < 0 else ((0j,) * k + (c,), (1,))
+    spec = RationalPair(p, q)
+    view = as_product_view(spec)
+    assert view.angular_degree == k
+    rng = np.random.default_rng(k + 10)
+    for _ in range(200):
+        s, theta = rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi)
+        image = from_latlon(view.radial(s), k * theta + view.twist(s))
+        assert chordal(image, evaluate(spec, from_latlon(s, theta))) < 1e-12
+
+
+def test_squaring_quadratic_has_the_power_view():
+    assert as_product_view(Quadratic(0)) == as_product_view(Power(2))
+    assert as_product_view(Quadratic(0.1)) is None
+    assert as_product_view(RationalPair((1, 0, 1), (1,))) is None
 
 
 def test_product_view_of_iterate_composes_affine():

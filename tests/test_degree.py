@@ -9,6 +9,7 @@ import pytest
 from sphere_census import annuli
 from sphere_census.charts import (
     AffineProfile,
+    Chart,
     Iterate,
     N_POLE,
     PiecewiseLinearProfile,
@@ -17,6 +18,7 @@ from sphere_census.charts import (
     Quadratic,
     RationalPair,
     SpherePoint,
+    chart_value,
     evaluate,
     from_latlon,
 )
@@ -106,6 +108,25 @@ def test_preimages_include_infinity():
     # 1/z sends N to S: N is the only preimage of S
     pre = find_preimages(RationalPair((1,), (0, 1)), SpherePoint(0j))
     assert pre == [N_POLE]
+
+
+def test_iterate_preimages_match_expanded_roots():
+    # (z^2 + c)^2 + c with c = 1/2 is z^4 + z^2 + 3/4
+    y = SpherePoint(0.3 - 0.2j)
+    pre = find_preimages(Iterate(Quadratic(0.5), 2), y)
+    want = np.roots([1, 0, 1, 0, 0.75 - y.value])
+    assert len(pre) == 4
+    zs = [chart_value(p, Chart.NORTH) for p in pre]
+    for z in zs:
+        assert np.abs(want - z).min() < 1e-12
+    keys = [(round(z.real, 9), round(z.imag, 9)) for z in zs]
+    assert keys == sorted(keys)
+
+
+def test_global_degree_of_deep_iterates():
+    assert global_degree(Iterate(Quadratic(0.1), 8)).total == 256
+    cubic = RationalPair((0, 2, 0, 1), (1, 0, 3))
+    assert global_degree(Iterate(cubic, 4)).total == 81
 
 
 def test_global_degree_examples():

@@ -8,6 +8,7 @@ from sphere_census.charts import (
     AffineProfile,
     Power,
     ProductMap,
+    Quadratic,
     RationalPair,
     chordal,
     evaluate,
@@ -82,9 +83,9 @@ def test_projection_commutes():
         assert chordal(F.project(*upstairs), down) <= 1e-9
 
 
-def test_continuation_lift_of_reciprocal():
-    # 1/z is not latitude-trivial in product form on the lift path, so this
-    # exercises the angle-continuation branch: F(x, y) = (-x + k, 1 - y)
+def test_product_lift_of_reciprocal():
+    # 1/z is the monomial z^-1, lifted through its product view:
+    # F(x, y) = (-x + k, 1 - y)
     spec = RationalPair((1,), (0, 1))
     comp = component(spec)
     F = lift(spec, comp, k=0)
@@ -93,6 +94,15 @@ def test_continuation_lift_of_reciprocal():
     assert x == pytest.approx(-0.25, abs=1e-9)
     # latitude flips: s -> -s, i.e. y -> 1 - y in the symmetric window
     assert y == pytest.approx(0.4, abs=1e-9)
+
+
+def test_lift_needs_a_product_view():
+    # z^2 + 1e-20 decomposes (its two preimages of S merge into one), but
+    # it is not a product map, so it has no lift
+    spec = Quadratic(1e-20)
+    comp = component(spec)
+    with pytest.raises(annuli.UnsupportedSpec):
+        lift(spec, comp)
 
 
 def test_build_beta_spans():

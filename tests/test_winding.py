@@ -123,16 +123,24 @@ def test_additivity_on_shared_basepoint_loops():
         assert winding_number(both, p) == winding_number(a, p) + winding_number(b, p)
 
 
+def _segment_distance(p: complex, a: complex, b: complex) -> float:
+    t = min(1.0, max(0.0, ((p - a) * (b - a).conjugate()).real / abs(b - a) ** 2))
+    return abs(a + t * (b - a) - p)
+
+
 @settings(max_examples=50)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_perturbation_stability(seed):
+    # the 32-gon and its jittered copy are both plain polylines: the circle
+    # itself may wind differently about a p between a chord and its arc
     rng = np.random.default_rng(seed)
     c = circle(0j, 1.0, 32)
     p = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-    dist = min(abs(z - p) for z in c.points)
+    dist = min(_segment_distance(p, a, b)
+               for a, b in zip(c.points, c.points[1:] + c.points[:1]))
     if dist < 1e-3:
         return
-    w0 = winding_number(c, p)
+    w0 = winding_number(SampledCurve(c.points), p)
     jittered = tuple(
         z + 0.007 * dist * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         for z in c.points
