@@ -149,6 +149,13 @@ def decompose(spec: MapSpec) -> list[AnnulusComponent]:
     half-width ``WINDOW`` around the interior structure) for their boundary
     circles and repelling test; the true bounds stay infinite.  Core circles
     are sampled densely enough for the map's angular action (aliasing-free).
+
+    delta_i is the winding of the core's image; the sphere degree is the
+    cactus identity d_i = delta_i * (sigma_hi - sigma_lo) / 2, with sigma +1
+    (N) or -1 (S) for the pole that each bound's pole preimage maps to: the
+    type II circle at a cut, the type I preimage at an end (the point at
+    infinity at the north end).  An end without one has a finite end limit,
+    sigma 0 and delta_i = 0 beside it.
     """
     comps = pole_preimages(spec)
     if any(c.kind is ComponentType.TYPE_III for c in comps):
@@ -156,10 +163,13 @@ def decompose(spec: MapSpec) -> list[AnnulusComponent]:
     view = as_product_view(spec)
     bound = abs(view.angular_degree) if view else abs(spec.declared_degree)
     core_samples = max(256, 8 * bound)
-    cuts = sorted(c.latitude for c in comps if c.kind is ComponentType.TYPE_II)
-    bounds = [-INF] + cuts + [INF]
+    circles = [c for c in comps if c.kind is ComponentType.TYPE_II]
+    bounds = [-INF] + [c.latitude for c in circles] + [INF]
+    ends = {c.latitude == INF: c for c in comps if c.kind is ComponentType.TYPE_I}
+    sigmas = [0 if c is None else 1 if c.maps_to_north else -1
+              for c in [ends.get(False)] + circles + [ends.get(True)]]
     out = []
-    for lo, hi in zip(bounds, bounds[1:]):
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         win_lo = lo if math.isfinite(lo) else min(-WINDOW, (hi - 1.0) if math.isfinite(hi) else -WINDOW)
         win_hi = hi if math.isfinite(hi) else max(WINDOW, win_lo + 1.0)
         core_s = 0.5 * (win_lo + win_hi)
@@ -170,14 +180,11 @@ def decompose(spec: MapSpec) -> list[AnnulusComponent]:
         out.append(
             AnnulusComponent(
                 s_lo=lo, s_hi=hi, win_lo=win_lo, win_hi=win_hi,
-                delta=delta, d_i=0, repelling=False,
-                core=core, lower_circle=lower, upper_circle=upper,
+                delta=delta, d_i=delta * (sigmas[i + 1] - sigmas[i]) // 2,
+                repelling=False, core=core, lower_circle=lower, upper_circle=upper,
             )
         )
-    intervals = [(c.s_lo, c.s_hi) for c in out]
-    d_sums, _ = degree_mod.component_degrees(spec, intervals)
-    return [replace(comp, d_i=d_i, repelling=is_repelling(spec, comp))
-            for comp, d_i in zip(out, d_sums)]
+    return [replace(comp, repelling=is_repelling(spec, comp)) for comp in out]
 
 
 def is_repelling(spec: MapSpec, component: AnnulusComponent) -> bool:

@@ -1,16 +1,16 @@
 """Fixed points of iterates, growth-rate estimates, and the inequality
 cross-checks tying the annulus machinery to the periodic-point counts.
 
-Counts are of distinct fixed points (no multiplicity).  Power maps use the
-closed form (the poles and the roots of unity).  Other quadratic and
-rational maps of degree D are solved by Aberth-Ehrlich on f^n(z) - z,
-evaluated through the n-fold recursion of the base map without expanding
-coefficients, and checked against the multiplicity sum D^n + 1: every
-approximation must pass the residual filter, and approximations merge only
-at a multiple fixed point (multiplier 1).  A failure raises
-``CensusIncomplete``, never a short count.  Product specs reduce to
-a one-dimensional radial fixed-point problem plus an exact angular
-congruence per radial solution.
+Counts are of distinct fixed points (no multiplicity).  A map with a product
+view (powers, z^2, the monomials c*z^k, product maps, and their iterates) is
+solved from it: one-dimensional radial fixed latitudes s*, each carrying the
+|d - 1| points of the exact angular congruence, plus the poles the radial
+ends fix.  Other quadratic and rational maps of degree D are solved by
+Aberth-Ehrlich on f^n(z) - z, evaluated through the n-fold recursion of the
+base map without expanding coefficients, and checked against the
+multiplicity sum D^n + 1: approximations merge only at a multiple fixed
+point (multiplier 1).  On either route every point must pass the residual
+filter; a failure raises ``CensusIncomplete``, never a short count.
 """
 from __future__ import annotations
 
@@ -76,9 +76,9 @@ class DegreeCapExceeded(CensusError):
 
 
 class CensusIncomplete(CensusError):
-    """The D^n + 1 approximations of the fixed points of a rational iterate
-    did not all converge, pass the residual filter, or merge only at
-    multiple fixed points; no count is given."""
+    """A fixed point fails the residual filter, or the D^n + 1
+    approximations of the fixed points of a rational iterate did not all
+    converge or merge only at multiple fixed points; no count is given."""
 
 
 @dataclass(frozen=True)
@@ -101,41 +101,46 @@ class FixedPointSet:
 def fixed_points(spec: MapSpec, n: int = 1) -> FixedPointSet:
     """All distinct solutions of f^n(p) = p, poles included.
 
-    Raises ``CensusIncomplete`` rather than return fewer fixed points of a
-    rational iterate than the multiplicity sum certifies.
+    A map with a product view is solved from that view, any other quadratic
+    or rational map by Aberth-Ehrlich.  Raises ``CensusIncomplete`` rather
+    than return a point that fails the residual filter, or fewer fixed
+    points of a rational iterate than the multiplicity sum certifies.
     """
     if n < 1:
         raise ValueError("iterate order must be >= 1")
+    check_degree_cap(spec, n)
     base, order = iterate_base(spec)
     order *= n
-    if isinstance(base, (Power, Quadratic, RationalPair)):
-        if abs(spec.declared_degree) ** n > DEGREE_CAP:
-            raise DegreeCapExceeded(
-                f"degree {spec.declared_degree}^{n} exceeds {DEGREE_CAP}"
-            )
-        if isinstance(base, Power):
-            return _power_fixed_points(base.d ** order)
-        return _rational_fixed_points(base, order)
-    flat = base if order == 1 else Iterate(base, order)
+    if isinstance(base, Power):
+        flat = Power(base.d ** order)
+    else:
+        flat = base if order == 1 else Iterate(base, order)
     view = as_product_view(flat)
     if view is not None:
         return _product_fixed_points(flat, view)
+    if isinstance(base, (Quadratic, RationalPair)):
+        return _rational_fixed_points(base, order)
     raise annuli.UnsupportedSpec(f"no fixed-point solver for {spec!r}")
 
 
-_CONTINUUM = FixedPointSet(points=(), continuum_latitudes=(0.0,))
+def check_degree_cap(spec: MapSpec, n: int) -> None:
+    """Refuse f^n of a power, quadratic or rational f of degree over the cap."""
+    base, _ = iterate_base(spec)
+    if (isinstance(base, (Power, Quadratic, RationalPair))
+            and abs(spec.declared_degree) ** n > DEGREE_CAP):
+        raise DegreeCapExceeded(f"degree {spec.declared_degree}^{n} exceeds {DEGREE_CAP}")
 
 
-def _power_fixed_points(e: int) -> FixedPointSet:
-    """Fixed points of z -> z**e: the |e - 1| roots of unity, plus both
-    poles when e >= 2; every point is fixed when e = 1."""
-    if e == 1:
-        return _CONTINUUM
-    m = abs(e - 1)
-    pts = [from_latlon(0.0, 2 * math.pi * k / m) for k in range(m)]
-    if e >= 2:
-        pts += [S_POLE, N_POLE]
-    return FixedPointSet(points=tuple(sorted(pts, key=_sort_key)))
+def _check_residuals(spec: MapSpec, points, total: int) -> None:
+    """Raise ``CensusIncomplete`` unless the map sends every point within
+    ``RESIDUAL_CAP`` of itself; the points are evaluated in one batch."""
+    values, north = evaluate_many(
+        spec, [pt.value for pt in points], [pt.chart is Chart.NORTH for pt in points])
+    passed = sum(chordal(SpherePoint(v, Chart.NORTH if nor else Chart.SOUTH), pt) < RESIDUAL_CAP
+                 for pt, v, nor in zip(points, values.tolist(), north.tolist()))
+    if passed < len(points):
+        raise CensusIncomplete(f"{format_map(spec)}: {len(points) - passed} of {total} "
+                               f"fixed points fail the residual filter")
 
 
 def _rational_fixed_points(base: MapSpec, n: int) -> FixedPointSet:
@@ -153,30 +158,21 @@ def _rational_fixed_points(base: MapSpec, n: int) -> FixedPointSet:
         # eigenvectors of its matrix), and f^n itself may be too expanding
         # for the residual filter
         if _mobius_identity(p, q, n):
-            return _CONTINUUM
+            return FixedPointSet(points=(), continuum_latitudes=(0.0,))
         n = 1
     iterate = base if n == 1 else Iterate(base, n)
     poles = [pole for pole in (S_POLE, N_POLE) if evaluate(iterate, pole) == pole]
     approx, multipliers = _aberth_fixed_points(p, q, deg, n, poles)
-    values, north = evaluate_many(
-        iterate, [pt.value for pt in approx], [pt.chart is Chart.NORTH for pt in approx])
-    kept = [
-        (pt, lam) for pt, lam, v, nor
-        in zip(approx, multipliers.tolist(), values.tolist(), north.tolist())
-        if chordal(SpherePoint(v, Chart.NORTH if nor else Chart.SOUTH), pt) < RESIDUAL_CAP
-    ]
     total = deg ** n + 1
-    if len(kept) + len(poles) < total:
-        raise CensusIncomplete(
-            f"{format_map(iterate)}: {total - len(poles) - len(kept)} of {total} "
-            f"fixed points fail the residual filter"
-        )
+    _check_residuals(iterate, approx, total)
     # an approximation of a multiple fixed point at a pole merges into the pole
-    found = _dedup([pt for pt, _ in kept if all(chordal(pt, pole) > DEDUP_RADIUS
-                                               for pole in poles)] + poles)
+    found = dedup_points(sorted([pt for pt in approx if all(
+        chordal(pt, pole) > DEDUP_RADIUS for pole in poles)] + poles, key=_sort_key),
+        DEDUP_RADIUS)
     # approximations merge only where the fixed point is multiple
     found_ids = {id(pt) for pt in found}
-    simple = sum(abs(lam - 1.0) > MULTIPLE_TOL for pt, lam in kept if id(pt) not in found_ids)
+    simple = sum(abs(lam - 1.0) > MULTIPLE_TOL
+                 for pt, lam in zip(approx, multipliers.tolist()) if id(pt) not in found_ids)
     if simple:
         raise CensusIncomplete(
             f"{format_map(iterate)}: {simple} of {total} approximations merge "
@@ -325,6 +321,9 @@ def _pair_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _product_fixed_points(spec: MapSpec, view) -> FixedPointSet:
+    """Fixed points of (s, theta) -> (q(s), d*theta + h(s)): the poles the
+    radial ends fix, and on each fixed latitude s* the |d - 1| points
+    theta = (2 pi k - h(s*)) / (d - 1), distinct by construction."""
     d = view.angular_degree
     pts: list[SpherePoint] = []
     continua: list[float] = []
@@ -343,17 +342,16 @@ def _product_fixed_points(spec: MapSpec, view) -> FixedPointSet:
             ) or ((0.0,) if abs(wrap_angle(view.twist(0.0))) < 1e-9 else ())
         else:
             lats = (0.0,)
-        return FixedPointSet(points=tuple(_dedup(pts)), continuum_latitudes=lats)
+        return FixedPointSet(points=tuple(pts), continuum_latitudes=lats)
     for s in solve_profile_level(shifted, 0.0, grid=10000):
+        h = view.twist(s)
         if d == 1:
-            if abs(wrap_angle(view.twist(s))) < 1e-9:
+            if abs(wrap_angle(h)) < 1e-9:
                 continua.append(s)
             continue
-        for k in range(abs(d - 1)):
-            theta = (2 * math.pi * k - view.twist(s)) / (d - 1)
-            pts.append(from_latlon(s, theta))
-    pts = [pt for pt in pts if chordal(evaluate(spec, pt), pt) < RESIDUAL_CAP]
-    return FixedPointSet(points=tuple(_dedup(pts)),
+        pts += [from_latlon(s, (2 * math.pi * k - h) / (d - 1)) for k in range(abs(d - 1))]
+    _check_residuals(spec, pts, len(pts))
+    return FixedPointSet(points=tuple(sorted(pts, key=_sort_key)),
                          continuum_latitudes=tuple(continua))
 
 
@@ -408,10 +406,6 @@ def _sort_key(p: SpherePoint) -> tuple[float, float]:
     return (p.latitude(), p.angle())
 
 
-def _dedup(points) -> list[SpherePoint]:
-    return dedup_points(sorted(points, key=_sort_key), DEDUP_RADIUS)
-
-
 # ---------------------------------------------------------------------------
 # Growth reports
 # ---------------------------------------------------------------------------
@@ -440,26 +434,18 @@ def growth_report(spec: MapSpec, n_max: int) -> CensusReport:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    check_degree_cap(spec, n_max)
     rows = []
     for n in range(1, n_max + 1):
-        fps = fixed_points(spec, n)
-        count = fps.count
-        if math.isinf(count) or count == 0:
-            rate = None
-        else:
-            rate = math.log(count) / n
+        count = fixed_points(spec, n).count
+        rate = None if math.isinf(count) or count == 0 else math.log(count) / n
         rows.append(CensusRow(n=n, count=count, rate=rate))
     deg = spec.declared_degree
     final_rate = rows[-1].rate
-    has_rate = (
-        abs(deg) > 1
-        and final_rate is not None
-        and final_rate >= math.log(abs(deg)) - RATE_TOL
-    )
-    return CensusReport(
-        map_id=format_map(spec), degree=deg, rows=tuple(rows),
-        has_rate_numerically=has_rate,
-    )
+    has_rate = (abs(deg) > 1 and final_rate is not None
+                and final_rate >= math.log(abs(deg)) - RATE_TOL)
+    return CensusReport(map_id=format_map(spec), degree=deg, rows=tuple(rows),
+                        has_rate_numerically=has_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +498,7 @@ def theorem_a_crosscheck(spec: MapSpec, n_max: int) -> CrosscheckReport:
     Scope failures (broken loop hypothesis, non-attracting poles) are
     reported, not raised; the count columns are still produced.
     """
+    check_degree_cap(spec, n_max)
     map_id = format_map(spec)
     status, detail, witness = "ok", "", None
     try:
@@ -539,16 +526,12 @@ def theorem_a_crosscheck(spec: MapSpec, n_max: int) -> CrosscheckReport:
         if status == "ok":
             try:
                 comps = annuli.decompose(spec if n == 1 else Iterate(spec, n))
-                t3_sum = sum(
-                    abs(c.delta - 1) for c in comps if c.repelling
-                )
+                t3_sum = sum(abs(c.delta - 1) for c in comps if c.repelling)
                 bounds = t3_sum <= count and d ** n <= count
             except (annuli.AnnuliError, degree_mod.ImageHitsPole):
                 t3_sum, bounds = None, None
-        rows.append(
-            CrosscheckRow(n=n, degree_power=d ** n, theorem3_sum=t3_sum,
-                          count=count, bounds_hold=bounds)
-        )
+        rows.append(CrosscheckRow(n=n, degree_power=d ** n, theorem3_sum=t3_sum,
+                                  count=count, bounds_hold=bounds))
     return CrosscheckReport(map_id=map_id, status=status, detail=detail,
                             rows=tuple(rows), witness=witness)
 

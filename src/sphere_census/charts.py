@@ -423,7 +423,9 @@ class _ComposedRadial:
         return (self(-INF), self(INF))
 
     def pole_crossings(self) -> tuple[tuple[float, int], ...]:
-        out = list(self.inner.pole_crossings())
+        # an inner crossing goes on to the outer end limit: a pole if infinite
+        ends = [(s, self.outer(sign * INF)) for s, sign in self.inner.pole_crossings()]
+        out = [(s, 1 if v > 0 else -1) for s, v in ends if math.isinf(v)]
         for c, sign in self.outer.pole_crossings():
             for s in solve_profile_level(self.inner, c):
                 out.append((s, sign))

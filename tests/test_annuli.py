@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sphere_census import annuli, census
+from sphere_census import annuli, census, degree as degree_mod
 from sphere_census.annuli import (
     BoundaryTouchesImage,
     ComponentType,
@@ -26,6 +28,7 @@ from sphere_census.charts import (
     Quadratic,
     SpherePoint,
     evaluate,
+    parse_map,
     to_chart,
 )
 from sphere_census.winding import winding_number
@@ -87,6 +90,81 @@ def test_decompose_product_examples():
     assert repel.repelling and repel.delta == 2
     contract = decompose(ProductMap(AffineProfile(0.5, 0.0), 2))[0]
     assert not contract.repelling
+
+
+def test_decompose_reads_no_local_degrees(monkeypatch):
+    from sphere_census.gallery import GALLERY
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("local-degree sum in decompose")
+
+    monkeypatch.setattr(degree_mod, "local_degree", forbidden)
+    monkeypatch.setattr(degree_mod, "component_degrees", forbidden)
+    decomposed = 0
+    for spec in GALLERY.values():
+        try:
+            decompose(spec)
+        except (NotStraightened, BoundaryTouchesImage):
+            continue
+        decomposed += 1
+    assert decomposed >= 12
+
+
+def _assert_sphere_degrees_match_the_oracle(spec):
+    """d_i from the cactus identity sums to the declared degree and equals
+    the local-degree sum of each component."""
+    comps = decompose(spec)
+    assert sum(c.d_i for c in comps) == spec.declared_degree, spec
+    oracle, _ = degree_mod.component_degrees(spec, [(c.s_lo, c.s_hi) for c in comps])
+    assert [c.d_i for c in comps] == oracle, spec
+
+
+@pytest.mark.parametrize("text", [
+    "quad:c=1e-20+0i", "rational:P=1e-20,0,1;Q=1", "power:d=-2", "power:d=0",
+    # the outer profile reverses, so the circles its inner copy sends to S
+    # go on to N and vice versa
+    "iter:n=2(product:q=pwl(-inf:inf,-1:-inf,1:inf,inf:-inf);d=2)",
+    "iter:n=3(product:q=pwl(-inf:inf,-1:-inf,1:inf,inf:-inf);d=1)",
+    "iter:n=2(product:q=pwl(-inf:-inf,-0.5:inf,0.5:0,inf:inf);d=-2)",
+])
+def test_sphere_degrees_of_fixed_maps_match_the_oracle(text):
+    _assert_sphere_degrees_match_the_oracle(parse_map(text))
+
+
+def test_sphere_degree_of_a_fold_is_zero():
+    # both ends map to S: the local-degree sum read +1 here, because its
+    # 0.05 probe circle about the preimage near N encloses N
+    spec = parse_map("product:q=pwl(-inf:-inf,0.5:3,inf:-inf);d=1")
+    assert [(c.delta, c.d_i) for c in decompose(spec)] == [(1, 0)]
+
+
+_POLE = st.sampled_from([-INF, INF])
+
+
+# nodes within |s| <= 1 and finite values within [-1, 1] (halved for a
+# second iterate) keep every preimage of the oracle's regular values at
+# |s| < 2.7, where its 0.05 probe circles stay clear of the poles; an example
+# is drawn again (assume) when a segment is pinned at one pole on both ends,
+# or decompose reports its scope (a core image near a pole, an inconclusive
+# repelling test), so every counted example reaches the comparison
+@settings(max_examples=60, deadline=None)
+@given(
+    interior=st.lists(st.tuples(st.integers(-2, 2), st.one_of(
+        _POLE, st.floats(-1.0, 1.0))), max_size=3, unique_by=lambda n: n[0]),
+    ends=st.tuples(_POLE, _POLE),
+    d=st.integers(-3, 4),
+    iterated=st.booleans(),
+)
+def test_sphere_degrees_of_pwl_products_match_the_oracle(interior, ends, d, iterated):
+    scale = 0.5 if iterated else 1.0
+    nodes = ((-INF, ends[0]),) + tuple(sorted((0.5 * scale * s, scale * v) for s, v in interior)) \
+        + ((INF, ends[1]),)
+    assume(all(not (math.isinf(a) and a == b) for (_, a), (_, b) in zip(nodes, nodes[1:])))
+    spec = ProductMap(PiecewiseLinearProfile(nodes), d)
+    try:
+        _assert_sphere_degrees_match_the_oracle(Iterate(spec, 2) if iterated else spec)
+    except (BoundaryTouchesImage, degree_mod.ImageHitsPole):
+        assume(False)
 
 
 def test_decompose_rejects_unstraightened_maps():

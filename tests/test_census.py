@@ -231,6 +231,64 @@ def test_residual_shortfall_raises(monkeypatch):
         fixed_points(Quadratic(0.1), 4)
 
 
+def test_product_residual_shortfall_raises(monkeypatch):
+    monkeypatch.setattr(census, "RESIDUAL_CAP", 0.0)
+    with pytest.raises(CensusIncomplete, match="of 4 fixed points fail the residual"):
+        fixed_points(ProductMap(AffineProfile(2.2, 0.01), 3), 1)
+
+
+def test_fixed_latitude_near_a_pole_keeps_its_points():
+    # s* = 15 lies 6e-7 chordal from N: a 1e-6 dedup merged its |d^n - 1|
+    # points into the pole and printed 3 at both orders
+    spec = ProductMap(AffineProfile(2.0, -15.0), 3)
+    assert [fixed_points(spec, n).count for n in (1, 2)] == [4, 10]
+
+
+def test_census_refuses_the_degree_cap_before_any_solve(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved an order below a doomed n_max")
+
+    monkeypatch.setattr(census, "_rational_fixed_points", forbidden)
+    for report in (census_csv, growth_report, theorem_a_crosscheck):
+        with pytest.raises(DegreeCapExceeded, match="3\\^8"):
+            report(CUBIC, 8)
+
+
+@pytest.mark.parametrize("text", [
+    "rational:P=0,0,2;Q=1", "rational:P=0,0+1i;Q=1", "rational:P=0,2;Q=1",
+    "rational:P=3;Q=0,0,1", "iter:n=3(quad:c=0+0i)",
+])
+def test_view_route_agrees_with_aberth(text):
+    spec = charts.parse_map(text)
+    base, order = charts.iterate_base(spec)
+    # Aberth on the order-12 iterate of z^2 takes a minute; the closed form
+    # covers it in test_quadratic_c0_iterate_at_the_degree_cap
+    for n in range(1, 5 if order == 1 else 4):
+        view = fixed_points(spec, n)
+        aberth = census._rational_fixed_points(base, order * n)
+        assert view.count == aberth.count, n
+        # a continuum (i z at n = 4 is the identity) has no point list to match
+        for p in () if view.is_continuum else view.points:
+            assert min(chordal(p, q) for q in aberth.points) < 1e-9, n
+
+
+def test_quadratic_c0_iterate_at_the_degree_cap():
+    t0 = time.perf_counter()
+    fps = fixed_points(Iterate(Quadratic(0), 3), 4)
+    assert time.perf_counter() - t0 < 1.0
+    assert fps.count == 4097
+    assert S_POLE in fps.points and N_POLE in fps.points
+    # the others are the 4095 distinct 4095-th roots of unity
+    turns = set()
+    for p in fps.points:
+        if not p.is_pole:
+            z = to_chart(p, Chart.NORTH).value
+            k = cmath.phase(z) * 4095 / (2 * math.pi)
+            assert abs(abs(z) - 1) < 1e-12 and abs(k - round(k)) < 1e-6
+            turns.add(round(k) % 4095)
+    assert len(turns) == 4095
+
+
 def test_no_coefficient_expansion_or_eigensolve(monkeypatch):
     specs = (Quadratic(0.1), CUBIC, RationalPair((1, 2), (3, 1)), Power(-2),
              Iterate(Quadratic(-0.5 + 0.3j), 2))

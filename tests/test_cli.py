@@ -110,6 +110,14 @@ def test_check_h_pass_and_fail(capsys, tmp_path):
     assert witness_path.read_text().startswith("# chart=north")
 
 
+def test_check_h_reports_a_quadratic_without_attractor(capsys):
+    code, out, err = run(capsys, "check-h", "--map", "quad:c=-1.1+0i")
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["status"] == "scope_unavailable"
+    assert "no attracting finite fixed point" in payload["detail"]
+
+
 def test_parse_error_exits_2(capsys):
     for argv in (
         ("census", "--map", "power:k=2"),
