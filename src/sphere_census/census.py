@@ -30,6 +30,7 @@ from .charts import (
     RationalPair,
     S_POLE,
     SpherePoint,
+    _shifted,
     anchor_poles,
     as_product_view,
     as_rational,
@@ -360,28 +361,6 @@ def _is_plateau(shifted) -> bool:
     plateau = shifted.many(np.linspace(-18.0, 18.0, 2001))
     plateau = np.abs(plateau[np.isfinite(plateau)])
     return bool(plateau.size and plateau.max() < 1e-12)
-
-
-@dataclass(frozen=True)
-class _shifted:
-    """profile(s) - s, so radial fixed latitudes are level-set zeros."""
-
-    profile: object
-
-    def __call__(self, s: float) -> float:
-        v = self.profile(s)
-        if math.isinf(v):
-            return v
-        return v - s
-
-    def many(self, s: np.ndarray) -> np.ndarray:
-        v = self.profile.many(s)
-        finite = ~np.isinf(v)
-        v[finite] -= np.asarray(s)[finite]
-        return v
-
-    def pole_crossings(self):
-        return self.profile.pole_crossings()
 
 
 @dataclass(frozen=True)

@@ -350,7 +350,15 @@ class PiecewiseLinearProfile:
 
 
 def _ramp(t: float, v0: float, v1: float) -> float:
-    """Monotone interpolation on t in (0,1) honoring infinite endpoints."""
+    """Monotone interpolation on t in [0,1] honoring infinite endpoints.
+
+    A latitude one rounding step off a node can give t = 0 or t = 1
+    exactly; there the ramp is the node value, as at the node itself.
+    """
+    if t == 0.0:
+        return v0
+    if t == 1.0:
+        return v1
     if math.isfinite(v0) and math.isfinite(v1):
         return v0 + t * (v1 - v0)
     if math.isfinite(v0):  # v1 = +-inf
@@ -364,6 +372,11 @@ def _ramp(t: float, v0: float, v1: float) -> float:
 
 def _ramp_many(t: np.ndarray, v0: float, v1: float) -> np.ndarray:
     """``_ramp`` on an array of segment parameters."""
+    ends = (t == 0.0) | (t == 1.0)
+    if ends.any():
+        out = np.where(t == 0.0, v0, v1)
+        out[~ends] = _ramp_many(t[~ends], v0, v1)
+        return out
     if math.isfinite(v0) and math.isfinite(v1):
         return v0 + t * (v1 - v0)
     if math.isfinite(v0):
@@ -372,8 +385,6 @@ def _ramp_many(t: np.ndarray, v0: float, v1: float) -> np.ndarray:
     if math.isfinite(v1):
         tail = _libm(math.log, t)
         return v1 - tail if v0 > 0 else v1 + tail
-    if (t == 1.0).any():
-        raise ZeroDivisionError("float division by zero")
     core = _libm(math.log, t / (1.0 - t))
     return core if v1 > 0 else -core
 
@@ -443,6 +454,28 @@ def is_identity_profile(profile) -> bool:
     if isinstance(profile, _ComposedRadial):
         return is_identity_profile(profile.outer) and is_identity_profile(profile.inner)
     return False
+
+
+@dataclass(frozen=True)
+class _shifted:
+    """profile(s) - s, so radial fixed latitudes are level-set zeros."""
+
+    profile: object
+
+    def __call__(self, s: float) -> float:
+        v = self.profile(s)
+        if math.isinf(v):
+            return v
+        return v - s
+
+    def many(self, s: np.ndarray) -> np.ndarray:
+        v = self.profile.many(s)
+        finite = ~np.isinf(v)
+        v[finite] -= np.asarray(s)[finite]
+        return v
+
+    def pole_crossings(self):
+        return self.profile.pole_crossings()
 
 
 LEVEL_S_CAP = 18.0
@@ -1130,7 +1163,19 @@ def parse_map(text: str) -> MapSpec:
 
     Forms: power:d=2 | quad:c=0.1+0.0i | rational:P=1,0,0;Q=0,0,1 |
     product:q=affine(2,0);d=2;h=zero | iter:n=3(power:d=2)
+
+    A spec the grammar accepts but a constructor rejects is bad input too:
+    its ``ValueError`` is raised again as a ``ParseError``.
     """
+    try:
+        return _build_map(text)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _build_map(text: str) -> MapSpec:
     text = text.strip()
     if ":" not in text:
         raise ParseError(f"map spec {text!r} has no head")
@@ -1155,7 +1200,7 @@ def parse_map(text: str) -> MapSpec:
         m = re.match(r"^n=(\d+)\((.+)\)$", body)
         if not m:
             raise ParseError("iterate form is iter:n=<k>(<spec>)")
-        return Iterate(parse_map(m.group(2)), int(m.group(1)))
+        return Iterate(_build_map(m.group(2)), int(m.group(1)))
     raise ParseError(f"unknown map head {head!r}")
 
 

@@ -6,7 +6,9 @@ fixed point exists in the region the curve bounds.  The four canonical
 boundary-behavior patterns on an axis-aligned rectangle certify the index
 (+1 for fully expanding or fully contracting sides, -1 for the two mixed
 saddle patterns), and the numeric integrator is checked against each
-certificate rather than trusted.
+certificate rather than trusted.  ``fixed_point_in`` descends a quadtree of
+such boundaries to locate a fixed point of a general plane map; the gallery
+and the tests use it, while strip lifts read theirs off the product view.
 """
 from __future__ import annotations
 

@@ -5,7 +5,8 @@ Strip coordinates: x = theta / 2*pi (unbounded), y = affine rescaling of the
 component's latitude window onto [0.25, 0.75].  A lift F of a map whose
 annular degree is d satisfies F(x+1, y) = F(x, y) + (d, 0); distinct lift
 offsets k pick out distinct fixed-point classes downstairs.  Every lift is
-read off the map's product view, so only specs that have one are lifted.
+read off the map's product view, so only specs that have one are lifted;
+so is each lift's fixed point, which the comparison-loop index certifies.
 """
 from __future__ import annotations
 
@@ -18,17 +19,22 @@ from .annuli import AnnulusComponent, UnsupportedSpec
 from .charts import (
     MapSpec,
     SpherePoint,
+    _shifted,
     as_product_view,
     chordal,
     evaluate,
     from_latlon,
+    solve_profile_level,
 )
-from .lefschetz import Rect, boundary_curve, fixed_point_in, lefschetz_index
+from .lefschetz import Rect, boundary_curve, lefschetz_index
 from .winding import SampledCurve
 
 Y_LO, Y_HI = 0.25, 0.75
 COND_MARGIN = 1e-9
 M_CAP = 64
+# a closed-form lift fixed point must displace by less than this, relative
+# to 1 + |z|: the stopping residual of a Newton polish
+FIXED_TOL = 1e-12
 
 
 class StripError(Exception):
@@ -189,15 +195,29 @@ def verify_index(F: StripMap, m_cap: int = M_CAP) -> VerifyResult:
 
 
 def lift_fixed_point(F: StripMap, m: int) -> complex:
-    """Fixed point of the lift inside the comparison loop.
+    """Fixed point of the lift inside the comparison loop, read off the
+    product view.
 
-    Found by winding-guided bisection on the displacement field, then
-    Newton-polished to machine residual.
+    A fixed point of (x, y) -> (d*x + h(s)/2pi + k, y(q(s))) sits on a
+    radial fixed latitude s* = q(s*); the lowest one whose height lies
+    strictly inside the loop is taken, and x solves the linear equation
+    x = d*x + h(s*)/2pi + k.  The point is checked on the lift itself: its
+    displacement must fall below FIXED_TOL relative to 1 + |z|.
     """
-    box = Rect(-float(m) - 0.25, float(m) + 0.25, Y_LO - 0.2, Y_HI + 0.2)
-    z = fixed_point_in(F.as_plane(), box)
-    if z is None:
-        raise StripError("no fixed point despite nonzero loop index")
+    view = F._view
+    for s in solve_profile_level(_shifted(view.radial), 0.0):
+        y = F.y_of_s(s)
+        if Y_LO < y < Y_HI:
+            break
+    else:
+        raise StripError("no radial fixed latitude inside the comparison loop")
+    x = (view.twist(s) / (2 * math.pi) + F.lift_offset) / (1 - F.translation_degree)
+    if not -m <= x <= m:
+        raise StripError(f"lift fixed point x = {x:.6g} outside the loop of width {m}")
+    z = complex(x, y)
+    residual = abs(complex(*F(x, y)) - z)
+    if residual >= FIXED_TOL * (1 + abs(z)):
+        raise StripError(f"lift displacement {residual:.3g} at the closed-form fixed point")
     return z
 
 

@@ -86,6 +86,17 @@ def test_annuli_json(capsys):
     }]
 
 
+def test_annuli_next_to_a_pole_crossing_node(capsys):
+    # the boundary circles at the cuts sit one rounding step off the node
+    for spec, d_i in (
+        ("product:q=pwl(-inf:-inf,-1.5:0,0:inf,inf:-inf);d=0", [0, 0]),
+        ("product:q=pwl(-inf:-inf,-1.5:inf,0:-inf,inf:inf);d=2", [2, -2, 2]),
+    ):
+        code, out, _ = run(capsys, "annuli", "--map", spec)
+        assert code == 0, spec
+        assert [r["d_i"] for r in json.loads(out)] == d_i
+
+
 def test_strip_index_lines(capsys):
     code, out, _ = run(capsys, "strip-index", "--map", "product:q=affine(2,0);d=3")
     assert code == 0
@@ -125,6 +136,12 @@ def test_parse_error_exits_2(capsys):
         ("census", "--map", "product:q=affine(nan,0);d=2"),
         ("degree", "--map", "power:d=2", "--value", "nan,0"),
         ("degree", "--map", "power:d=2", "--value", "abc"),
+        # the grammar accepts these, a constructor rejects them
+        ("annuli", "--map", "product:q=pwl(-inf:-inf,-1.5:-inf,0:inf,inf:inf);d=0"),
+        ("degree", "--map", "iter:n=0(power:d=2)"),
+        ("degree", "--map", "rational:P=0;Q=0"),
+        ("degree", "--map", "product:q=pwl(-inf:-inf,1:1,0:0,inf:inf);d=2"),
+        ("degree", "--map", "product:q=poly(0);d=2"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

@@ -1,20 +1,25 @@
 """Strip lifts, the comparison loop, certified indices, Nielsen separation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sphere_census import annuli, census, strip_lift
+from sphere_census import annuli, census, lefschetz, strip_lift
 from sphere_census.charts import (
     AffineProfile,
+    Iterate,
     Power,
     ProductMap,
     Quadratic,
     RationalPair,
     chordal,
     evaluate,
+    parse_map,
 )
 from sphere_census.strip_lift import (
     MNotFound,
+    StripError,
     StripMap,
     build_beta,
     lift,
@@ -172,3 +177,53 @@ def test_nielsen_lifts_give_distinct_fixed_points(d):
     assert len(interior) == len(fps)
     for fp in fps:
         assert min(chordal(fp.sphere_point, q) for q in interior) < 1e-9
+
+
+# three radial fixed latitudes, -12/17 (repelling), 0 (attracting) and 12/17
+THREE_LATITUDES = "product:q=pwl(-inf:-inf,-1:-2,-0.5:0.2,0.5:-0.2,1:2,inf:inf);d=3"
+
+
+def _no_quadtree(*args, **kwargs):
+    raise AssertionError("the quadtree is not on the strip-lift path")
+
+
+@pytest.mark.parametrize("spec", [
+    *(repel(d) for d in (2, 3, -1, -2, 0)),
+    Iterate(ProductMap(AffineProfile(2.0, 0.1), 2), 2),
+    parse_map(THREE_LATITUDES),
+], ids=["d=2", "d=3", "d=-1", "d=-2", "d=0", "iterate", "three-latitudes"])
+def test_lift_fixed_points_are_read_off_the_view(spec, monkeypatch):
+    monkeypatch.setattr(lefschetz, "fixed_point_in", _no_quadtree)
+    monkeypatch.setattr(lefschetz, "_newton_polish", _no_quadtree)
+    comp = component(spec)
+    fps = nielsen_fixed_points(spec, comp)
+    assert len(fps) == abs(comp.delta - 1)
+    fixed = census.fixed_points(spec, 1).points
+    for fp in fps:
+        assert min(chordal(fp.sphere_point, q) for q in fixed) < 1e-12
+
+
+def test_lift_fixed_point_takes_the_lowest_latitude_in_the_loop():
+    spec = parse_map(THREE_LATITUDES)
+    for fp in nielsen_fixed_points(spec, component(spec)):
+        assert fp.sphere_point.latitude() == pytest.approx(-12 / 17, abs=1e-12)
+
+
+def test_lift_fixed_point_outside_the_loop_raises():
+    spec = repel(2)
+    comp = component(spec)
+    # the fixed latitude s = 0 lies below this window
+    above = dataclasses.replace(comp, win_lo=0.5, win_hi=1.5)
+    with pytest.raises(StripError, match="no radial fixed latitude"):
+        lift_fixed_point(StripMap(spec, above, 2, 0), 1)
+    # x = (0 + 5) / (1 - 2) = -5 lies beyond the loop of width 1
+    with pytest.raises(StripError, match="outside the loop"):
+        lift_fixed_point(StripMap(spec, comp, 2, 5), 1)
+
+
+def test_lift_fixed_point_is_checked_on_the_lift():
+    # a translation degree the view does not have gives x = -1/2, which the
+    # lift (x -> 2x + 1) moves by 1/2
+    spec = repel(2)
+    with pytest.raises(StripError, match="displacement"):
+        lift_fixed_point(StripMap(spec, component(spec), 3, 1), 1)
