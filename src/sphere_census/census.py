@@ -9,8 +9,11 @@ ends fix.  Other quadratic and rational maps of degree D are solved by
 Aberth-Ehrlich on f^n(z) - z, evaluated through the n-fold recursion of the
 base map without expanding coefficients, and checked against the
 multiplicity sum D^n + 1: approximations merge only at a multiple fixed
-point (multiplier 1).  On either route every point must pass the residual
-filter; a failure raises ``CensusIncomplete``, never a short count.
+point (multiplier 1).  Order 1 starts from a golden spiral; order n >= 2
+from the D^n preimages under f^n of f's most repelling fixed point, which
+lie next to the repelling fixed points of f^n on the Julia set.  On either
+route every point must pass the residual filter; a failure raises
+``CensusIncomplete``, never a short count.
 """
 from __future__ import annotations
 
@@ -204,7 +207,9 @@ def _aberth_fixed_points(p, q, deg: int, n: int, poles):
     Up to the constant det U, G = det[F^n(x), x] with x = U (w, 1) and F the
     homogeneous form of f; G and G' come from the n-fold recursion of F with
     the chain rule, and the coefficients of G are never formed.  The exact
-    poles take part in the pairwise sums as fixed roots.
+    poles take part in the pairwise sums as fixed roots.  Order 1 starts
+    from a golden spiral, order n >= 2 from the preimage tree of a repelling
+    fixed point (``_starts``).
     """
     rng = np.random.default_rng(ABERTH_SEED)
     u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
@@ -212,10 +217,28 @@ def _aberth_fixed_points(p, q, deg: int, n: int, poles):
     coeffs[0, :len(p)] = p
     coeffs[1, :len(q)] = q
     # (w : 1) = U^H (z : 1): S = (0 : 1) and N = (1 : 0)
-    fixed = [u[1, 0].conjugate() / u[1, 1].conjugate() if pole == S_POLE
-             else u[0, 0].conjugate() / u[0, 1].conjugate() for pole in poles]
+    fixed = np.array([u[1, 0].conjugate() / u[1, 1].conjugate() if pole == S_POLE
+                      else u[0, 0].conjugate() / u[0, 1].conjugate() for pole in poles],
+                     dtype=complex)
     m = deg ** n + 1 - len(poles)
-    w = np.concatenate([_spiral(m), np.array(fixed, dtype=complex)])
+    w = np.concatenate([_starts(coeffs, deg, n, u, fixed), fixed])
+    left = _aberth(coeffs, deg, n, u, w, m)
+    if left:
+        raise CensusIncomplete(
+            f"Aberth iteration for {m} fixed points of an iterate of order {n} "
+            f"left {left} unconverged after {ABERTH_MAX_ITERS} steps"
+        )
+    a = u[0, 0] * w[:m] + u[0, 1]
+    b = u[1, 0] * w[:m] + u[1, 1]
+    points = [SpherePoint(x / y, Chart.NORTH) if abs(x) <= abs(y)
+              else SpherePoint(y / x, Chart.SOUTH)
+              for x, y in zip(a.tolist(), b.tolist())]
+    return points, _multipliers(coeffs, deg, n, u, w[:m])
+
+
+def _aberth(coeffs, deg: int, n: int, u, w: np.ndarray, m: int) -> int:
+    """Aberth-Ehrlich steps on the first m entries of w, in place, with the
+    rest held as fixed roots; the number left unconverged."""
     active = np.arange(m)
     last = np.full(m, INF)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -232,17 +255,69 @@ def _aberth_fixed_points(p, q, deg: int, n: int, poles):
                 (size >= last[active]) & (size <= ABERTH_STALL * scale))
             last[active] = size
             active = active[~done]
-    if active.size:
-        raise CensusIncomplete(
-            f"Aberth iteration for {m} fixed points of an iterate of order {n} "
-            f"left {active.size} unconverged after {ABERTH_MAX_ITERS} steps"
-        )
-    a = u[0, 0] * w[:m] + u[0, 1]
-    b = u[1, 0] * w[:m] + u[1, 1]
-    points = [SpherePoint(x / y, Chart.NORTH) if abs(x) <= abs(y)
-              else SpherePoint(y / x, Chart.SOUTH)
-              for x, y in zip(a.tolist(), b.tolist())]
-    return points, _multipliers(coeffs, deg, n, u, w[:m])
+    return active.size
+
+
+def _starts(coeffs, deg: int, n: int, u, fixed: np.ndarray) -> np.ndarray:
+    """D^n + 1 - len(fixed) distinct finite Aberth starts for the fixed
+    points of f^n in the w chart, none on a fixed root.
+
+    Order 1 (and a Moebius map) starts from the golden spiral.  From order 2
+    on, the starts are the D^n preimages under f^n of y0, the fixed point of
+    f of largest |multiplier|, moved off by a relative 1e-3: y0 is repelling
+    or parabolic, so it lies on the Julia set, where the iterated preimages
+    of a point equidistribute (Brolin) as the repelling periodic points do.
+    The nudge keeps a critical orbit through y0 from doubling a start.  The
+    tree point nearest each fixed root gives way to it, and the golden
+    spiral pads the set up to its size.
+    """
+    m = deg ** n + 1 - fixed.size
+    if n == 1 or deg < 2:
+        return _spiral(m)
+    seed = _spiral(deg + 1)
+    _aberth(coeffs, deg, 1, u, seed, deg + 1)
+    lam = np.abs(_multipliers(coeffs, deg, 1, u, seed))
+    y0 = seed[np.argmax(np.where(np.isfinite(lam), lam, -1.0))]
+    # F(U (w, 1)) as two polynomials in w: row i of basis holds the
+    # w-coefficients of (u00 w + u01)^i (u10 w + u11)^(D-i)
+    basis = np.zeros((deg + 1, deg + 1), dtype=complex)
+    for i in range(deg + 1):
+        row = np.ones(1, dtype=complex)
+        for _ in range(i):
+            row = np.convolve(row, u[0, ::-1])
+        for _ in range(deg - i):
+            row = np.convolve(row, u[1, ::-1])
+        basis[i] = row
+    forms = coeffs @ basis
+    tree = np.array([y0 + 1e-3 * (1.0 + abs(y0))])
+    for _ in range(n):
+        tree = _preimages(forms, u, tree)
+    # a repeated start makes its pair sums non-finite: the zeroed step then
+    # reads as converged
+    tree = np.sort(tree[np.isfinite(tree)])
+    tree = tree[np.concatenate(([True], tree[1:] != tree[:-1]))]
+    for root in fixed.tolist():
+        if tree.size:
+            tree = np.delete(tree, np.argmin(np.abs(tree - root)))
+    return np.concatenate([tree, _spiral(m - tree.size)])
+
+
+def _preimages(forms: np.ndarray, u, t: np.ndarray) -> np.ndarray:
+    """The D preimages under f of each target t in the w chart: the roots of
+    b F1(x) - a F2(x) with (a, b) = U (t, 1) and x = U (w, 1), whose
+    w-coefficients are b forms[0] - a forms[1], as one batch of companion
+    eigenvalues.  A target whose equation drops degree is skipped."""
+    deg = forms.shape[1] - 1
+    a, b = u[0, 0] * t + u[0, 1], u[1, 0] * t + u[1, 1]
+    scale = 1.0 / np.maximum(np.abs(a), np.abs(b))
+    poly = np.outer(b * scale, forms[0]) - np.outer(a * scale, forms[1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        last = -poly[:, :deg] / poly[:, deg:]
+    last = last[np.isfinite(last).all(axis=1)]
+    companion = np.zeros((last.shape[0], deg, deg), dtype=complex)
+    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    companion[:, :, -1] = last
+    return np.linalg.eigvals(companion).ravel()
 
 
 def _spiral(m: int) -> np.ndarray:

@@ -575,6 +575,9 @@ class RationalPair:
         q = _trim(self.q)
         if q == (0j,):
             raise ValueError("denominator is identically zero")
+        if p == (0j,) and len(q) > 1:
+            raise ValueError("zero numerator over a non-constant denominator; "
+                             "the constant map 0 is P=0;Q=1")
         if p != (0j,) and len(p) > 1 and len(q) > 1:
             rp = npoly.polyroots(np.array(p))
             rq = npoly.polyroots(np.array(q))

@@ -241,9 +241,14 @@ def nielsen_fixed_points(spec: MapSpec, component: AnnulusComponent,
     d = component.delta
     if offsets is None:
         offsets = range(abs(d - 1))
+    offsets = list(offsets)
+    if offsets:
+        # lift() checks F + (k, 0) against the covering map after
+        # subtracting k, so one validation serves every offset
+        lift(spec, component)
     out = []
     for k in offsets:
-        F = lift(spec, component, k=k)
+        F = StripMap(spec, component, translation_degree=d, lift_offset=k)
         res = verify_index(F)
         z = lift_fixed_point(F, res.m_used)
         downstairs = F.project(z.real, z.imag)

@@ -289,6 +289,74 @@ def test_quadratic_c0_iterate_at_the_degree_cap():
     assert len(turns) == 4095
 
 
+
+def aberth_inputs(monkeypatch, spec, n):
+    """The starts and the fixed roots of the order-n Aberth solve."""
+    seen = {}
+    solve = census._aberth
+
+    def record(coeffs, deg, order, u, w, m):
+        if order == n:
+            seen["starts"], seen["fixed"] = w[:m].copy(), w[m:].copy()
+        return solve(coeffs, deg, order, u, w, m)
+
+    monkeypatch.setattr(census, "_aberth", record)
+    fixed_points(spec, n)
+    return seen["starts"], seen["fixed"]
+
+
+def test_preimage_starts_are_finite_distinct_and_off_the_fixed_roots(monkeypatch):
+    # the critical orbit 0 -> -2 -> 2 of z^2 - 2 ends on its most repelling
+    # fixed point: preimages of 2 itself would start twice at 0
+    for n in range(2, 7):
+        starts, fixed = aberth_inputs(monkeypatch, Quadratic(-2), n)
+        assert starts.size == 2 ** n and fixed.size == 1, n
+        assert np.isfinite(starts).all(), n
+        gap = np.abs(starts[:, None] - starts[None, :])
+        np.fill_diagonal(gap, np.inf)
+        assert gap.min() > 1e-9, n
+        assert np.abs(starts - fixed[0]).min() > 1e-9, n
+
+
+@pytest.mark.parametrize("text,n_max", [
+    ("rational:P=1,0,1;Q=0,2", 6),             # Newton's map for z^2 + 1
+    ("quad:c=-2+0i", 7),
+    ("quad:c=-0.122561+0.744862i", 8),         # the rabbit
+    ("quad:c=0+1i", 8),
+])
+def test_hard_maps_count_every_fixed_point(text, n_max):
+    spec = charts.parse_map(text)
+    for n in range(1, n_max + 1):
+        assert fixed_points(spec, n).count == 2 ** n + 1, n
+
+
+def test_close_fixed_points_are_refused_not_merged():
+    # z^2 - 2 at n = 8 has the simple fixed points 2 cos(2 pi k / 255) and
+    # 2 cos(2 pi k / 257): k = 127 and k = 128 lie 9.4e-7 apart (chordal)
+    # near -2, inside DEDUP_RADIUS, so the census refuses the order
+    with pytest.raises(CensusIncomplete, match="merge"):
+        fixed_points(Quadratic(-2), 8)
+
+
+def test_preimage_starts_cut_the_aberth_steps(monkeypatch):
+    # started from the golden spiral, order 10 takes 140 steps
+    steps = []
+    log_derivative = census._log_derivative
+
+    def counting(*args):
+        steps.append(args[2])
+        return log_derivative(*args)
+
+    monkeypatch.setattr(census, "_log_derivative", counting)
+    assert fixed_points(Quadratic(0.1), 10).count == 1025
+    assert steps.count(10) <= 40
+
+
+def test_quadratic_at_the_degree_cap():
+    fps = fixed_points(Quadratic(0.1), 12)
+    assert fps.count == 4097
+    assert N_POLE in fps.points
+
 def test_no_coefficient_expansion_or_eigensolve(monkeypatch):
     specs = (Quadratic(0.1), CUBIC, RationalPair((1, 2), (3, 1)), Power(-2),
              Iterate(Quadratic(-0.5 + 0.3j), 2))

@@ -140,6 +140,8 @@ def test_parse_error_exits_2(capsys):
         ("annuli", "--map", "product:q=pwl(-inf:-inf,-1.5:-inf,0:inf,inf:inf);d=0"),
         ("degree", "--map", "iter:n=0(power:d=2)"),
         ("degree", "--map", "rational:P=0;Q=0"),
+        ("degree", "--map", "rational:P=0;Q=1,0,1"),
+        ("census", "--map", "rational:P=0;Q=1,0,1", "--n-max", "2"),
         ("degree", "--map", "product:q=pwl(-inf:-inf,1:1,0:0,inf:inf);d=2"),
         ("degree", "--map", "product:q=poly(0);d=2"),
     ):

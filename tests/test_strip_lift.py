@@ -179,6 +179,23 @@ def test_nielsen_lifts_give_distinct_fixed_points(d):
         assert min(chordal(fp.sphere_point, q) for q in interior) < 1e-9
 
 
+
+def test_nielsen_validates_the_lift_once(monkeypatch):
+    # lift() checks F + (k, 0) after subtracting k: one check serves every k
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("k", 0))
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(strip_lift, "lift", counting)
+    spec = repel(-3)
+    fps = nielsen_fixed_points(spec, component(spec))
+    assert [fp.lift_offset for fp in fps] == [0, 1, 2, 3]
+    assert calls == [0]
+    for fp in fps:
+        assert fp.residual < 1e-10
+
 # three radial fixed latitudes, -12/17 (repelling), 0 (attracting) and 12/17
 THREE_LATITUDES = "product:q=pwl(-inf:-inf,-1:-2,-0.5:0.2,0.5:-0.2,1:2,inf:inf);d=3"
 
