@@ -5,15 +5,16 @@ hypothesis probe.
 A component of the preimage of {N, S} is type I when it contains a pole,
 type II when it is an essential circle, and type III when it is inessential.
 Maps whose pole preimages are only poles and essential circles are in
-straightened form; only those decompose into annulus components.
+straightened form; only those decompose into annulus components, and only
+when they preserve the latitude foliation: every component is read in closed
+form off the product view (s, theta) -> (q(s), d*theta + h(s)), with no curve
+sampled.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-
-import numpy as np
 
 from . import charts, degree as degree_mod
 from .charts import (
@@ -24,15 +25,15 @@ from .charts import (
     as_product_view,
     chart_value,
     chordal,
-    evaluate_many,
-    latitudes,
     to_chart,
 )
-from .winding import SampledCurve, circle, latitude_circle, winding_number
+from .winding import SampledCurve, circle, winding_number
 
 INF = math.inf
 
 REPEL_MARGIN = 1e-9
+# the core image must stay within 1e-6 < |z| < 1e6, as in degree.annular_degree
+POLE_LATITUDE = math.log(1e6)
 PROBE_RADIUS_CAP = 0.05
 WINDOW = 1.0
 
@@ -87,9 +88,6 @@ class AnnulusComponent:
     delta: int
     d_i: int
     repelling: bool
-    core: SampledCurve
-    lower_circle: SampledCurve | None   # None marks the S pole
-    upper_circle: SampledCurve | None   # None marks the N pole
 
 
 # ---------------------------------------------------------------------------
@@ -142,72 +140,68 @@ def _rational_pole_preimages(spec: MapSpec) -> list[PolePreimage]:
 # ---------------------------------------------------------------------------
 
 
+def require_product_view(spec: MapSpec, purpose: str):
+    """The spec's product view, or ``UnsupportedSpec`` naming the purpose."""
+    view = as_product_view(spec)
+    if view is None:
+        raise UnsupportedSpec(f"no product view of {spec!r} to {purpose}")
+    return view
+
+
 def decompose(spec: MapSpec) -> list[AnnulusComponent]:
-    """Annulus components between consecutive pole-preimage circles.
+    """Annulus components between consecutive pole-preimage circles, read
+    off the product view (s, theta) -> (q(s), d*theta + h(s)).
 
     Components reaching a pole are clipped to a finite working window (of
-    half-width ``WINDOW`` around the interior structure) for their boundary
-    circles and repelling test; the true bounds stay infinite.  Core circles
-    are sampled densely enough for the map's angular action (aliasing-free).
+    half-width ``WINDOW`` around the interior structure) for the core
+    latitude and the repelling test; the true bounds stay infinite.
 
-    delta_i is the winding of the core's image; the sphere degree is the
-    cactus identity d_i = delta_i * (sigma_hi - sigma_lo) / 2, with sigma +1
-    (N) or -1 (S) for the pole that each bound's pole preimage maps to: the
-    type II circle at a cut, the type I preimage at an end (the point at
-    infinity at the north end).  An end without one has a finite end limit,
-    sigma 0 and delta_i = 0 beside it.
+    delta_i is the view's angular degree d; each core latitude must map
+    inside the |z| window of ``degree.annular_degree`` (else
+    ``ImageHitsPole``).  The sphere degree is the cactus identity
+    d_i = delta_i * (sigma_hi - sigma_lo) / 2, with sigma +1 (N) or -1 (S)
+    for the pole that each bound's pole preimage maps to: the type II circle
+    at a cut, the type I preimage at an end (the point at infinity at the
+    north end).  An end without one has a finite end limit, sigma 0 and
+    delta_i = 0 beside it.
     """
     comps = pole_preimages(spec)
     if any(c.kind is ComponentType.TYPE_III for c in comps):
         raise NotStraightened("type III components present")
-    view = as_product_view(spec)
-    bound = abs(view.angular_degree) if view else abs(spec.declared_degree)
-    core_samples = max(256, 8 * bound)
+    view = require_product_view(spec, "decompose")
     circles = [c for c in comps if c.kind is ComponentType.TYPE_II]
     bounds = [-INF] + [c.latitude for c in circles] + [INF]
     ends = {c.latitude == INF: c for c in comps if c.kind is ComponentType.TYPE_I}
     sigmas = [0 if c is None else 1 if c.maps_to_north else -1
               for c in [ends.get(False)] + circles + [ends.get(True)]]
+    delta = view.angular_degree
     out = []
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         win_lo = lo if math.isfinite(lo) else min(-WINDOW, (hi - 1.0) if math.isfinite(hi) else -WINDOW)
         win_hi = hi if math.isfinite(hi) else max(WINDOW, win_lo + 1.0)
         core_s = 0.5 * (win_lo + win_hi)
-        core = latitude_circle(core_s, core_samples)
-        delta = degree_mod.annular_degree(spec, core)
-        lower = None if lo == -INF else latitude_circle(win_lo, core_samples)
-        upper = None if hi == INF else latitude_circle(win_hi, core_samples)
-        out.append(
-            AnnulusComponent(
-                s_lo=lo, s_hi=hi, win_lo=win_lo, win_hi=win_hi,
-                delta=delta, d_i=delta * (sigmas[i + 1] - sigmas[i]) // 2,
-                repelling=False, core=core, lower_circle=lower, upper_circle=upper,
-            )
-        )
+        if not abs(view.radial(core_s)) < POLE_LATITUDE:
+            raise degree_mod.ImageHitsPole(f"core latitude {core_s:.4g} maps near a pole")
+        out.append(AnnulusComponent(
+            s_lo=lo, s_hi=hi, win_lo=win_lo, win_hi=win_hi,
+            delta=delta, d_i=delta * (sigmas[i + 1] - sigmas[i]) // 2, repelling=False,
+        ))
     return [replace(comp, repelling=is_repelling(spec, comp)) for comp in out]
 
 
 def is_repelling(spec: MapSpec, component: AnnulusComponent) -> bool:
-    """Both boundary circles map strictly outside the component.
-
-    Upper boundary samples must land strictly above its latitude, lower
-    samples strictly below; a sample within the margin makes the test
-    inconclusive (raised, never silently False).  A pole side is tested on
-    the window edge, sampled as densely as the core.
-    """
-    samples = len(component.core.points)
-    lower = component.lower_circle or latitude_circle(component.win_lo, samples)
-    upper = component.upper_circle or latitude_circle(component.win_hi, samples)
+    """Both window edges map strictly outside the component: q(win_hi) above
+    win_hi and q(win_lo) below win_lo.  An image within the margin of its
+    edge makes the test inconclusive (raised, never silently False)."""
+    radial = require_product_view(spec, "test").radial
     ok = True
-    for curve, s_ref, outward_up in ((upper, component.win_hi, True),
-                                     (lower, component.win_lo, False)):
-        s_img = latitudes(*evaluate_many(spec, curve.points, curve.chart is Chart.NORTH))
-        if (np.abs(s_img - s_ref) <= REPEL_MARGIN).any():
+    for s_ref, outward_up in ((component.win_hi, True), (component.win_lo, False)):
+        s_img = radial(s_ref)
+        if abs(s_img - s_ref) <= REPEL_MARGIN:
             raise BoundaryTouchesImage(
                 f"boundary latitude {s_ref:.6g} image within margin"
             )
-        excess = (s_img - s_ref) if outward_up else (s_ref - s_img)
-        if (excess < 0).any():
+        if (s_img < s_ref) if outward_up else (s_img > s_ref):
             ok = False
     return ok
 

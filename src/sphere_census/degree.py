@@ -246,17 +246,16 @@ def _degree_at(spec: MapSpec, y: SpherePoint) -> DegreeReport:
 
 
 def witness_radius(preimages) -> float:
-    """Probe radius separated from every other witness by a factor >= 10."""
-    if len(preimages) < 2:
-        return 0.05
-    sep = min(
-        chordal(a, b)
-        for i, a in enumerate(preimages)
-        for b in preimages[i + 1:]
-    )
-    if sep < 1e-4:
-        raise PreimageClusterTooTight(f"witness separation {sep:.3g}")
-    return min(0.05, sep / 20.0)
+    """Probe radius separated from every other witness by a factor >= 10.
+
+    S and N shrink it too, so that no probe circle encloses its chart's
+    pole, but only witnesses within 1e-4 of each other are too tight.
+    """
+    seps = [chordal(a, b) for i, a in enumerate(preimages) for b in preimages[i + 1:]]
+    if min(seps, default=2.0) < 1e-4:
+        raise PreimageClusterTooTight(f"witness separation {min(seps):.3g}")
+    seps += [chordal(a, p) for a in preimages for p in (charts.S_POLE, charts.N_POLE) if a != p]
+    return min([0.05] + [sep / 20.0 for sep in seps])
 
 
 def annular_degree(spec: MapSpec, core: SampledCurve) -> int:

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annuli import AnnulusComponent, UnsupportedSpec
+from .annuli import AnnulusComponent, require_product_view
 from .charts import (
     MapSpec,
     SpherePoint,
     _shifted,
-    as_product_view,
     chordal,
     evaluate,
     from_latlon,
@@ -59,14 +58,14 @@ class StripMap:
 
     spec: MapSpec
     component: AnnulusComponent
-    translation_degree: int
     lift_offset: int
 
     def __post_init__(self):
-        view = as_product_view(self.spec)
-        if view is None:
-            raise UnsupportedSpec(f"no product view of {self.spec!r} to lift")
-        object.__setattr__(self, "_view", view)
+        object.__setattr__(self, "_view", require_product_view(self.spec, "lift"))
+
+    @property
+    def translation_degree(self) -> int:
+        return self.component.delta
 
     @property
     def s_window(self) -> tuple[float, float]:
@@ -101,7 +100,7 @@ class StripMap:
 
 def lift(spec: MapSpec, component: AnnulusComponent, k: int = 0) -> StripMap:
     """Build the lift F + (k, 0) and validate it against the covering map."""
-    F = StripMap(spec, component, translation_degree=component.delta, lift_offset=k)
+    F = StripMap(spec, component, lift_offset=k)
     rng = np.random.default_rng(0)
     for _ in range(100):
         x = float(rng.uniform(-2.0, 2.0))
@@ -248,7 +247,7 @@ def nielsen_fixed_points(spec: MapSpec, component: AnnulusComponent,
         lift(spec, component)
     out = []
     for k in offsets:
-        F = StripMap(spec, component, translation_degree=d, lift_offset=k)
+        F = StripMap(spec, component, lift_offset=k)
         res = verify_index(F)
         z = lift_fixed_point(F, res.m_used)
         downstairs = F.project(z.real, z.imag)

@@ -12,6 +12,7 @@ from sphere_census.annuli import (
     ComponentType,
     NotRepelling,
     NotStraightened,
+    UnsupportedSpec,
     check_hypothesis_h,
     decompose,
     is_repelling,
@@ -27,11 +28,12 @@ from sphere_census.charts import (
     ProductMap,
     Quadratic,
     SpherePoint,
+    as_product_view,
     evaluate,
     parse_map,
     to_chart,
 )
-from sphere_census.winding import winding_number
+from sphere_census.winding import latitude_circle, winding_number
 
 INF = math.inf
 
@@ -82,7 +84,6 @@ def test_decompose_power_is_single_repelling_window():
     assert (c.win_lo, c.win_hi) == (-1.0, 1.0)
     assert c.delta == 2 and c.d_i == 2
     assert c.repelling  # q(1) = 2 > 1 and q(-1) = -2 < -1
-    assert c.lower_circle is None and c.upper_circle is None
 
 
 def test_decompose_product_examples():
@@ -92,22 +93,49 @@ def test_decompose_product_examples():
     assert not contract.repelling
 
 
-def test_decompose_reads_no_local_degrees(monkeypatch):
+PWL_ITERATES = (
+    # the outer profile reverses, so the circles its inner copy sends to S
+    # go on to N and vice versa
+    "iter:n=2(product:q=pwl(-inf:inf,-1:-inf,1:inf,inf:-inf);d=2)",
+    "iter:n=3(product:q=pwl(-inf:inf,-1:-inf,1:inf,inf:-inf);d=1)",
+    "iter:n=2(product:q=pwl(-inf:-inf,-0.5:inf,0.5:0,inf:inf);d=-2)",
+)
+
+
+def _decomposable_specs():
     from sphere_census.gallery import GALLERY
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("local-degree sum in decompose")
-
-    monkeypatch.setattr(degree_mod, "local_degree", forbidden)
-    monkeypatch.setattr(degree_mod, "component_degrees", forbidden)
-    decomposed = 0
+    specs = [parse_map(text) for text in PWL_ITERATES]
     for spec in GALLERY.values():
         try:
             decompose(spec)
         except (NotStraightened, BoundaryTouchesImage):
             continue
-        decomposed += 1
-    assert decomposed >= 12
+        specs.append(spec)
+    return specs
+
+
+def test_decompose_reads_no_local_degrees(monkeypatch):
+    # nor samples a curve: decompose and is_repelling read every component
+    # off the product view
+    import sphere_census
+    from sphere_census import charts, winding
+
+    specs = _decomposable_specs()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("local degree or curve sample in decompose")
+
+    monkeypatch.setattr(degree_mod, "local_degree", forbidden)
+    monkeypatch.setattr(degree_mod, "component_degrees", forbidden)
+    for module in (sphere_census, annuli, charts, degree_mod, winding):
+        for attr in ("evaluate_many", "annular_degree", "winding_number"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, forbidden)
+    assert len(specs) >= 15
+    for spec in specs:
+        for c in decompose(spec):
+            assert is_repelling(spec, c) == c.repelling
 
 
 def _assert_sphere_degrees_match_the_oracle(spec):
@@ -119,23 +147,49 @@ def _assert_sphere_degrees_match_the_oracle(spec):
     assert [c.d_i for c in comps] == oracle, spec
 
 
-@pytest.mark.parametrize("text", [
-    "quad:c=1e-20+0i", "rational:P=1e-20,0,1;Q=1", "power:d=-2", "power:d=0",
-    # the outer profile reverses, so the circles its inner copy sends to S
-    # go on to N and vice versa
-    "iter:n=2(product:q=pwl(-inf:inf,-1:-inf,1:inf,inf:-inf);d=2)",
-    "iter:n=3(product:q=pwl(-inf:inf,-1:-inf,1:inf,inf:-inf);d=1)",
-    "iter:n=2(product:q=pwl(-inf:-inf,-0.5:inf,0.5:0,inf:inf);d=-2)",
-])
+@pytest.mark.parametrize("text", ("power:d=-2", "power:d=0") + PWL_ITERATES)
 def test_sphere_degrees_of_fixed_maps_match_the_oracle(text):
     _assert_sphere_degrees_match_the_oracle(parse_map(text))
 
 
+@pytest.mark.parametrize("text", ["quad:c=1e-20+0i", "rational:P=1e-20,0,1;Q=1"])
+def test_decompose_needs_a_product_view(text):
+    # straightened (the type III preimage of S falls within the anchor
+    # tolerance), but with no product view to read the components off
+    with pytest.raises(UnsupportedSpec):
+        decompose(parse_map(text))
+
+
+def test_delta_is_the_annular_degree_of_the_core():
+    checked = 0
+    for spec in _decomposable_specs():
+        samples = max(256, 8 * abs(as_product_view(spec).angular_degree))
+        for c in decompose(spec):
+            core = latitude_circle(0.5 * (c.win_lo + c.win_hi), samples)
+            assert c.delta == degree_mod.annular_degree(spec, core), spec
+            checked += 1
+    assert checked >= 18
+
+
+@pytest.mark.parametrize("b", [13.5, -13.5])
+def test_core_image_inside_the_pole_window_decomposes(b):
+    # the core s = 0 maps to s = b, inside |s| < ln(1e6) = 13.8
+    (c,) = decompose(ProductMap(AffineProfile(2.0, b), 2))
+    assert c.delta == 2 and not c.repelling
+
+
+@pytest.mark.parametrize("b", [14.0, -14.0])
+def test_core_image_near_a_pole_raises(b):
+    with pytest.raises(degree_mod.ImageHitsPole):
+        decompose(ProductMap(AffineProfile(2.0, b), 2))
+
+
 def test_sphere_degree_of_a_fold_is_zero():
-    # both ends map to S: the local-degree sum read +1 here, because its
-    # 0.05 probe circle about the preimage near N encloses N
+    # both ends map to S; the oracle's probe circle about the preimage near
+    # N stays clear of N
     spec = parse_map("product:q=pwl(-inf:-inf,0.5:3,inf:-inf);d=1")
     assert [(c.delta, c.d_i) for c in decompose(spec)] == [(1, 0)]
+    _assert_sphere_degrees_match_the_oracle(spec)
 
 
 _POLE = st.sampled_from([-INF, INF])
@@ -186,20 +240,9 @@ def test_is_repelling_endpoint_arithmetic():
     ProductMap(AffineProfile(2.0, 0.0), -48),
     ProductMap(PiecewiseLinearProfile(((-INF, -INF), (-1, INF), (1, -INF), (INF, INF))), 2),
 ])
-def test_is_repelling_matches_decompose(spec, monkeypatch):
-    comps = decompose(spec)
-    sampled = []
-    batch = annuli.evaluate_many
-
-    def counting(spec, values, north):
-        sampled.append(len(values))
-        return batch(spec, values, north)
-
-    monkeypatch.setattr(annuli, "evaluate_many", counting)
-    for c in comps:
+def test_is_repelling_matches_decompose(spec):
+    for c in decompose(spec):
         assert is_repelling(spec, c) == c.repelling
-        # a pole side is sampled as densely as the core, as decompose does
-        assert sampled[-2:] == [len(c.core.points)] * 2
 
 
 def test_is_repelling_inconclusive_on_touching_boundary():

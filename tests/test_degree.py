@@ -21,6 +21,7 @@ from sphere_census.charts import (
     chart_value,
     evaluate,
     from_latlon,
+    parse_map,
 )
 from sphere_census.degree import (
     DegreeMismatch,
@@ -243,3 +244,24 @@ def test_cactus_three_branch_profile():
     assert report.passed
     assert report.degree_sum == spec.declared_degree == 2
     assert all(abs(r.annular_degree) == abs(r.sphere_degree) for r in report.rows)
+
+
+def test_fold_degree_probe_circles_stay_clear_of_the_poles():
+    # both ends map to S; a 0.05 probe circle about the preimage near N
+    # (|w| < 0.05 in the south chart) would enclose N and misread its local
+    # degree
+    spec = parse_map("product:q=pwl(-inf:-inf,0.5:3,inf:-inf);d=1")
+    report = global_degree(spec)
+    assert report.total == 0
+    assert sorted(d for _, d in report.witnesses) == [-1, 1]
+
+
+def test_component_degree_of_an_iterated_pwl_product():
+    spec = parse_map("iter:n=2(product:q=pwl(-inf:-inf,-1:1,inf:inf);d=1)")
+    assert component_degrees(spec, [(-math.inf, math.inf)])[0] == [1]
+
+
+def test_a_preimage_near_a_pole_shrinks_the_probe_circle():
+    # z -> 1e-6 z puts every preimage of a regular value within 1e-5 of N:
+    # the pole caps the radius and does not reject the value
+    assert global_degree(RationalPair((0, 1e-6), (1,))).total == 1

@@ -102,12 +102,11 @@ def test_product_lift_of_reciprocal():
 
 
 def test_lift_needs_a_product_view():
-    # z^2 + 1e-20 decomposes (its two preimages of S merge into one), but
-    # it is not a product map, so it has no lift
-    spec = Quadratic(1e-20)
-    comp = component(spec)
+    # z^2 + 1e-20 is not a product map, so it has no lift, even on a
+    # component that z^2 has
+    comp = component(Power(2))
     with pytest.raises(annuli.UnsupportedSpec):
-        lift(spec, comp)
+        lift(Quadratic(1e-20), comp)
 
 
 def test_build_beta_spans():
@@ -145,7 +144,7 @@ def test_verify_index_needs_repelling_behavior():
     # contracting radial never satisfies the boundary displacement pattern
     spec = ProductMap(AffineProfile(0.5, 0.0), 2)
     comp = component(spec)
-    F = StripMap(spec, comp, translation_degree=2, lift_offset=0)
+    F = StripMap(spec, comp, lift_offset=0)
     with pytest.raises(MNotFound):
         verify_index(F, m_cap=8)
 
@@ -232,15 +231,16 @@ def test_lift_fixed_point_outside_the_loop_raises():
     # the fixed latitude s = 0 lies below this window
     above = dataclasses.replace(comp, win_lo=0.5, win_hi=1.5)
     with pytest.raises(StripError, match="no radial fixed latitude"):
-        lift_fixed_point(StripMap(spec, above, 2, 0), 1)
+        lift_fixed_point(StripMap(spec, above, 0), 1)
     # x = (0 + 5) / (1 - 2) = -5 lies beyond the loop of width 1
     with pytest.raises(StripError, match="outside the loop"):
-        lift_fixed_point(StripMap(spec, comp, 2, 5), 1)
+        lift_fixed_point(StripMap(spec, comp, 5), 1)
 
 
 def test_lift_fixed_point_is_checked_on_the_lift():
     # a translation degree the view does not have gives x = -1/2, which the
     # lift (x -> 2x + 1) moves by 1/2
     spec = repel(2)
+    wrong = dataclasses.replace(component(spec), delta=3)
     with pytest.raises(StripError, match="displacement"):
-        lift_fixed_point(StripMap(spec, component(spec), 3, 1), 1)
+        lift_fixed_point(StripMap(spec, wrong, 1), 1)
