@@ -3,7 +3,8 @@
 Subcommands: census, degree, index, annuli, strip-index, check-h, gallery.
 Structured reports are JSON (CSV for the census table); identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1
-analysis failure, 2 parse/usage error; analysis errors go to stderr as JSON.
+analysis failure, 2 parse/usage error (a map spec, an --n-max below 1, a
+missing or malformed curve fixture); errors go to stderr as JSON.
 """
 from __future__ import annotations
 
@@ -53,6 +54,8 @@ def _lat_json(s: float):
 
 def cmd_census(args) -> int:
     spec = parse_map(args.map)
+    if args.n_max < 1:
+        raise ParseError(f"--n-max {args.n_max} is not a positive order")
     text = census.census_csv(spec, args.n_max)
     if args.out:
         Path(args.out).write_text(text)
@@ -93,7 +96,10 @@ def cmd_degree(args) -> int:
 
 def cmd_index(args) -> int:
     spec = parse_map(args.map)
-    curve = load_curve_csv(Path(args.curve).read_text())
+    try:
+        curve = load_curve_csv(Path(args.curve).read_text())
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"curve {args.curve!r}: {exc}") from exc
     idx = lefschetz_index(spec, curve)
     _json_out({"index": idx, "map": format_map(spec), "samples": len(curve.points)})
     return 0

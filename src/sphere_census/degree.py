@@ -184,7 +184,9 @@ def local_degree(spec: MapSpec, x: SpherePoint, y: SpherePoint, radius: float) -
     y_val = y.value
     probe = circle(x.value, radius, samples=128, chart=x.chart)
     image = image_curve(spec, probe, y.chart)
-    if min(abs(z - y_val) for z in image.points) <= 1e-9:
+    # scale-free: near a pole the probe circle, and so its image, is small
+    gaps = [abs(z - y_val) for z in image.points]
+    if min(gaps) <= 1e-9 * max(gaps):
         raise RadiusTooLarge("image circle passes through the target value")
     return winding_number(image, y_val)
 

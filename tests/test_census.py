@@ -4,6 +4,7 @@ import cmath
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +358,51 @@ def test_quadratic_at_the_degree_cap():
     assert fps.count == 4097
     assert N_POLE in fps.points
 
+
+@pytest.mark.parametrize("size", [257, 1025])
+def test_pair_sums_do_not_depend_on_the_block_size(monkeypatch, size):
+    rng = np.random.default_rng(size)
+    w = rng.normal(size=size) + 1j * rng.normal(size=size)
+    rows = np.sort(rng.choice(size, size // 3, replace=False))
+    sums = {}
+    for shift in range(10, 17):
+        monkeypatch.setattr(census, "PAIR_BLOCK", 1 << shift)
+        sums[shift] = (census._pair_sums(w, np.arange(size)).tobytes(),
+                       census._pair_sums(w, rows).tobytes())
+    assert len(set(sums.values())) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "quad:c=0.1", "quad:c=-2", "rational:P=0,2,0,1;Q=1,0,3",
+    "rational:P=1,0,1;Q=0,2",                   # Newton's map for z^2 + 1
+])
+def test_companion_fixed_points_match_the_spiral_solve(monkeypatch, text):
+    spec = charts.parse_map(text)
+    deg = spec.declared_degree
+    p, q = as_rational(spec)
+    coeffs, u = census._frame(p, q, deg)
+    spiral = census._spiral(deg + 1)
+    assert census._aberth(coeffs, deg, 1, u, spiral, deg + 1) == 0
+    # the polish of the companion roots converges within two steps
+    left = []
+    aberth = census._aberth
+
+    def polish(*args):
+        left.append(aberth(*args))
+        return left[-1]
+
+    monkeypatch.setattr(census, "_aberth", polish)
+    monkeypatch.setattr(census, "ABERTH_MAX_ITERS", 2)
+    roots = census._base_fixed_points(coeffs, deg, u, census._forms(coeffs, deg, u))
+    assert left == [0]
+    assert roots.size == deg + 1
+    # U is unitary, so the chordal metric in w is the one in z
+    gap = 2 * np.abs(roots[:, None] - spiral[None, :]) / np.sqrt(
+        (1 + np.abs(roots[:, None]) ** 2) * (1 + np.abs(spiral[None, :]) ** 2))
+    assert gap.min(axis=0).max() < 1e-12
+    assert gap.min(axis=1).max() < 1e-12
+
+
 def test_no_coefficient_expansion_or_eigensolve(monkeypatch):
     specs = (Quadratic(0.1), CUBIC, RationalPair((1, 2), (3, 1)), Power(-2),
              Iterate(Quadratic(-0.5 + 0.3j), 2))
@@ -435,6 +481,33 @@ def test_poles_attracting():
     assert not poles_attracting(DILATION)  # the radius doubling repels from S
     # the product form of the squaring map attracts at both poles, like z^2
     assert poles_attracting(ProductMap(AffineProfile(2.0, 0.0), 2))
+
+
+@pytest.mark.parametrize("text", [
+    "power:d=1", "power:d=-1", "power:d=2", "power:d=-2", "power:d=3", "quad:c=0",
+    "product:q=affine(0.5,0);d=2", "product:q=affine(-2,0);d=2",
+    "product:q=affine(1,0.5);d=2", "product:q=affine(1.01,0);d=2",
+    "product:q=affine(2,-15);d=2", "product:q=affine(-0.5,0);d=2",
+    "product:q=pwl(-inf:-inf,-1:-2,-0.5:0.2,0.5:-0.2,1:2,inf:inf);d=3",
+    "product:q=pwl(-inf:-inf,-1:inf,1:-inf,inf:inf);d=2",
+    "product:q=pwl(-inf:-inf,0.5:3,inf:-inf);d=1",
+    "product:q=poly(0,0,0,1);d=2", "product:q=poly(0,-1,0,1);d=2",
+    "rational:P=0,2;Q=1", "rational:P=0,0,0.5;Q=1",
+    "iter:n=2(product:q=affine(-2,0.1);d=2)",
+    "iter:n=2(product:q=pwl(-inf:-inf,-1:inf,1:-inf,inf:inf);d=2)",
+])
+def test_poles_attracting_reads_the_product_view(monkeypatch, text):
+    spec = charts.parse_map(text)
+
+    def forbidden(*args):
+        raise AssertionError("orbit evaluated")
+
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(census, "evaluate_many", forbidden)
+        warnings.simplefilter("error")
+        from_view = poles_attracting(spec)
+    monkeypatch.setattr(census, "as_product_view", lambda spec: None)
+    assert from_view == poles_attracting(spec)
 
 
 def test_crosscheck_squaring_all_bounds_hold():

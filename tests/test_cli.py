@@ -129,7 +129,11 @@ def test_check_h_reports_a_quadratic_without_attractor(capsys):
     assert "no attracting finite fixed point" in payload["detail"]
 
 
-def test_parse_error_exits_2(capsys):
+def test_parse_error_exits_2(capsys, tmp_path):
+    bad_row = tmp_path / "bad_row.csv"
+    bad_row.write_text("# chart=north\n0,1\n1,0,0\n")
+    too_few = tmp_path / "too_few.csv"
+    too_few.write_text("# chart=north\n" + "".join(f"{k},1\n" for k in range(5)))
     for argv in (
         ("census", "--map", "power:k=2"),
         ("census", "--map", "quad:c=nan"),
@@ -144,6 +148,12 @@ def test_parse_error_exits_2(capsys):
         ("census", "--map", "rational:P=0;Q=1,0,1", "--n-max", "2"),
         ("degree", "--map", "product:q=pwl(-inf:-inf,1:1,0:0,inf:inf);d=2"),
         ("degree", "--map", "product:q=poly(0);d=2"),
+        # bad input outside the map spec
+        ("census", "--map", "power:d=2", "--n-max", "0"),
+        ("census", "--map", "power:d=2", "--n-max", "-3"),
+        ("index", "--map", "power:d=2", "--curve", str(tmp_path / "missing.csv")),
+        ("index", "--map", "power:d=2", "--curve", str(bad_row)),
+        ("index", "--map", "power:d=2", "--curve", str(too_few)),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

@@ -265,3 +265,12 @@ def test_a_preimage_near_a_pole_shrinks_the_probe_circle():
     # z -> 1e-6 z puts every preimage of a regular value within 1e-5 of N:
     # the pole caps the radius and does not reject the value
     assert global_degree(RationalPair((0, 1e-6), (1,))).total == 1
+
+
+def test_a_pinned_value_near_a_pole_is_not_too_close_to_its_image():
+    # the probe circle about the preimage 1e-9 shrinks to stay clear of S, so
+    # its image passes about 1e-10 from the target: close in absolute terms,
+    # but a tenth of the image's own radius
+    report = global_degree(Power(1), y=SpherePoint(1e-9, Chart.NORTH))
+    assert report.total == 1
+    assert [d for _, d in report.witnesses] == [1]
