@@ -952,12 +952,11 @@ def _product_many(spec: ProductMap, v: np.ndarray, north: np.ndarray):
     return out, out_north
 
 
-def as_plane_map(spec: MapSpec) -> Callable[[complex], complex]:
-    """North-chart view of the map as a plane function z -> f(z)."""
+def as_plane_map(spec: MapSpec, chart: Chart = Chart.NORTH) -> Callable[[complex], complex]:
+    """The map in one chart's coordinate as a plane function z -> f(z)."""
 
     def fn(z: complex) -> complex:
-        img = evaluate(spec, SpherePoint(z, Chart.NORTH))
-        return chart_value(img, Chart.NORTH)
+        return chart_value(evaluate(spec, SpherePoint(z, chart)), chart)
 
     return fn
 

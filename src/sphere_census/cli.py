@@ -4,12 +4,14 @@ Subcommands: census, degree, index, annuli, strip-index, check-h, gallery.
 Structured reports are JSON (CSV for the census table); identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1
 analysis failure, 2 parse/usage error (a map spec, an --n-max below 1, a
-missing or malformed curve fixture); errors go to stderr as JSON.
+missing or malformed curve fixture, a non-finite fixture row); errors go to
+stderr as JSON.  The argument parser is built once per process.
 """
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -171,6 +173,7 @@ def cmd_gallery(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sphere-census",
@@ -215,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -6,9 +6,10 @@ fixed point exists in the region the curve bounds.  The four canonical
 boundary-behavior patterns on an axis-aligned rectangle certify the index
 (+1 for fully expanding or fully contracting sides, -1 for the two mixed
 saddle patterns), and the numeric integrator is checked against each
-certificate rather than trusted.  ``fixed_point_in`` descends a quadtree of
-such boundaries to locate a fixed point of a general plane map; the gallery
-and the tests use it, while strip lifts read theirs off the product view.
+certificate rather than trusted.  ``fixed_point_in`` finds the fixed point
+that carries a rectangle's index by one Newton polish, checked by the index
+of a small square about it; the gallery and the tests use it, while strip
+lifts read theirs off the product view.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .charts import MapSpec, as_plane_map
+from .charts import Chart, MapSpec, as_plane_map
 from .winding import (
     PointOnCurve,
     SampledCurve,
@@ -38,13 +39,14 @@ class CertificateIndexMismatch(Exception):
     """A certified rectangle disagreed with the numeric index: integrator bug."""
 
 
-def _plane(f: Union[MapSpec, PlaneMap]) -> PlaneMap:
-    return f if callable(f) else as_plane_map(f)
+def _plane(f: Union[MapSpec, PlaneMap], chart: Chart = Chart.NORTH) -> PlaneMap:
+    return f if callable(f) else as_plane_map(f, chart)
 
 
 def lefschetz_index(f: Union[MapSpec, PlaneMap], curve: SampledCurve) -> int:
-    """Winding of the displacement field of f along the curve, about 0."""
-    fn = _plane(f)
+    """Winding of the displacement field of f along the curve, about 0; a
+    map spec is read in the curve's chart."""
+    fn = _plane(f, curve.chart)
 
     def disp_at(t: float) -> complex:
         z = curve.point_at(t)
@@ -147,22 +149,17 @@ def _side_direction(values: np.ndarray, line: float, outward_positive: bool) -> 
 def rectangle_certificate(f: Union[MapSpec, PlaneMap], rect: Rect) -> RectCertificate:
     """Match the rectangle boundary behavior against the four patterns.
 
-    When a pattern holds, the numeric index along the boundary is computed
-    and must equal the certified value; a mismatch is a fatal self-test
-    failure, never a data condition.
+    The sides are read off one 64-per-side boundary curve, each with both of
+    its corners.  When a pattern holds, the numeric index along that curve is
+    computed and must equal the certified value; a mismatch is a fatal
+    self-test failure, never a data condition.
     """
     fn = _plane(f)
     m = 64  # samples per side
-    xs = np.linspace(rect.x0, rect.x1, m)
-    ys = np.linspace(rect.y0, rect.y1, m)
-
-    def images(zs) -> np.ndarray:
-        return np.array([fn(z) for z in zs], dtype=complex)
-
-    top = images([complex(x, rect.y1) for x in xs])
-    bottom = images([complex(x, rect.y0) for x in xs])
-    right = images([complex(rect.x1, y) for y in ys])
-    left = images([complex(rect.x0, y) for y in ys])
+    curve = boundary_curve(rect, m)
+    images = np.array([fn(z) for z in curve.points], dtype=complex)
+    closed = np.append(images, images[0])
+    bottom, right, top, left = (closed[k * m:(k + 1) * m + 1] for k in range(4))
 
     dir_top = _side_direction(top.imag, rect.y1, outward_positive=True)
     dir_bottom = _side_direction(bottom.imag, rect.y0, outward_positive=False)
@@ -182,7 +179,7 @@ def rectangle_certificate(f: Union[MapSpec, PlaneMap], rect: Rect) -> RectCertif
     else:
         return RectCertificate.NO_CERTIFICATE
 
-    idx = lefschetz_index(fn, boundary_curve(rect, m))
+    idx = lefschetz_index(fn, curve)
     if idx != cert.certified_index:
         raise CertificateIndexMismatch(
             f"{cert.value} rectangle certified {cert.certified_index} "
@@ -192,51 +189,29 @@ def rectangle_certificate(f: Union[MapSpec, PlaneMap], rect: Rect) -> RectCertif
 
 
 # ---------------------------------------------------------------------------
-# Fixed points inside a curve: winding-guided bisection on the displacement
+# Fixed points inside a rectangle: one Newton polish, checked by index
 # ---------------------------------------------------------------------------
 
 
 def fixed_point_in(f: Union[MapSpec, PlaneMap], rect: Rect) -> complex | None:
-    """A fixed point inside the rectangle, or None when the index vanishes.
+    """The fixed point that carries the rectangle's whole nonzero index, or None.
 
-    Quadtree descent: keep a subrectangle whose boundary displacement index
-    is nonzero (index additivity guarantees one exists), then Newton-polish.
-    Splits are nudged when a fixed point sits on a cut line.
+    Newton polishes the rectangle's centre; the result is kept only when it
+    lies inside and a square about it, of half-side 1e-3 times the shorter
+    side, has the rectangle's index.  So several fixed points sharing the
+    index give None, and a fixed point on either boundary raises
+    FixedPointOnCurve, as ``lefschetz_index`` does.
     """
     fn = _plane(f)
-    try:
-        if lefschetz_index(fn, boundary_curve(rect, 48)) == 0:
-            return None
-    except FixedPointOnCurve:
-        pass  # fixed point essentially on the outer boundary; descend anyway
-    box = rect
-    for _ in range(64):
-        if max(box.x1 - box.x0, box.y1 - box.y0) < 1e-6:
-            break
-        child = None
-        for nudge in (0.5, 0.47, 0.53, 0.41):
-            xm = box.x0 + nudge * (box.x1 - box.x0)
-            ym = box.y0 + nudge * (box.y1 - box.y0)
-            quads = [
-                Rect(box.x0, xm, box.y0, ym),
-                Rect(xm, box.x1, box.y0, ym),
-                Rect(box.x0, xm, ym, box.y1),
-                Rect(xm, box.x1, ym, box.y1),
-            ]
-            try:
-                for q in quads:
-                    if lefschetz_index(fn, boundary_curve(q, 48)) != 0:
-                        child = q
-                        break
-            except FixedPointOnCurve:
-                child = None  # cut line hit the fixed point; re-nudge
-                continue
-            break
-        if child is None:
-            break
-        box = child
-    z = complex(0.5 * (box.x0 + box.x1), 0.5 * (box.y0 + box.y1))
-    return _newton_polish(fn, z)
+    index = lefschetz_index(fn, boundary_curve(rect, 48))
+    if index == 0:
+        return None
+    z = _newton_polish(fn, complex(0.5 * (rect.x0 + rect.x1), 0.5 * (rect.y0 + rect.y1)))
+    if not rect.contains(z):
+        return None
+    h = 1e-3 * min(rect.x1 - rect.x0, rect.y1 - rect.y0)
+    square = Rect(z.real - h, z.real + h, z.imag - h, z.imag + h)
+    return z if lefschetz_index(fn, boundary_curve(square, 48)) == index else None
 
 
 def _newton_polish(fn: PlaneMap, z: complex) -> complex:

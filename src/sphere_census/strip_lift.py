@@ -144,27 +144,14 @@ class VerifyResult:
     m_used: int
 
 
-def _conditions_hold(F: StripMap, m: int) -> bool:
-    d = F.translation_degree
-    samples = 65  # per vertical side, and per unit of width on the others
-    ys = np.linspace(Y_LO, Y_HI, samples)
+def _vertical_sides_hold(F: StripMap, m: int) -> bool:
+    """The images of the sides x = -m and x = m, 65 heights each, lie beyond
+    them, away from the center, when d >= 2, and on the center side otherwise."""
+    outward = 1.0 if F.translation_degree >= 2 else -1.0
     for x_v, sign in ((float(m), 1.0), (-float(m), -1.0)):
-        for y in ys:
-            x_img = F(x_v, float(y))[0]
-            if d >= 2:
-                # image beyond the vertical line, away from the center
-                if sign * (x_img - x_v) <= COND_MARGIN:
-                    return False
-            else:
-                # image on the center side of the vertical line
-                if sign * (x_v - x_img) <= COND_MARGIN:
-                    return False
-    xs = np.linspace(-float(m), float(m), samples * max(1, m))
-    for x in xs:
-        if F(float(x), Y_LO)[1] >= Y_LO - COND_MARGIN:
-            return False
-        if F(float(x), Y_HI)[1] <= Y_HI + COND_MARGIN:
-            return False
+        for y in np.linspace(Y_LO, Y_HI, 65):
+            if outward * sign * (F(x_v, float(y))[0] - x_v) <= COND_MARGIN:
+                return False
     return True
 
 
@@ -176,8 +163,12 @@ def verify_index(F: StripMap, m_cap: int = M_CAP) -> VerifyResult:
     if d == 1:
         raise ValueError("translation degree 1 carries no certified index")
     expected = 1 if d >= 2 else -1
+    # the image height depends on the height alone: one point per horizontal
+    # side decides, for every width, that it maps below or above the loop
+    if F(0.0, Y_LO)[1] >= Y_LO - COND_MARGIN or F(0.0, Y_HI)[1] <= Y_HI + COND_MARGIN:
+        raise MNotFound(f"conditions never held for m <= {m_cap}")
     for m in range(1, m_cap + 1):
-        if not _conditions_hold(F, m):
+        if not _vertical_sides_hold(F, m):
             continue
         idx = lefschetz_index(F.as_plane(), build_beta(F, m))
         if idx != expected:

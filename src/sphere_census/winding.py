@@ -220,5 +220,8 @@ def load_curve_csv(text: str) -> SampledCurve:
         cells = line.split(",")
         if len(cells) != 2:
             raise ValueError(f"curve row {line!r} is not re,im")
-        pts.append(complex(float(cells[0]), float(cells[1])))
+        z = complex(float(cells[0]), float(cells[1]))
+        if not cmath.isfinite(z):
+            raise ValueError(f"curve row {line!r} is not finite")
+        pts.append(z)
     return SampledCurve(tuple(pts), chart)

@@ -1,10 +1,15 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
-from sphere_census import census
+import sphere_census
+from sphere_census import census, cli
+from sphere_census.charts import Chart
 from sphere_census.cli import main
 from sphere_census.winding import circle, dump_curve_csv
 
@@ -76,6 +81,16 @@ def test_index_subcommand(tmp_path, capsys):
     assert json.loads(out)["index"] == 2
 
 
+def test_index_reads_the_fixture_chart(tmp_path, capsys):
+    # |w| = 0.5 in the south chart surrounds N, a superattracting fixed
+    # point of z^2 + 0.5; the same circle in the north chart holds none
+    for chart, want in ((Chart.SOUTH, 1), (Chart.NORTH, 0)):
+        path = tmp_path / f"{chart.value}.csv"
+        path.write_text(dump_curve_csv(circle(0j, 0.5, 64, chart=chart)))
+        code, out, _ = run(capsys, "index", "--map", "quad:c=0.5+0i", "--curve", str(path))
+        assert code == 0 and json.loads(out)["index"] == want, chart
+
+
 def test_annuli_json(capsys):
     code, out, _ = run(capsys, "annuli", "--map", "product:q=affine(2,0);d=2")
     assert code == 0
@@ -134,6 +149,11 @@ def test_parse_error_exits_2(capsys, tmp_path):
     bad_row.write_text("# chart=north\n0,1\n1,0,0\n")
     too_few = tmp_path / "too_few.csv"
     too_few.write_text("# chart=north\n" + "".join(f"{k},1\n" for k in range(5)))
+    ring = "".join(f"{k},1\n" for k in range(8))
+    infinite = tmp_path / "infinite.csv"
+    infinite.write_text("# chart=north\ninf,0\n" + ring)
+    not_a_number = tmp_path / "not_a_number.csv"
+    not_a_number.write_text("# chart=north\nnan,0\n" + ring)
     for argv in (
         ("census", "--map", "power:k=2"),
         ("census", "--map", "quad:c=nan"),
@@ -154,6 +174,8 @@ def test_parse_error_exits_2(capsys, tmp_path):
         ("index", "--map", "power:d=2", "--curve", str(tmp_path / "missing.csv")),
         ("index", "--map", "power:d=2", "--curve", str(bad_row)),
         ("index", "--map", "power:d=2", "--curve", str(too_few)),
+        ("index", "--map", "power:d=2", "--curve", str(infinite)),
+        ("index", "--map", "power:d=2", "--curve", str(not_a_number)),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -174,6 +196,34 @@ def test_deterministic_output(capsys):
     _, c1, _ = run(capsys, "census", "--map", "power:d=2", "--n-max", "4")
     _, c2, _ = run(capsys, "census", "--map", "power:d=2", "--n-max", "4")
     assert c1 == c2
+
+
+def _fresh_process(argv):
+    src = str(Path(sphere_census.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "sphere_census.cli", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_process_runs_many_queries_as_fresh_ones(capsys):
+    # the parser is built once per process; a usage error in between leaves
+    # no trace in the queries that follow it
+    queries = [
+        ("census", "--map", "power:d=2", "--n-max", "3"),
+        ("census", "--n-max", "3"),  # --map missing: argparse exits 2
+        ("degree", "--map", "power:d=3"),
+        ("strip-index", "--map", "product:q=affine(2,0);d=3"),
+        ("census", "--map", "power:d=-2", "--n-max", "2"),
+    ]
+    for argv in queries:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_process(argv), argv
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_seed_env_var_changes_draws_not_results(capsys, monkeypatch):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from sphere_census.charts import Power, RationalPair
+from sphere_census import lefschetz
+from sphere_census.charts import Chart, Power, Quadratic, RationalPair
 from sphere_census.lefschetz import (
     CertificateIndexMismatch,
     FixedPointOnCurve,
@@ -67,6 +68,10 @@ def test_squaring_map_counts_interior_fixed_points():
 def test_mapspec_input_is_accepted():
     assert lefschetz_index(Power(2), circle(0j, 2.0, 64)) == 2
     assert lefschetz_index(RationalPair((5, 1), (1,)), circle(0j, 1.0, 64)) == 0
+    # a spec is read in the curve's chart: |w| = 0.5 in the south chart
+    # surrounds only N, a superattracting fixed point of z^2 + 0.5
+    assert lefschetz_index(Quadratic(0.5), circle(0j, 0.5, 64, chart=Chart.SOUTH)) == 1
+    assert lefschetz_index(Quadratic(0.5), circle(0j, 0.5, 64)) == 0
 
 
 def test_fixed_point_on_curve_raises():
@@ -85,6 +90,19 @@ def test_certificate_mismatch_guard_fires(monkeypatch):
     monkeypatch.setattr(lf, "lefschetz_index", lambda f, c: 99)
     with pytest.raises(CertificateIndexMismatch):
         lf.rectangle_certificate(lambda z: 2 * z, UNIT)
+
+
+def test_certificate_sides_are_read_off_the_boundary_curve():
+    rect = Rect(-1.0, 2.0, -0.5, 1.0)
+    calls = []
+
+    def doubling(z):
+        calls.append(z)
+        return 2 * z
+
+    assert rectangle_certificate(doubling, rect) is RectCertificate.EXPANDING
+    # the sides sample the index curve, so every side point is a curve point
+    assert set(calls[:256]) == set(boundary_curve(rect, 64).points)
 
 
 def test_certificates_on_canonical_linear_models():
@@ -176,3 +194,34 @@ def test_certified_rectangles_force_fixed_points():
         assert found is not None
         assert abs(found - star) < 1e-8
         assert rect.contains(found)
+
+
+@pytest.mark.parametrize("fn, star", [
+    (lambda z: 0.5 * z + 0.2, 0.4 + 0j),
+    (lambda z: complex(0.5 * z.real + 0.1, 2 * z.imag - 0.3), 0.2 + 0.3j),
+], ids=["contraction", "saddle"])
+def test_fixed_point_in_takes_at_most_two_indices(fn, star, monkeypatch):
+    # the rectangle's index and the check about the polished point: no search
+    calls = []
+
+    def counting(f, curve):
+        calls.append(curve)
+        return lefschetz_index(f, curve)
+
+    monkeypatch.setattr(lefschetz, "lefschetz_index", counting)
+    z = fixed_point_in(fn, UNIT)
+    assert z is not None and abs(z - star) < 1e-9
+    assert len(calls) <= 2
+
+
+def test_fixed_point_in_refuses_an_index_shared_by_two_fixed_points():
+    # z + z^2 - 1/4 fixes -1/2 and 1/2, each of index 1
+    fn = lambda z: z + z * z - 0.25
+    assert lefschetz_index(fn, boundary_curve(UNIT, 48)) == 2
+    assert fixed_point_in(fn, UNIT) is None
+
+
+def test_fixed_point_in_raises_on_a_boundary_fixed_point():
+    fn = lambda z: 0.5 * (z - 1) + 1  # fixes 1, on the right side of UNIT
+    with pytest.raises(FixedPointOnCurve):
+        fixed_point_in(fn, UNIT)

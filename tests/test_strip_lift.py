@@ -149,6 +149,24 @@ def test_verify_index_needs_repelling_behavior():
         verify_index(F, m_cap=8)
 
 
+def test_verify_index_tests_the_horizontal_sides_once(monkeypatch):
+    # the image height does not depend on x or on the loop width: the two
+    # horizontal sides are decided by one lift evaluation each, before any m
+    calls = []
+    call = StripMap.__call__
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return call(self, x, y)
+
+    spec = ProductMap(AffineProfile(0.5, 0.0), 2)
+    F = StripMap(spec, component(spec), lift_offset=0)
+    monkeypatch.setattr(StripMap, "__call__", counting)
+    with pytest.raises(MNotFound):
+        verify_index(F, m_cap=8)
+    assert len(calls) <= 2
+
+
 def test_lift_fixed_point_projects_to_map_fixed_point():
     for d in (2, -1, 0):
         spec = repel(d)
