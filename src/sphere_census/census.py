@@ -33,8 +33,7 @@ from .charts import (
     MapSpec,
     N_POLE,
     Power,
-    Quadratic,
-    RationalPair,
+    ProductMap,
     S_POLE,
     SpherePoint,
     _shifted,
@@ -119,23 +118,23 @@ def fixed_points(spec: MapSpec, n: int = 1) -> FixedPointSet:
     check_degree_cap(spec, n)
     base, order = iterate_base(spec)
     order *= n
-    if isinstance(base, Power):
+    if isinstance(base, Power):  # one power: one evaluation and one view, not n
         flat = Power(base.d ** order)
     else:
         flat = base if order == 1 else Iterate(base, order)
     view = as_product_view(flat)
     if view is not None:
         return _product_fixed_points(flat, view)
-    if isinstance(base, (Quadratic, RationalPair)):
+    if as_rational(base) is not None:
         return _rational_fixed_points(base, order)
     raise annuli.UnsupportedSpec(f"no fixed-point solver for {spec!r}")
 
 
 def check_degree_cap(spec: MapSpec, n: int) -> None:
-    """Refuse f^n of a power, quadratic or rational f of degree over the cap."""
+    """Refuse f^n of a power, quadratic or rational f of degree over the cap:
+    every f but a product map (a power's rational form is never built)."""
     base, _ = iterate_base(spec)
-    if (isinstance(base, (Power, Quadratic, RationalPair))
-            and abs(spec.declared_degree) ** n > DEGREE_CAP):
+    if not isinstance(base, ProductMap) and abs(spec.declared_degree) ** n > DEGREE_CAP:
         raise DegreeCapExceeded(f"degree {spec.declared_degree}^{n} exceeds {DEGREE_CAP}")
 
 

@@ -4,8 +4,8 @@ Subcommands: census, degree, index, annuli, strip-index, check-h, gallery.
 Structured reports are JSON (CSV for the census table); identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1
 analysis failure, 2 parse/usage error (a map spec, an --n-max below 1, a
-missing or malformed curve fixture, a non-finite fixture row); errors go to
-stderr as JSON.  The argument parser is built once per process.
+--value past the chart cap, a missing, malformed or non-finite curve
+fixture); errors go to stderr as JSON.  The parser is built once per process.
 """
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ import sys
 from pathlib import Path
 
 from . import annuli, census, degree as degree_mod, gallery, strip_lift
-from .charts import Chart, ParseError, SpherePoint, anchor_poles, format_map, parse_map
+from .charts import (CHART_OVERFLOW, Chart, ParseError, SpherePoint, anchor_poles,
+                     format_map, parse_map)
 from .lefschetz import lefschetz_index
 from .winding import dump_curve_csv, load_curve_csv
 
@@ -67,7 +68,7 @@ def cmd_census(args) -> int:
 
 
 def _parse_value(text: str) -> complex:
-    """A finite north-chart value written as re,im."""
+    """A finite north-chart value re,im of modulus at most ``CHART_OVERFLOW``."""
     try:
         re_s, im_s = text.split(",")
         value = complex(float(re_s), float(im_s))
@@ -75,6 +76,8 @@ def _parse_value(text: str) -> complex:
         raise ParseError(f"value {text!r} is not re,im") from exc
     if not cmath.isfinite(value):
         raise ParseError(f"value {text!r} is not finite")
+    if abs(value) > CHART_OVERFLOW:
+        raise ParseError(f"value {text!r} is past the chart cap |z| <= {CHART_OVERFLOW:g}")
     return value
 
 
@@ -128,9 +131,7 @@ def cmd_strip_index(args) -> int:
     spec = parse_map(args.map)
     comps = [c for c in annuli.decompose(spec) if c.repelling]
     if not comps:
-        print(json.dumps({"error": "NotRepelling",
-                          "message": "no repelling component"}), file=sys.stderr)
-        return 1
+        raise annuli.NotRepelling("no repelling component")
     for comp in comps:
         offsets = [args.lift] if args.lift is not None else range(abs(comp.delta - 1))
         for fp in strip_lift.nielsen_fixed_points(spec, comp, offsets=offsets):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sphere_census.census import _mod_twist
@@ -225,6 +225,25 @@ def test_evaluate_many_matches_evaluate(spec, points):
     assert [w.value for w in want] == got.tolist()
 
 
+@given(c=st.builds(complex, st.floats(-2.0, 1.0), st.floats(-1.0, 1.0)) | st.floats(-2.0, 1.0),
+       points=st.lists(st.tuples(coordinates, st.booleans()), min_size=1, max_size=8))
+# a negative real point in the south chart (the imaginary zero's sign) and a
+# tie |1 + c w^2| = |w^2| (the image's chart)
+@example(c=-0.546503832162518, points=[(-0.6422919237420782 + 0j, False)])
+@example(c=0.0, points=[(1 + 0j, False)])
+def test_quadratic_evaluates_as_its_rational_pair(c, points):
+    """A quadratic is the rational map (c + z^2)/1, bit for bit, in both
+    charts and on both evaluation paths."""
+    quad, pair = Quadratic(complex(c)), RationalPair((c, 0, 1), (1,))
+    for z, north in points:
+        p = SpherePoint(z, Chart.NORTH if north else Chart.SOUTH)
+        assert repr(evaluate(quad, p)) == repr(evaluate(pair, p))
+    values = [z for z, _ in points]
+    norths = [n for _, n in points]
+    for got, want in zip(evaluate_many(quad, values, norths), evaluate_many(pair, values, norths)):
+        assert got.tobytes() == want.tobytes()
+
+
 profiles = st.one_of(
     radials,
     twists,
@@ -399,6 +418,22 @@ def test_monomial_views_match_evaluate(k):
         s, theta = rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi)
         image = from_latlon(view.radial(s), k * theta + view.twist(s))
         assert chordal(image, evaluate(spec, from_latlon(s, theta))) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [
+    Power(-2),
+    Quadratic(0),
+    RationalPair((0, 0, 0, 1.5 - 2j), (1,)),
+    Iterate(Quadratic(0), 3),
+    Iterate(ProductMap(THREE_BRANCH, 2), 2),
+], ids=["power", "squaring", "monomial", "iterate", "product-iterate"])
+def test_product_views_are_product_maps(spec):
+    assert isinstance(as_product_view(spec), ProductMap)
+
+
+def test_product_map_is_its_own_view():
+    spec = ProductMap(THREE_BRANCH, 3, AffineProfile(0.2, 0.1))
+    assert as_product_view(spec) is spec
 
 
 def test_squaring_quadratic_has_the_power_view():

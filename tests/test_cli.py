@@ -160,6 +160,7 @@ def test_parse_error_exits_2(capsys, tmp_path):
         ("census", "--map", "product:q=affine(nan,0);d=2"),
         ("degree", "--map", "power:d=2", "--value", "nan,0"),
         ("degree", "--map", "power:d=2", "--value", "abc"),
+        ("degree", "--map", "power:d=2", "--value", "1e9,0"),
         # the grammar accepts these, a constructor rejects them
         ("annuli", "--map", "product:q=pwl(-inf:-inf,-1.5:-inf,0:inf,inf:inf);d=0"),
         ("degree", "--map", "iter:n=0(power:d=2)"),
@@ -180,6 +181,9 @@ def test_parse_error_exits_2(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert json.loads(err)["error"] == "ParseError"
+    # a value at the chart cap itself is accepted
+    code, out, _ = run(capsys, "degree", "--map", "power:d=2", "--value", "1e8,0")
+    assert code == 0 and json.loads(out)["global"] == 2
 
 
 def test_analysis_error_exits_1(capsys):
