@@ -17,29 +17,34 @@ the Julia set.  A Moebius map starts from a golden spiral.  On either
 route every point must pass the residual filter; a failure raises
 ``CensusIncomplete``, never a short count.  The cross-check's test that the
 poles attract reads a map with a product view off one latitude orbit per
-pole.
+pole.  One census (``census_csv``) solves each order once: the growth
+report's fixed-point sets serve the cross-check and are dropped when the
+census returns.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import annuli, degree as degree_mod
-from .charts import (
+from .charts import (  # DEGREE_CAP and DegreeCapExceeded are census API too
     Chart,
+    DEGREE_CAP,
+    DegreeCapExceeded,
     Iterate,
     MapSpec,
     N_POLE,
     Power,
-    ProductMap,
     S_POLE,
     SpherePoint,
     _shifted,
     anchor_poles,
     as_product_view,
     as_rational,
+    check_degree_cap,
     chordal,
     dedup_points,
     evaluate,
@@ -54,7 +59,6 @@ from .charts import (
 
 INF = math.inf
 
-DEGREE_CAP = 4096
 DEDUP_RADIUS = 1e-6
 RESIDUAL_CAP = 1e-10
 RATE_TOL = 0.05
@@ -76,10 +80,6 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 class CensusError(Exception):
     pass
-
-
-class DegreeCapExceeded(CensusError):
-    """The iterate's algebraic degree is beyond the desk-scale cap."""
 
 
 class CensusIncomplete(CensusError):
@@ -105,6 +105,12 @@ class FixedPointSet:
         return INF if self.is_continuum else float(len(self.points))
 
 
+# The fixed-point sets solved inside one ``census_csv`` call, keyed by
+# (spec, n); None outside it, so no set outlives the census that solved it.
+_SOLVED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "census_solved", default=None)
+
+
 def fixed_points(spec: MapSpec, n: int = 1) -> FixedPointSet:
     """All distinct solutions of f^n(p) = p, poles included.
 
@@ -112,7 +118,17 @@ def fixed_points(spec: MapSpec, n: int = 1) -> FixedPointSet:
     or rational map by Aberth-Ehrlich.  Raises ``CensusIncomplete`` rather
     than return a point that fails the residual filter, or fewer fixed
     points of a rational iterate than the multiplicity sum certifies.
+    Inside ``census_csv`` each order is solved once and its set read again.
     """
+    solved = _SOLVED.get()
+    if solved is None:
+        return _solve(spec, n)
+    if (spec, n) not in solved:
+        solved[spec, n] = _solve(spec, n)
+    return solved[spec, n]
+
+
+def _solve(spec: MapSpec, n: int) -> FixedPointSet:
     if n < 1:
         raise ValueError("iterate order must be >= 1")
     check_degree_cap(spec, n)
@@ -128,14 +144,6 @@ def fixed_points(spec: MapSpec, n: int = 1) -> FixedPointSet:
     if as_rational(base) is not None:
         return _rational_fixed_points(base, order)
     raise annuli.UnsupportedSpec(f"no fixed-point solver for {spec!r}")
-
-
-def check_degree_cap(spec: MapSpec, n: int) -> None:
-    """Refuse f^n of a power, quadratic or rational f of degree over the cap:
-    every f but a product map (a power's rational form is never built)."""
-    base, _ = iterate_base(spec)
-    if not isinstance(base, ProductMap) and abs(spec.declared_degree) ** n > DEGREE_CAP:
-        raise DegreeCapExceeded(f"degree {spec.declared_degree}^{n} exceeds {DEGREE_CAP}")
 
 
 def _check_residuals(spec: MapSpec, points, total: int) -> None:
@@ -649,9 +657,17 @@ def theorem_a_crosscheck(spec: MapSpec, n_max: int) -> CrosscheckReport:
 
 
 def census_csv(spec: MapSpec, n_max: int) -> str:
-    """CSV rows ``n,count,rate,bound_dn,theorem3_sum`` for n = 1 .. n_max."""
-    report = growth_report(spec, n_max)
-    cross = theorem_a_crosscheck(spec, n_max)
+    """CSV rows ``n,count,rate,bound_dn,theorem3_sum`` for n = 1 .. n_max.
+
+    The growth report solves each order once; the cross-check reads the
+    same fixed-point sets, which are dropped when the call returns or raises.
+    """
+    token = _SOLVED.set({})
+    try:
+        report = growth_report(spec, n_max)
+        cross = theorem_a_crosscheck(spec, n_max)
+    finally:
+        _SOLVED.reset(token)
     lines = ["n,count,rate,bound_dn,theorem3_sum"]
     for row, xrow in zip(report.rows, cross.rows):
         count = "inf" if math.isinf(row.count) else str(int(row.count))

@@ -25,6 +25,8 @@ INF = math.inf
 
 # Magnitude cap: chart switching must happen before coordinates reach this.
 CHART_OVERFLOW = 1e8
+# Desk-scale cap on the algebraic degree of a map the library solves.
+DEGREE_CAP = 4096
 
 
 class ChartError(Exception):
@@ -37,6 +39,10 @@ class PoleHasNoCoordinate(ChartError):
 
 class OverflowAtChartBoundary(ChartError):
     """Internal guard: a coordinate exceeded the chart magnitude cap."""
+
+
+class DegreeCapExceeded(Exception):
+    """The iterate's algebraic degree is beyond the desk-scale cap."""
 
 
 class ParseError(ValueError):
@@ -690,13 +696,21 @@ def _south_coeffs(p_coeffs, q_coeffs) -> list[tuple[complex, ...]]:
 def _eval_rational(p_coeffs, q_coeffs, p: SpherePoint) -> SpherePoint:
     if p.chart is Chart.SOUTH:
         p_coeffs, q_coeffs = _south_coeffs(p_coeffs, q_coeffs)
-    a = complex(npoly.polyval(p.value, np.array(p_coeffs)))
-    b = complex(npoly.polyval(p.value, np.array(q_coeffs)))
+    a = _horner(p_coeffs, p.value)
+    b = _horner(q_coeffs, p.value)
     if a == 0 and b == 0:
         raise OverflowAtChartBoundary("0/0 in rational evaluation")
     if abs(a) > abs(b):
         return SpherePoint(b / a, Chart.SOUTH)
     return SpherePoint(a / b, Chart.NORTH)
+
+
+def _horner(coeffs, x: complex) -> complex:
+    """Ascending coefficients at one point, in numpy ``polyval``'s order."""
+    acc = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * x
+    return acc
 
 
 def _eval_product(spec: ProductMap, p: SpherePoint) -> SpherePoint:
@@ -864,7 +878,7 @@ def _power_many(d: int, v: np.ndarray, north: np.ndarray):
 
 
 def _cpolyval(x: np.ndarray, coeffs) -> np.ndarray:
-    """numpy's Horner ``polyval`` at scalar points, with CPython's rounding."""
+    """``_horner`` at each point, bit for bit (``_cmul`` rounds as CPython)."""
     c = np.array(coeffs, dtype=complex)
     zero = _pack(x.real * 0.0 - x.imag * 0.0, x.real * 0.0 + x.imag * 0.0)
     acc = c[-1] + zero
@@ -931,6 +945,14 @@ def iterate_base(spec: MapSpec) -> tuple[MapSpec, int]:
     while isinstance(spec, Iterate):
         spec, order = spec.inner, order * spec.n
     return spec, order
+
+
+def check_degree_cap(spec: MapSpec, n: int) -> None:
+    """Refuse f^n of a power, quadratic or rational f of degree over the cap:
+    every f but a product map (a power's rational form is never built)."""
+    base, _ = iterate_base(spec)
+    if not isinstance(base, ProductMap) and abs(spec.declared_degree) ** n > DEGREE_CAP:
+        raise DegreeCapExceeded(f"degree {spec.declared_degree}^{n} exceeds {DEGREE_CAP}")
 
 
 def as_rational(spec: MapSpec) -> tuple[tuple[complex, ...], tuple[complex, ...]] | None:

@@ -23,6 +23,7 @@ from .charts import (
     as_rational,
     chart_value,
     chart_values,
+    check_degree_cap,
     chordal,
     dedup_points,
     evaluate,
@@ -216,8 +217,10 @@ def global_degree(
 
     When y is omitted it is drawn from a seeded pseudo-random sequence,
     rejecting values whose preimages cluster too tightly.  A mismatch with
-    the declared degree is fatal.
+    the declared degree is fatal.  A power, quadratic or rational map of
+    degree over ``DEGREE_CAP`` is refused before any solve.
     """
+    check_degree_cap(spec, 1)
     if y is not None:
         report = _degree_at(spec, y)
     else:

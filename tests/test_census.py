@@ -119,9 +119,8 @@ def test_multipliers_match_the_derivative():
             assert abs(got - want) < 1e-9 * abs(want)
 
 
-def test_merge_at_a_simple_fixed_point_raises(monkeypatch):
-    # a second approximation of one simple fixed point, in place of another
-    # fixed point, must not pass as a count one short
+def merge_two_approximations(monkeypatch):
+    """Make the last Aberth approximation a second copy of the first."""
     solve = census._aberth_fixed_points
 
     def twice(*args):
@@ -131,6 +130,12 @@ def test_merge_at_a_simple_fixed_point_raises(monkeypatch):
         return points, lam
 
     monkeypatch.setattr(census, "_aberth_fixed_points", twice)
+
+
+def test_merge_at_a_simple_fixed_point_raises(monkeypatch):
+    # a second approximation of one simple fixed point, in place of another
+    # fixed point, must not pass as a count one short
+    merge_two_approximations(monkeypatch)
     with pytest.raises(CensusIncomplete, match="merge"):
         fixed_points(Quadratic(0.1), 3)
 
@@ -568,3 +573,54 @@ def test_census_csv_continuum_marker():
     row = text.strip().splitlines()[1].split(",")
     assert row[1] == "inf"
     assert row[2] == ""  # rate undefined
+
+
+def count_solves(monkeypatch, solver):
+    """Record every call of the census's private solver ``solver``."""
+    calls = []
+    solve = getattr(census, solver)
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(census, solver, counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec, solver", [
+    (Quadratic(0.1), "_rational_fixed_points"),
+    (ProductMap(AffineProfile(2.0, 0.0), 3), "_product_fixed_points"),
+])
+def test_census_solves_each_order_once(monkeypatch, spec, solver):
+    # the growth report and the cross-check each ask for every order
+    calls = count_solves(monkeypatch, solver)
+    census_csv(spec, 5)
+    assert len(calls) == 5
+
+
+def test_no_fixed_point_set_outlives_its_census(monkeypatch):
+    calls = count_solves(monkeypatch, "_rational_fixed_points")
+    first = census_csv(Quadratic(0.1), 3)
+    assert census_csv(Quadratic(0.1), 3) == first
+    assert len(calls) == 6
+    assert census._SOLVED.get() is None
+    fixed_points(Quadratic(0.1), 3)
+    fixed_points(Quadratic(0.1), 3)
+    assert len(calls) == 8
+
+
+def test_a_failed_census_leaves_no_fixed_point_sets(monkeypatch):
+    # the growth report's first order raises
+    with monkeypatch.context() as patch:
+        merge_two_approximations(patch)
+        with pytest.raises(CensusIncomplete, match="merge"):
+            census_csv(Quadratic(0.1), 3)
+    assert census._SOLVED.get() is None
+    with pytest.raises(DegreeCapExceeded):
+        census_csv(CUBIC, 8)
+    assert census._SOLVED.get() is None
+    calls = count_solves(monkeypatch, "_rational_fixed_points")
+    assert fixed_points(Quadratic(0.1), 1).count == 3
+    assert fixed_points(Quadratic(0.1), 1).count == 3
+    assert len(calls) == 2

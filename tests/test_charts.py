@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from sphere_census.charts import (
     S_POLE,
     _ComposedRadial,
     _ComposedTwist,
+    _horner,
     _shifted,
     SpherePoint,
     as_product_view,
@@ -242,6 +244,34 @@ def test_quadratic_evaluates_as_its_rational_pair(c, points):
     norths = [n for _, n in points]
     for got, want in zip(evaluate_many(quad, values, norths), evaluate_many(pair, values, norths)):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "quad:c=0.1+0.0i", "quad:c=-1.071666+0.073510i", "rational:P=0,2,0,1;Q=1,0,3",
+    "rational:P=1j,0.3,2-1j;Q=0.5,1.5j", "iter:n=3(quad:c=-0.5+0.3i)",
+    "iter:n=2(rational:P=0,2,0,1;Q=1,0,3)",
+])
+def test_scalar_evaluate_is_bit_identical_to_the_batch(text):
+    spec = parse_map(text)
+    rng = np.random.default_rng(13)
+    values = 10.0 ** rng.uniform(-3.0, 0.0, 400) * np.exp(2j * np.pi * rng.uniform(size=400))
+    # a real point carries its imaginary zero's sign through the arithmetic
+    values[:8] = [0.5, -0.5, 0.25j, -0.25j, 1.0, -1.0, 0.0, 1j]
+    for north in (True, False):
+        chart = Chart.NORTH if north else Chart.SOUTH
+        want = [evaluate(spec, SpherePoint(z, chart)) for z in values.tolist()]
+        got, got_north = evaluate_many(spec, values, north)
+        assert np.array([w.value for w in want]).tobytes() == got.tobytes()
+        assert [w.chart is Chart.NORTH for w in want] == got_north.tolist()
+
+
+def test_horner_matches_numpy_polyval():
+    rng = np.random.default_rng(29)
+    for size in (1, 2, 3, 4, 7):
+        coeffs = tuple((rng.normal(size=size) + 1j * rng.normal(size=size)).tolist())
+        for x in (rng.normal(size=50) + 1j * rng.normal(size=50)).tolist() + [0j, -0.0 - 0.0j, 2.0]:
+            want = complex(npoly.polyval(x, np.array(coeffs)))
+            assert repr(_horner(coeffs, x)) == repr(want)
 
 
 profiles = st.one_of(

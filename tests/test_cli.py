@@ -7,6 +7,8 @@ import sys
 import time
 from pathlib import Path
 
+from numpy.polynomial import polynomial as npoly
+
 import sphere_census
 from sphere_census import census, cli
 from sphere_census.charts import Chart
@@ -191,6 +193,20 @@ def test_analysis_error_exits_1(capsys):
     code, out, err = run(capsys, "annuli", "--map", "quad:c=0.1+0.0i")
     assert code == 1
     assert json.loads(err)["error"] == "NotStraightened"
+
+
+def test_degree_refuses_the_degree_cap_before_any_solve(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved a map over the degree cap")
+
+    monkeypatch.setattr(npoly, "polyroots", forbidden)
+    code, out, err = run(capsys, "degree", "--map", "power:d=100000")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "DegreeCapExceeded",
+                               "message": "degree 100000^1 exceeds 4096"}
+    # the annulus side reads a power off its product view, with no cap
+    code, out, _ = run(capsys, "annuli", "--map", "power:d=10000000")
+    assert code == 0 and json.loads(out)[0]["d_i"] == 10000000
 
 
 def test_deterministic_output(capsys):

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from sphere_census import annuli
 from sphere_census.charts import (
     AffineProfile,
     Chart,
+    DegreeCapExceeded,
     Iterate,
     N_POLE,
     PiecewiseLinearProfile,
@@ -167,6 +169,19 @@ def test_degree_mismatch_is_fatal():
 
     with pytest.raises(DegreeMismatch):
         global_degree(MisdeclaredPower(2))
+
+
+@pytest.mark.parametrize("spec", [
+    Power(100000), Power(-5000), Iterate(Quadratic(0.1), 13),
+    Iterate(RationalPair((0, 2, 0, 1), (1, 0, 3)), 8),
+])
+def test_global_degree_refuses_the_degree_cap_before_any_solve(monkeypatch, spec):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved a map over the degree cap")
+
+    monkeypatch.setattr(npoly, "polyroots", forbidden)
+    with pytest.raises(DegreeCapExceeded, match="exceeds 4096"):
+        global_degree(spec)
 
 
 # ---------------------------------------------------------------------------
