@@ -459,8 +459,11 @@ def _product_fixed_points(spec: MapSpec, view) -> FixedPointSet:
         # the radial coordinate is fixed at every latitude: fixed points form
         # circles (d = 1, vanishing twist) or meridian-type curves (d != 1)
         if d == 1:
+            # the wrapped twist also changes sign where it jumps from pi to
+            # -pi: those roots are not fixed circles
             lats = tuple(
                 s for s in solve_profile_level(_mod_twist(view.twist), 0.0)
+                if abs(wrap_angle(view.twist(s))) <= math.pi / 2
             ) or ((0.0,) if abs(wrap_angle(view.twist(0.0))) < 1e-9 else ())
         else:
             lats = (0.0,)

@@ -133,7 +133,7 @@ def cmd_strip_index(args) -> int:
     if not comps:
         raise annuli.NotRepelling("no repelling component")
     for comp in comps:
-        offsets = [args.lift] if args.lift is not None else range(abs(comp.delta - 1))
+        offsets = [args.lift] if args.lift is not None else None
         for fp in strip_lift.nielsen_fixed_points(spec, comp, offsets=offsets):
             _json_out({
                 "d": comp.delta,

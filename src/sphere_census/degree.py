@@ -3,7 +3,8 @@ annular degree of an essential circle, and the cactus identities.
 
 Degrees are always reduced to winding numbers: the local degree at x over y
 is the winding of the image of a small circle about x around y, and the
-sphere degree is the sum over the preimages of a regular value.
+sphere degree is the sum over the preimages of a regular value, which
+``global_degree`` and ``component_degrees`` draw from one seeded sequence.
 """
 from __future__ import annotations
 
@@ -37,9 +38,8 @@ from .charts import (
 from .winding import (
     SampledCurve,
     circle,
-    constant_off_grid,
-    curve_diameter,
     is_essential,
+    winding_about_zero,
     winding_number,
 )
 
@@ -224,22 +224,25 @@ def global_degree(
     if y is not None:
         report = _degree_at(spec, y)
     else:
-        rng = np.random.default_rng(default_seed() if seed is None else seed)
-        report = None
-        for _ in range(32):
-            cand = from_latlon(rng.uniform(-0.6, 0.6), rng.uniform(0.0, 2 * math.pi))
-            try:
-                report = _degree_at(spec, cand)
-                break
-            except (PreimageClusterTooTight, RadiusTooLarge):
-                continue
-        if report is None:
-            raise PreimageClusterTooTight("no usable regular value after 32 draws")
+        report = _draw_regular_value(spec, seed, lambda report: report)
     if report.total != spec.declared_degree:
         raise DegreeMismatch(
             f"computed degree {report.total} != declared {spec.declared_degree}"
         )
     return report
+
+
+def _draw_regular_value(spec: MapSpec, seed: int | None, read):
+    """``read`` the report at the first of 32 seeded regular values that
+    ``_degree_at`` and ``read`` accept (either rejects one by raising)."""
+    rng = np.random.default_rng(default_seed() if seed is None else seed)
+    for _ in range(32):
+        y = from_latlon(rng.uniform(-0.6, 0.6), rng.uniform(0.0, 2 * math.pi))
+        try:
+            return read(_degree_at(spec, y))
+        except (PreimageClusterTooTight, RadiusTooLarge):
+            continue
+    raise PreimageClusterTooTight("no usable regular value after 32 draws")
 
 
 def _degree_at(spec: MapSpec, y: SpherePoint) -> DegreeReport:
@@ -268,7 +271,8 @@ def annular_degree(spec: MapSpec, core: SampledCurve) -> int:
 
     Computed as the winding of the image of the core about the S coordinate
     in the north chart.  The core must be essential and its image must stay
-    away from both poles.
+    away from both poles; an image constant on the sample grid has degree 0,
+    unless it winds between the samples (ValueError: resample denser).
     """
     if not is_essential(core):
         raise ValueError("core circle is not essential")
@@ -288,16 +292,7 @@ def annular_degree(spec: MapSpec, core: SampledCurve) -> int:
     if bad.any():
         t = core.params[int(np.argmax(bad))]
         raise ImageHitsPole(f"core image at parameter {t:.4f} is near a pole")
-    pts = tuple(arr.tolist())
-    if curve_diameter(arr) < 1e-9 * max(1.0, float(np.abs(arr).max())):
-        # constant on the sample grid: angular degree 0, unless aliased
-        if constant_off_grid(image_value, pts[0], 1e-9):
-            return 0
-        raise ValueError(
-            "core circle sampling aliases the image winding; resample denser"
-        )
-    image = SampledCurve(pts, Chart.NORTH, param_fn=image_value, params=core.params)
-    return winding_number(image, 0j)
+    return winding_about_zero(arr.tolist(), image_value, core.params, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -335,29 +330,24 @@ def component_degrees(
 ) -> tuple[list[int], SpherePoint]:
     """Sphere degree of each latitude component: bucketed local-degree sums.
 
-    One regular value serves every component; its preimages are assigned to
-    components by latitude.
+    One regular value, drawn as ``global_degree`` draws it, serves every
+    component; its witnesses are assigned to components by latitude, and a
+    value with a witness outside exactly one component is rejected.
     """
-    rng = np.random.default_rng(default_seed())
-    last_exc: Exception | None = None
-    for _ in range(32):
-        y = from_latlon(rng.uniform(-0.6, 0.6), rng.uniform(0.0, 2 * math.pi))
-        try:
-            pre = find_preimages(spec, y)
-            radius = witness_radius(pre)
-            sums = [0] * len(intervals)
-            for x in pre:
-                s = x.latitude()
-                hit = [i for i, (lo, hi) in enumerate(intervals) if lo < s < hi]
-                if len(hit) != 1:
-                    raise PreimageClusterTooTight(
-                        f"preimage latitude {s:.6g} not inside a unique component"
-                    )
-                sums[hit[0]] += local_degree(spec, x, y, radius)
-            return sums, y
-        except (PreimageClusterTooTight, RadiusTooLarge) as exc:
-            last_exc = exc
-    raise PreimageClusterTooTight(f"no usable regular value: {last_exc}")
+
+    def bucket(report: DegreeReport) -> tuple[list[int], SpherePoint]:
+        sums = [0] * len(intervals)
+        for x, d in report.witnesses:
+            s = x.latitude()
+            hit = [i for i, (lo, hi) in enumerate(intervals) if lo < s < hi]
+            if len(hit) != 1:
+                raise PreimageClusterTooTight(
+                    f"preimage latitude {s:.6g} not inside a unique component"
+                )
+            sums[hit[0]] += d
+        return sums, report.regular_value
+
+    return _draw_regular_value(spec, None, bucket)
 
 
 def cactus_check(spec: MapSpec, components) -> CactusReport:

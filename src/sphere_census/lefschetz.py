@@ -2,11 +2,12 @@
 
 The index of a map f along gamma is the winding number of the displacement
 field x -> f(gamma(x)) - gamma(x) about the origin; when it is nonzero a
-fixed point exists in the region the curve bounds.  The four canonical
-boundary-behavior patterns on an axis-aligned rectangle certify the index
-(+1 for fully expanding or fully contracting sides, -1 for the two mixed
-saddle patterns), and the numeric integrator is checked against each
-certificate rather than trusted.  ``fixed_point_in`` finds the fixed point
+fixed point exists in the region the curve bounds (a field constant on the
+sample grid goes through the alias probe of ``winding_about_zero``).  The
+four canonical boundary-behavior patterns on an axis-aligned rectangle
+certify the index (+1 for fully expanding or fully contracting sides, -1
+for the two mixed saddle patterns), and the numeric integrator is checked
+against each certificate rather than trusted.  ``fixed_point_in`` finds the fixed point
 that carries a rectangle's index by one Newton polish, checked by the index
 of a small square about it; the gallery and the tests use it, while strip
 lifts read theirs off the product view.
@@ -20,13 +21,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .charts import Chart, MapSpec, as_plane_map
-from .winding import (
-    PointOnCurve,
-    SampledCurve,
-    constant_off_grid,
-    curve_diameter,
-    winding_number,
-)
+from .winding import PointOnCurve, SampledCurve, curve_diameter, winding_about_zero
 
 PlaneMap = Callable[[complex], complex]
 
@@ -45,7 +40,9 @@ def _plane(f: Union[MapSpec, PlaneMap], chart: Chart = Chart.NORTH) -> PlaneMap:
 
 def lefschetz_index(f: Union[MapSpec, PlaneMap], curve: SampledCurve) -> int:
     """Winding of the displacement field of f along the curve, about 0; a
-    map spec is read in the curve's chart."""
+    map spec is read in the curve's chart.  A field constant on the sample
+    grid has index 0, unless it winds between the samples: then ValueError
+    asks for a denser curve."""
     fn = _plane(f, curve.chart)
 
     def disp_at(t: float) -> complex:
@@ -57,13 +54,8 @@ def lefschetz_index(f: Union[MapSpec, PlaneMap], curve: SampledCurve) -> int:
     low = min(abs(d) for d in disp)
     if low <= 1e-7 * diam:
         raise FixedPointOnCurve(f"min displacement {low:.3g} on a curve of size {diam:.3g}")
-    # constant on the sample grid: winding 0, unless aliased
-    if (max(abs(d - disp[0]) for d in disp) < 1e-12 * max(1.0, abs(disp[0]))
-            and constant_off_grid(disp_at, disp[0], 1e-12)):
-        return 0
-    field = SampledCurve(tuple(disp), curve.chart, param_fn=disp_at, params=curve.params)
     try:
-        return winding_number(field, 0j)
+        return winding_about_zero(disp, disp_at, curve.params, 1e-12, curve.chart)
     except PointOnCurve as exc:
         raise FixedPointOnCurve(str(exc)) from exc
 

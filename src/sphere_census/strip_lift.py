@@ -7,6 +7,8 @@ annular degree is d satisfies F(x+1, y) = F(x, y) + (d, 0); distinct lift
 offsets k pick out distinct fixed-point classes downstairs.  Every lift is
 read off the map's product view, so only specs that have one are lifted;
 so is each lift's fixed point, which the comparison-loop index certifies.
+F is affine in x with slope d, so the loop width is read off one pass of
+the lift along x = 0: the least m with |d - 1|*m above every |F(0, y)[0]|.
 """
 from __future__ import annotations
 
@@ -17,6 +19,8 @@ import numpy as np
 
 from .annuli import AnnulusComponent, require_product_view
 from .charts import (
+    DEGREE_CAP,
+    DegreeCapExceeded,
     MapSpec,
     SpherePoint,
     _shifted,
@@ -144,39 +148,31 @@ class VerifyResult:
     m_used: int
 
 
-def _vertical_sides_hold(F: StripMap, m: int) -> bool:
-    """The images of the sides x = -m and x = m, 65 heights each, lie beyond
-    them, away from the center, when d >= 2, and on the center side otherwise."""
-    outward = 1.0 if F.translation_degree >= 2 else -1.0
-    for x_v, sign in ((float(m), 1.0), (-float(m), -1.0)):
-        for y in np.linspace(Y_LO, Y_HI, 65):
-            if outward * sign * (F(x_v, float(y))[0] - x_v) <= COND_MARGIN:
-                return False
-    return True
-
-
-def verify_index(F: StripMap, m_cap: int = M_CAP) -> VerifyResult:
-    """Find a loop width where the displacement conditions hold and check
-    that the index along the loop matches the certified value (+1 when the
-    translation degree is >= 2, -1 when it is <= 0)."""
+def verify_index(F: StripMap) -> VerifyResult:
+    """Find the least loop width where the displacement conditions hold and
+    check that the index along the loop matches the certified value (+1
+    when the translation degree is >= 2, -1 when it is <= 0)."""
     d = F.translation_degree
     if d == 1:
         raise ValueError("translation degree 1 carries no certified index")
     expected = 1 if d >= 2 else -1
+    refused = f"conditions never held for m <= {M_CAP}"
     # the image height depends on the height alone: one point per horizontal
     # side decides, for every width, that it maps below or above the loop
     if F(0.0, Y_LO)[1] >= Y_LO - COND_MARGIN or F(0.0, Y_HI)[1] <= Y_HI + COND_MARGIN:
-        raise MNotFound(f"conditions never held for m <= {m_cap}")
-    for m in range(1, m_cap + 1):
-        if not _vertical_sides_hold(F, m):
-            continue
-        idx = lefschetz_index(F.as_plane(), build_beta(F, m))
-        if idx != expected:
-            raise IndexMismatch(
-                f"loop index {idx} != certified {expected} for degree {d}"
-            )
-        return VerifyResult(index=idx, m_used=m)
-    raise MNotFound(f"conditions never held for m <= {m_cap}")
+        raise MNotFound(refused)
+    # F(x, y)[0] = d*x + F(0, y)[0], so the sides x = -m and x = m map beyond
+    # themselves (d >= 2) or toward the center (d <= 0) at each of 65 heights
+    # exactly when |d - 1|*m > COND_MARGIN + |F(0, y)[0]|
+    reach = np.abs([F(0.0, float(y))[0] for y in np.linspace(Y_LO, Y_HI, 65)]).max()
+    width = (COND_MARGIN + float(reach)) / abs(d - 1)
+    if not width < M_CAP:  # a non-finite reach is refused as well
+        raise MNotFound(refused)
+    m = math.floor(width) + 1
+    idx = lefschetz_index(F.as_plane(), build_beta(F, m))
+    if idx != expected:
+        raise IndexMismatch(f"loop index {idx} != certified {expected} for degree {d}")
+    return VerifyResult(index=idx, m_used=m)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +222,13 @@ def nielsen_fixed_points(spec: MapSpec, component: AnnulusComponent,
     """One fixed point per lift offset; projections are pairwise distinct.
 
     Offsets default to 0 .. |d-1|-1, realizing the full lower bound of a
-    repelling degree-d component.
+    repelling degree-d component; past ``DEGREE_CAP`` of them the default is
+    refused before any lift is built.
     """
     d = component.delta
     if offsets is None:
+        if abs(d - 1) > DEGREE_CAP:
+            raise DegreeCapExceeded(f"|d - 1| = {abs(d - 1)} strip lifts exceed {DEGREE_CAP}")
         offsets = range(abs(d - 1))
     offsets = list(offsets)
     if offsets:

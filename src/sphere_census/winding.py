@@ -4,6 +4,9 @@ The winding number about p is the total continuous argument change of
 gamma(t) - p over one traversal, divided by 2*pi.  Per-edge principal
 argument increments are summed after adaptive resampling has driven every
 increment below pi/2, so the rounded sum is provably the true integer.
+``winding_about_zero`` is the one probe, shared by the Lefschetz index and
+the annular degree, that tells a curve constant on its sample grid from one
+that winds between its samples.
 """
 from __future__ import annotations
 
@@ -120,15 +123,20 @@ def curve_diameter(points: Sequence[complex]) -> float:
     return 2.0 * float(np.abs(zs - center).max())
 
 
-def constant_off_grid(value_at: Callable[[float], complex], ref: complex,
-                      rtol: float) -> bool:
-    """Do three off-grid parameters all map within ``rtol`` of ``ref``?
-
-    A curve that is constant on its sample grid is either constant or winds
-    between the samples (aliasing); these probes tell the two apart.
-    """
-    tol = rtol * max(1.0, abs(ref))
-    return all(abs(value_at(t) - ref) < tol for t in (0.1137, 0.4711, 0.7893))
+def winding_about_zero(values: Sequence[complex], value_at: Callable[[float], complex],
+                       params: Sequence[float], rtol: float, chart: Chart = Chart.NORTH) -> int:
+    """Winding about 0 of the closed curve ``value_at``, sampled as ``values``
+    at ``params``.  Samples all within ``rtol * max(1, |first|)`` of the first
+    are a constant curve, winding 0, when three off-grid values agree, and
+    otherwise a grid that aliases the winding: ValueError."""
+    first = values[0]
+    tol = rtol * max(1.0, abs(first))
+    if max(abs(z - first) for z in values) < tol:
+        if all(abs(value_at(t) - first) < tol for t in (0.1137, 0.4711, 0.7893)):
+            return 0
+        raise ValueError("the sample grid aliases the winding; resample denser")
+    curve = SampledCurve(tuple(values), chart, param_fn=value_at, params=tuple(params))
+    return winding_number(curve, 0j)
 
 
 def winding_number(curve: SampledCurve, p: complex) -> int:

@@ -460,6 +460,15 @@ def test_continuum_flags():
     assert fixed_points(rotation, 2).is_continuum  # full turn: identity
 
 
+def test_a_wrapped_twist_jump_is_not_a_fixed_circle():
+    # every circle turns by h(s) in [2, 4]: at n = 1 only the poles are
+    # fixed, though the wrapped twist jumps from pi to -pi where h = pi; at
+    # n = 2 the circle where 2h = 2pi is fixed
+    text = census_csv(charts.parse_map("product:q=affine(1,0);d=1;h=pwl(-inf:2,0:4,inf:4)"), 2)
+    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["2", "inf"]
+
+
 def test_growth_report_squaring():
     report = growth_report(Power(2), 8)
     assert [int(r.count) for r in report.rows] == [2 ** n + 1 for n in range(1, 9)]

@@ -10,7 +10,7 @@ from pathlib import Path
 from numpy.polynomial import polynomial as npoly
 
 import sphere_census
-from sphere_census import census, cli
+from sphere_census import census, cli, strip_lift
 from sphere_census.charts import Chart
 from sphere_census.cli import main
 from sphere_census.winding import circle, dump_curve_csv
@@ -121,6 +121,16 @@ def test_strip_index_lines(capsys):
     assert [r["k"] for r in rows] == [0, 1]
     assert all(r["index"] == 1 for r in rows)
     assert all(r["m_used"] >= 1 for r in rows)
+
+
+def test_strip_index_caps_the_lift_count_before_any_lift(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lifted past the degree cap")
+
+    monkeypatch.setattr(strip_lift, "lift", forbidden)
+    code, out, err = run(capsys, "strip-index", "--map", "power:d=5000")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "DegreeCapExceeded"
 
 
 def test_check_h_pass_and_fail(capsys, tmp_path):

@@ -226,6 +226,16 @@ def test_annular_degree_image_near_pole():
         annular_degree(Power(2), latitude_circle(-7.5))
 
 
+def test_annular_degree_refuses_an_aliased_core():
+    from sphere_census.winding import circle
+
+    # z^64 is 1 at every 64th root of unity: the image is constant on the
+    # grid and winds 64 times between its samples
+    with pytest.raises(ValueError, match="resample denser"):
+        annular_degree(Power(64), circle(0j, 1.0, 64))
+    assert annular_degree(Power(64), circle(0j, 1.0, 256)) == 64
+
+
 # ---------------------------------------------------------------------------
 # Cactus identities
 # ---------------------------------------------------------------------------
@@ -259,6 +269,16 @@ def test_cactus_three_branch_profile():
     assert report.passed
     assert report.degree_sum == spec.declared_degree == 2
     assert all(abs(r.annular_degree) == abs(r.sphere_degree) for r in report.rows)
+
+
+def test_component_and_global_degrees_draw_the_same_regular_value():
+    prof = PiecewiseLinearProfile(((-INF, -INF), (-1, INF), (1, -INF), (INF, INF)))
+    spec = ProductMap(prof, 2)
+    comps = annuli.decompose(spec)
+    sums, value = component_degrees(spec, [(c.s_lo, c.s_hi) for c in comps])
+    report = global_degree(spec)
+    assert value == report.regular_value
+    assert sum(sums) == report.total == 2
 
 
 def test_fold_degree_probe_circles_stay_clear_of_the_poles():

@@ -55,6 +55,15 @@ def test_translation_has_zero_index():
     assert lefschetz_index(lambda z: z + 5, circle(0j, 1.0, 64)) == 0
 
 
+def test_a_field_constant_only_on_the_grid_is_refused():
+    # the displacement z^8 is 1 at every 8th root of unity, but winds 8
+    # times between them: the grid aliases the index
+    fn = lambda z: z + z ** 8
+    with pytest.raises(ValueError, match="resample denser"):
+        lefschetz_index(fn, circle(0j, 1.0, 8))
+    assert lefschetz_index(fn, circle(0j, 1.0, 32)) == 8
+
+
 def test_squaring_map_counts_interior_fixed_points():
     # oracle: indices of the two fixed points inside |z| = 2, via small
     # circles around z = 0 and z = 1 with the analytic argument sum

@@ -146,7 +146,7 @@ def test_verify_index_needs_repelling_behavior():
     comp = component(spec)
     F = StripMap(spec, comp, lift_offset=0)
     with pytest.raises(MNotFound):
-        verify_index(F, m_cap=8)
+        verify_index(F)
 
 
 def test_verify_index_tests_the_horizontal_sides_once(monkeypatch):
@@ -163,7 +163,7 @@ def test_verify_index_tests_the_horizontal_sides_once(monkeypatch):
     F = StripMap(spec, component(spec), lift_offset=0)
     monkeypatch.setattr(StripMap, "__call__", counting)
     with pytest.raises(MNotFound):
-        verify_index(F, m_cap=8)
+        verify_index(F)
     assert len(calls) <= 2
 
 
@@ -262,3 +262,72 @@ def test_lift_fixed_point_is_checked_on_the_lift():
     wrong = dataclasses.replace(component(spec), delta=3)
     with pytest.raises(StripError, match="displacement"):
         lift_fixed_point(StripMap(spec, wrong, 1), 1)
+
+
+def _width_search(F, m_cap=64):
+    """Reference oracle: the width search ``verify_index`` replaced, trying
+    m = 1 .. m_cap until the images of the sides x = -m and x = m, 65
+    heights each, lie beyond them when d >= 2 and on the center side
+    otherwise; None when no width holds."""
+    lo, hi = strip_lift.Y_LO, strip_lift.Y_HI
+    margin = strip_lift.COND_MARGIN
+    if F(0.0, lo)[1] >= lo - margin or F(0.0, hi)[1] <= hi + margin:
+        return None
+    outward = 1.0 if F.translation_degree >= 2 else -1.0
+    for m in range(1, m_cap + 1):
+        if all(outward * sign * (F(x_v, float(y))[0] - x_v) > margin
+               for x_v, sign in ((float(m), 1.0), (-float(m), -1.0))
+               for y in np.linspace(lo, hi, 65)):
+            return m
+    return None
+
+
+def test_loop_width_matches_the_width_search():
+    # twisted affine product maps; one in two twists moves x = 0 by up to
+    # ~100 fundamental domains, so some widths lie past the cap
+    rng = np.random.default_rng(20)
+    degrees = [-4, -3, -2, -1, 0, 2, 3, 4, 5]
+    lifts = 0
+    widths = set()
+    while lifts < 400:
+        d = int(rng.choice(degrees))
+        reach = float(rng.choice([60.0, 600.0]))
+        twist = AffineProfile(float(rng.uniform(-4.0, 4.0)), float(rng.uniform(-reach, reach)))
+        spec = ProductMap(AffineProfile(float(rng.uniform(1.2, 3.0)),
+                                        float(rng.uniform(-0.5, 0.5))), d, twist)
+        comp = component(spec)
+        count = min(3, abs(d - 1))
+        for k in rng.choice(abs(d - 1), size=count, replace=False):
+            F = StripMap(spec, comp, lift_offset=int(k))
+            width = _width_search(F, m_cap=128)
+            if width is None or width > strip_lift.M_CAP:
+                with pytest.raises(MNotFound, match="m <= 64"):
+                    verify_index(F)
+            else:
+                assert verify_index(F).m_used == width
+            widths.add(width)
+            lifts += 1
+    # the sample holds small and large widths, horizontal refusals (None)
+    # and widths past the cap
+    assert {1, 2, None} <= widths and max(w for w in widths if w) > 64
+    assert len(widths) > 20
+
+
+def test_a_width_past_the_cap_is_refused_after_one_pass(monkeypatch):
+    # the twist moves x = 0 by up to 628.3 / 2pi ~ 100 fundamental domains,
+    # so the sides clear the loop only at m ~ 101, past M_CAP = 64
+    calls = []
+    call = StripMap.__call__
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return call(self, x, y)
+
+    spec = parse_map("product:q=affine(2,0);d=2;h=affine(0,628.3)")
+    F = StripMap(spec, component(spec), lift_offset=0)
+    assert _width_search(F, m_cap=128) > strip_lift.M_CAP
+    monkeypatch.setattr(StripMap, "__call__", counting)
+    with pytest.raises(MNotFound, match="m <= 64"):
+        verify_index(F)
+    assert len(calls) <= 67
+
