@@ -224,7 +224,7 @@ def global_degree(
     if y is not None:
         report = _degree_at(spec, y)
     else:
-        report = _draw_regular_value(spec, seed, lambda report: report)
+        report = _draw_regular_value(spec, seed)
     if report.total != spec.declared_degree:
         raise DegreeMismatch(
             f"computed degree {report.total} != declared {spec.declared_degree}"
@@ -232,21 +232,25 @@ def global_degree(
     return report
 
 
-def _draw_regular_value(spec: MapSpec, seed: int | None, read):
-    """``read`` the report at the first of 32 seeded regular values that
-    ``_degree_at`` and ``read`` accept (either rejects one by raising)."""
+def _draw_regular_value(spec: MapSpec, seed: int | None, screen=None) -> DegreeReport:
+    """The report at the first of 32 seeded regular values that
+    ``_degree_at`` accepts; ``screen`` may reject one by raising."""
     rng = np.random.default_rng(default_seed() if seed is None else seed)
     for _ in range(32):
         y = from_latlon(rng.uniform(-0.6, 0.6), rng.uniform(0.0, 2 * math.pi))
         try:
-            return read(_degree_at(spec, y))
+            return _degree_at(spec, y, screen)
         except (PreimageClusterTooTight, RadiusTooLarge):
             continue
     raise PreimageClusterTooTight("no usable regular value after 32 draws")
 
 
-def _degree_at(spec: MapSpec, y: SpherePoint) -> DegreeReport:
+def _degree_at(spec: MapSpec, y: SpherePoint, screen=None) -> DegreeReport:
+    """Local degrees at the preimages of y; ``screen`` sees the preimages
+    before any of them is wound."""
     pre = find_preimages(spec, y)
+    if screen is not None:
+        screen(pre)
     radius = witness_radius(pre)
     witnesses = tuple((x, local_degree(spec, x, y, radius)) for x in pre)
     total = sum(d for _, d in witnesses)
@@ -332,22 +336,24 @@ def component_degrees(
 
     One regular value, drawn as ``global_degree`` draws it, serves every
     component; its witnesses are assigned to components by latitude, and a
-    value with a witness outside exactly one component is rejected.
+    value with a preimage outside exactly one component is rejected before
+    any winding.
     """
 
-    def bucket(report: DegreeReport) -> tuple[list[int], SpherePoint]:
-        sums = [0] * len(intervals)
-        for x, d in report.witnesses:
-            s = x.latitude()
-            hit = [i for i, (lo, hi) in enumerate(intervals) if lo < s < hi]
-            if len(hit) != 1:
-                raise PreimageClusterTooTight(
-                    f"preimage latitude {s:.6g} not inside a unique component"
-                )
-            sums[hit[0]] += d
-        return sums, report.regular_value
+    def component_of(x: SpherePoint) -> int:
+        s = x.latitude()
+        hit = [i for i, (lo, hi) in enumerate(intervals) if lo < s < hi]
+        if len(hit) != 1:
+            raise PreimageClusterTooTight(
+                f"preimage latitude {s:.6g} not inside a unique component"
+            )
+        return hit[0]
 
-    return _draw_regular_value(spec, None, bucket)
+    report = _draw_regular_value(spec, None, lambda pre: [component_of(x) for x in pre])
+    sums = [0] * len(intervals)
+    for x, d in report.witnesses:
+        sums[component_of(x)] += d
+    return sums, report.regular_value
 
 
 def cactus_check(spec: MapSpec, components) -> CactusReport:

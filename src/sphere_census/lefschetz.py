@@ -55,7 +55,7 @@ def lefschetz_index(f: Union[MapSpec, PlaneMap], curve: SampledCurve) -> int:
     if low <= 1e-7 * diam:
         raise FixedPointOnCurve(f"min displacement {low:.3g} on a curve of size {diam:.3g}")
     try:
-        return winding_about_zero(disp, disp_at, curve.params, 1e-12, curve.chart)
+        return winding_about_zero(disp, disp_at, curve.params, 1e-12)
     except PointOnCurve as exc:
         raise FixedPointOnCurve(str(exc)) from exc
 

@@ -124,7 +124,7 @@ def curve_diameter(points: Sequence[complex]) -> float:
 
 
 def winding_about_zero(values: Sequence[complex], value_at: Callable[[float], complex],
-                       params: Sequence[float], rtol: float, chart: Chart = Chart.NORTH) -> int:
+                       params: Sequence[float], rtol: float) -> int:
     """Winding about 0 of the closed curve ``value_at``, sampled as ``values``
     at ``params``.  Samples all within ``rtol * max(1, |first|)`` of the first
     are a constant curve, winding 0, when three off-grid values agree, and
@@ -135,7 +135,7 @@ def winding_about_zero(values: Sequence[complex], value_at: Callable[[float], co
         if all(abs(value_at(t) - first) < tol for t in (0.1137, 0.4711, 0.7893)):
             return 0
         raise ValueError("the sample grid aliases the winding; resample denser")
-    curve = SampledCurve(tuple(values), chart, param_fn=value_at, params=tuple(params))
+    curve = SampledCurve(tuple(values), param_fn=value_at, params=tuple(params))
     return winding_number(curve, 0j)
 
 

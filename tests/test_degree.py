@@ -281,6 +281,18 @@ def test_component_and_global_degrees_draw_the_same_regular_value():
     assert sum(sums) == report.total == 2
 
 
+def test_component_degrees_rejects_a_draw_before_winding_it(monkeypatch):
+    import sphere_census.degree as degree
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a rejected draw was wound")
+
+    monkeypatch.setattr(degree, "local_degree", forbidden)
+    # no preimage of squaring lies in (5, 6): every draw is rejected on latitude
+    with pytest.raises(PreimageClusterTooTight, match="after 32 draws"):
+        component_degrees(Power(2), [(5.0, 6.0)])
+
+
 def test_fold_degree_probe_circles_stay_clear_of_the_poles():
     # both ends map to S; a 0.05 probe circle about the preimage near N
     # (|w| < 0.05 in the south chart) would enclose N and misread its local
