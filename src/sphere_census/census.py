@@ -19,13 +19,20 @@ route every point must pass the residual filter; a failure raises
 poles attract reads a map with a product view off one latitude orbit per
 pole.  One census (``census_csv``) solves each order once: the growth
 report's fixed-point sets serve the cross-check and are dropped when the
-census returns.
+census returns.  Its Aberth orders 1..n_max are solved together, each order
+one block of a single array: every Aberth step walks one jet of f through
+n_max levels, from which the rows of order k leave after level k, while
+the pairwise sums stay within each block, so every approximation moves as
+in a solve of its order alone.  The base fixed points, the preimage tree
+(one level more per order), the multipliers and the residual walk through
+f are likewise made once for all orders.  An order's ``CensusIncomplete``
+stays its own, raised only when that order is asked for.
 """
 from __future__ import annotations
 
 import contextvars
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,9 +112,18 @@ class FixedPointSet:
         return INF if self.is_continuum else float(len(self.points))
 
 
-# The fixed-point sets solved inside one ``census_csv`` call, keyed by
-# (spec, n); None outside it, so no set outlives the census that solved it.
-_SOLVED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+@dataclass
+class _Census:
+    """The census in progress: its last order, and each fixed-point set it
+    has solved, keyed by (spec, n), or the error that refuses that order."""
+
+    n_max: int
+    solved: dict = field(default_factory=dict)
+
+
+# The census of the ``census_csv`` call in progress; None outside it, so no
+# set outlives the census that solved it.
+_SOLVED: contextvars.ContextVar[_Census | None] = contextvars.ContextVar(
     "census_solved", default=None)
 
 
@@ -118,68 +134,133 @@ def fixed_points(spec: MapSpec, n: int = 1) -> FixedPointSet:
     or rational map by Aberth-Ehrlich.  Raises ``CensusIncomplete`` rather
     than return a point that fails the residual filter, or fewer fixed
     points of a rational iterate than the multiplicity sum certifies.
-    Inside ``census_csv`` each order is solved once and its set read again.
+    Inside ``census_csv`` each order is solved once and its set read again;
+    the first Aberth order asked for is solved with every order after it up
+    to the census's last, and each order's error is raised only when that
+    order is asked for.
     """
-    solved = _SOLVED.get()
-    if solved is None:
-        return _solve(spec, n)
-    if (spec, n) not in solved:
-        solved[spec, n] = _solve(spec, n)
-    return solved[spec, n]
-
-
-def _solve(spec: MapSpec, n: int) -> FixedPointSet:
-    if n < 1:
-        raise ValueError("iterate order must be >= 1")
-    check_degree_cap(spec, n)
-    base, order = iterate_base(spec)
-    order *= n
-    if isinstance(base, Power):  # one power: one evaluation and one view, not n
-        flat = Power(base.d ** order)
+    census = _SOLVED.get()
+    if census is None:
+        found = _solve(spec, n, n)[n]
     else:
-        flat = base if order == 1 else Iterate(base, order)
+        if (spec, n) not in census.solved:
+            census.solved.update(((spec, k), got) for k, got in
+                                 _solve(spec, n, max(n, census.n_max)).items())
+        found = census.solved[spec, n]
+    if isinstance(found, Exception):
+        raise found
+    return found
+
+
+def _solve(spec: MapSpec, first: int, last: int) -> dict:
+    """Keyed by n: the fixed points of f^first from its product view, or
+    those of f^n for every n in first..last by Aberth-Ehrlich, each the set
+    or the error that refuses it."""
+    if first < 1:
+        raise ValueError("iterate order must be >= 1")
+    check_degree_cap(spec, first)
+    base, order = iterate_base(spec)
+    k = order * first
+    if isinstance(base, Power):  # one power: one evaluation and one view, not n
+        flat = Power(base.d ** k)
+    else:
+        flat = base if k == 1 else Iterate(base, k)
     view = as_product_view(flat)
     if view is not None:
-        return _product_fixed_points(flat, view)
-    if as_rational(base) is not None:
-        return _rational_fixed_points(base, order)
-    raise annuli.UnsupportedSpec(f"no fixed-point solver for {spec!r}")
+        return {first: _product_fixed_points(flat, view)}
+    if as_rational(base) is None:
+        raise annuli.UnsupportedSpec(f"no fixed-point solver for {spec!r}")
+    found = _rational_fixed_points(base, [order * n for n in range(first, last + 1)])
+    return {n: found[order * n] for n in range(first, last + 1)}
 
 
-def _check_residuals(spec: MapSpec, points, total: int) -> None:
-    """Raise ``CensusIncomplete`` unless the map sends every point within
-    ``RESIDUAL_CAP`` of itself; the points are evaluated in one batch."""
-    values, north = evaluate_many(
-        spec, [pt.value for pt in points], [pt.chart is Chart.NORTH for pt in points])
-    passed = sum(chordal(SpherePoint(v, Chart.NORTH if nor else Chart.SOUTH), pt) < RESIDUAL_CAP
-                 for pt, v, nor in zip(points, values.tolist(), north.tolist()))
-    if passed < len(points):
-        raise CensusIncomplete(f"{format_map(spec)}: {len(points) - passed} of {total} "
-                               f"fixed points fail the residual filter")
+def _residual_failures(base: MapSpec, points: dict) -> dict:
+    """For each order n, how many of points[n] f^n fails to send within
+    ``RESIDUAL_CAP`` of itself.
+
+    One walk through ``evaluate_many(base, ...)`` takes the points of every
+    order, each leaving at its own order, so each image has the bits that
+    ``evaluate_many`` of f^n gives it.
+    """
+    orders = sorted(points)
+    values = np.array([pt.value for n in orders for pt in points[n]], dtype=complex)
+    north = np.array([pt.chart is Chart.NORTH for n in orders for pt in points[n]], dtype=bool)
+    failed, level = {}, 0
+    for n in orders:
+        for _ in range(level, n):
+            values, north = evaluate_many(base, values, north)
+        level, k = n, len(points[n])
+        failed[n] = k - sum(
+            chordal(SpherePoint(v, Chart.NORTH if nor else Chart.SOUTH), pt) < RESIDUAL_CAP
+            for pt, v, nor in zip(points[n], values[:k].tolist(), north[:k].tolist()))
+        values, north = values[k:], north[k:]
+    return failed
 
 
-def _rational_fixed_points(base: MapSpec, n: int) -> FixedPointSet:
-    """Fixed points of f^n for a quadratic or rational f of degree D.
+def _residual_error(spec: MapSpec, failed: int, total: int) -> CensusIncomplete:
+    return CensusIncomplete(f"{format_map(spec)}: {failed} of {total} "
+                            f"fixed points fail the residual filter")
+
+
+def _rational_fixed_points(base: MapSpec, orders: list[int]) -> dict:
+    """Fixed points of f^n for each n in ``orders`` (ascending), f a
+    quadratic or rational map of degree D, keyed by n: the set, or the
+    error that refuses it.
 
     Unless f^n is the identity they number D^n + 1 with multiplicity.  The
     poles fixed exactly are kept as they are; Aberth-Ehrlich finds the
     others, which must all pass the residual filter, and two of them may
     merge only where the multiplier of f^n is within MULTIPLE_TOL of 1.
+    The orders are solved together; should that raise, they are solved one
+    at a time, so each error is the result of the order that raises it.
     """
+    try:
+        return _rational_orders(base, orders)
+    except Exception as exc:  # raised again where ``fixed_points`` asks for its order
+        if len(orders) == 1:
+            return {orders[0]: exc}
+        return {n: _rational_fixed_points(base, [n])[n] for n in orders}
+
+
+def _rational_orders(base: MapSpec, orders: list[int]) -> dict:
+    """``_rational_fixed_points`` of every order at once: one orbit of each
+    pole, one Aberth run and one residual walk serve them all."""
     p, q = as_rational(base)
     deg = base.declared_degree
+    continua = {}
     if deg == 1:
         # a Moebius iterate other than the identity fixes what f fixes (the
         # eigenvectors of its matrix), and f^n itself may be too expanding
         # for the residual filter
-        if _mobius_identity(p, q, n):
-            return FixedPointSet(points=(), continuum_latitudes=(0.0,))
-        n = 1
-    iterate = base if n == 1 else Iterate(base, n)
-    poles = [pole for pole in (S_POLE, N_POLE) if evaluate(iterate, pole) == pole]
-    approx, multipliers = _aberth_fixed_points(p, q, deg, n, poles)
-    total = deg ** n + 1
-    _check_residuals(iterate, approx, total)
+        continua = {n: FixedPointSet(points=(), continuum_latitudes=(0.0,))
+                    for n in orders if _mobius_identity(p, q, n)}
+    solve = sorted({1 if deg == 1 else n for n in orders if n not in continua})
+    poles = {n: [] for n in solve}
+    for pole in (S_POLE, N_POLE):
+        image = pole
+        for n in range(1, max(solve, default=0) + 1):
+            image = evaluate(base, image)
+            if n in poles and image == pole:
+                poles[n].append(pole)
+    approx = _aberth_fixed_points(p, q, deg, poles)
+    failed = _residual_failures(base, {n: got[0] for n, got in approx.items()
+                                       if not isinstance(got, CensusError)})
+    found = {}
+    for n, got in approx.items():
+        iterate = base if n == 1 else Iterate(base, n)
+        if isinstance(got, CensusError):
+            found[n] = got
+        elif failed[n]:
+            found[n] = _residual_error(iterate, failed[n], deg ** n + 1)
+        else:
+            found[n] = _merged(iterate, *got, poles[n], deg ** n + 1)
+    return {n: continua[n] if n in continua else found[1 if deg == 1 else n]
+            for n in orders}
+
+
+def _merged(iterate: MapSpec, approx, multipliers, poles, total: int):
+    """The fixed points of ``iterate`` from its exact poles and the Aberth
+    approximations, or the ``CensusIncomplete`` that refuses them."""
     # an approximation of a multiple fixed point at a pole merges into the pole
     found = dedup_points(sorted([pt for pt in approx if all(
         chordal(pt, pole) > DEDUP_RADIUS for pole in poles)] + poles, key=_sort_key),
@@ -189,7 +270,7 @@ def _rational_fixed_points(base: MapSpec, n: int) -> FixedPointSet:
     simple = sum(abs(lam - 1.0) > MULTIPLE_TOL
                  for pt, lam in zip(approx, multipliers.tolist()) if id(pt) not in found_ids)
     if simple:
-        raise CensusIncomplete(
+        return CensusIncomplete(
             f"{format_map(iterate)}: {simple} of {total} approximations merge "
             f"into another at a fixed point of multiplier away from 1"
         )
@@ -209,9 +290,10 @@ def _mobius_identity(p, q, n: int) -> bool:
         return bool(np.isfinite(m).all() and off <= 1e-12 * abs(m).max())
 
 
-def _aberth_fixed_points(p, q, deg: int, n: int, poles):
-    """The D^n + 1 - len(poles) fixed points of f^n other than ``poles``,
-    and the multiplier of f^n at each.
+def _aberth_fixed_points(p, q, deg: int, poles: dict) -> dict:
+    """For each order n of ``poles``, keyed by n: the D^n + 1 - len(poles[n])
+    fixed points of f^n other than poles[n] and the multiplier of f^n at
+    each, or the ``CensusIncomplete`` for approximations left unconverged.
 
     Aberth-Ehrlich on G(w) = y1 - w y2, where (y1 : y2) is f^n at w after a
     fixed unitary change of coordinates U, so no root sits at w = infinity.
@@ -221,27 +303,45 @@ def _aberth_fixed_points(p, q, deg: int, n: int, poles):
     poles take part in the pairwise sums as fixed roots.  Order 1 starts
     from the fixed points of f, read off one companion eigensolve, order
     n >= 2 from the preimage tree of the most repelling of them
-    (``_starts``).
+    (``_starts``).  Each order is one block of a single array, and one
+    ``_aberth`` run and one jet of multipliers serve every block.
     """
+    if not poles:
+        return {}
     coeffs, u = _frame(p, q, deg)
     # (w : 1) = U^H (z : 1): S = (0 : 1) and N = (1 : 0)
-    fixed = np.array([u[1, 0].conjugate() / u[1, 1].conjugate() if pole == S_POLE
-                      else u[0, 0].conjugate() / u[0, 1].conjugate() for pole in poles],
-                     dtype=complex)
-    m = deg ** n + 1 - len(poles)
-    w = np.concatenate([_starts(coeffs, deg, n, u, fixed), fixed])
-    left = _aberth(coeffs, deg, n, u, w, m)
-    if left:
-        raise CensusIncomplete(
-            f"Aberth iteration for {m} fixed points of an iterate of order {n} "
-            f"left {left} unconverged after {ABERTH_MAX_ITERS} steps"
-        )
-    a = u[0, 0] * w[:m] + u[0, 1]
-    b = u[1, 0] * w[:m] + u[1, 1]
-    points = [SpherePoint(x / y, Chart.NORTH) if abs(x) <= abs(y)
-              else SpherePoint(y / x, Chart.SOUTH)
-              for x, y in zip(a.tolist(), b.tolist())]
-    return points, _multipliers(coeffs, deg, n, u, w[:m])
+    fixed = {n: np.array([u[1, 0].conjugate() / u[1, 1].conjugate() if pole == S_POLE
+                          else u[0, 0].conjugate() / u[0, 1].conjugate() for pole in ps],
+                         dtype=complex) for n, ps in poles.items()}
+    starts = _starts(coeffs, deg, u, fixed)
+    blocks = [(n, deg ** n + 1, deg ** n + 1 - fixed[n].size) for n in sorted(fixed)]
+    w = np.concatenate([np.concatenate([starts[n], fixed[n]]) for n, _, _ in blocks])
+    left = _aberth(coeffs, deg, u, w, blocks)
+    found, roots = {}, {}
+    lo = 0
+    for (n, size, m), k in zip(blocks, left):
+        if k:
+            found[n] = CensusIncomplete(
+                f"Aberth iteration for {m} fixed points of an iterate of order {n} "
+                f"left {k} unconverged after {ABERTH_MAX_ITERS} steps"
+            )
+        else:
+            roots[n] = w[lo:lo + m]
+        lo += size
+    if roots:
+        rows = np.concatenate(list(roots.values()))
+        lam = _multipliers(coeffs, deg, np.repeat(list(roots), [r.size for r in roots.values()]),
+                           u, rows)
+        a = u[0, 0] * rows + u[0, 1]
+        b = u[1, 0] * rows + u[1, 1]
+        points = [SpherePoint(x / y, Chart.NORTH) if abs(x) <= abs(y)
+                  else SpherePoint(y / x, Chart.SOUTH)
+                  for x, y in zip(a.tolist(), b.tolist())]
+        lo = 0
+        for n, r in roots.items():
+            found[n] = points[lo:lo + r.size], lam[lo:lo + r.size]
+            lo += r.size
+    return found
 
 
 def _frame(p, q, deg: int):
@@ -255,17 +355,31 @@ def _frame(p, q, deg: int):
     return coeffs, u
 
 
-def _aberth(coeffs, deg: int, n: int, u, w: np.ndarray, m: int) -> int:
-    """Aberth-Ehrlich steps on the first m entries of w, in place, with the
-    rest held as fixed roots; the number left unconverged."""
-    active = np.arange(m)
-    last = np.full(m, INF)
+def _aberth(coeffs, deg: int, u, w: np.ndarray, blocks) -> list[int]:
+    """Aberth-Ehrlich steps on the blocks of w, in place; the number each
+    block leaves unconverged.
+
+    ``blocks`` lists (n, size, m) by ascending order n: the next ``size``
+    entries of w approximate the fixed points of f^n, of which the first m
+    move and the rest are held as fixed roots.  A step reads G'/G of every
+    moving entry off one jet, each at its own order, and sums the pairs
+    within each block alone, so an entry moves as it would in a run of its
+    order by itself.
+    """
+    bounds = np.cumsum([0] + [size for _, size, _ in blocks])
+    active = np.concatenate([np.arange(lo, lo + m) for (_, _, m), lo in zip(blocks, bounds)])
+    orders = np.repeat([n for n, _, _ in blocks], [size for _, size, _ in blocks])
+    last = np.full(w.size, INF)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(ABERTH_MAX_ITERS):
             if active.size == 0:
                 break
-            ratio = _log_derivative(coeffs, deg, n, u, w[active])
-            step = 1.0 / (ratio - _pair_sums(w, active))
+            cut = np.searchsorted(active, bounds)
+            pairs = np.concatenate([
+                _pair_sums(w[lo:hi], active[i:j] - lo)
+                for lo, hi, i, j in zip(bounds, bounds[1:], cut, cut[1:])])
+            ratio = _log_derivative(coeffs, deg, orders[active], u, w[active])
+            step = 1.0 / (ratio - pairs)
             step[~np.isfinite(step)] = 0.0
             w[active] -= step
             size = np.abs(step)
@@ -274,12 +388,13 @@ def _aberth(coeffs, deg: int, n: int, u, w: np.ndarray, m: int) -> int:
                 (size >= last[active]) & (size <= ABERTH_STALL * scale))
             last[active] = size
             active = active[~done]
-    return active.size
+    return np.diff(np.searchsorted(active, bounds)).tolist()
 
 
-def _starts(coeffs, deg: int, n: int, u, fixed: np.ndarray) -> np.ndarray:
-    """D^n + 1 - len(fixed) distinct finite Aberth starts for the fixed
-    points of f^n in the w chart, none on a fixed root.
+def _starts(coeffs, deg: int, u, fixed: dict) -> dict:
+    """For each order n of ``fixed``, keyed by n: D^n + 1 - len(fixed[n])
+    distinct finite Aberth starts for the fixed points of f^n in the w
+    chart, none on a fixed root of fixed[n].
 
     For D >= 2 the fixed points of f come first (``_base_fixed_points``).
     Order 1 starts from them, less the one nearest each fixed root.  From
@@ -288,31 +403,38 @@ def _starts(coeffs, deg: int, n: int, u, fixed: np.ndarray) -> np.ndarray:
     repelling or parabolic, so it lies on the Julia set, where the iterated
     preimages of a point equidistribute (Brolin) as the repelling periodic
     points do.  The nudge keeps a critical orbit through y0 from doubling a
-    start.  At either order the start nearest each fixed root gives way to
-    it; the golden spiral pads the set up to its size, and starts a Moebius
-    map.
+    start.  One preimage tree, grown a level at a time, serves every order.
+    At either order the start nearest each fixed root gives way to it; the
+    golden spiral pads the set up to its size, and starts a Moebius map.
     """
-    m = deg ** n + 1 - fixed.size
-    if deg < 2:
-        return _spiral(m)
-    forms = _forms(coeffs, deg, u)
-    roots = _base_fixed_points(coeffs, deg, u, forms)
-    if n == 1:
-        starts = roots
-    else:
-        lam = np.abs(_multipliers(coeffs, deg, 1, u, roots))
-        y0 = roots[np.argmax(np.where(np.isfinite(lam), lam, -1.0))]
-        starts = np.array([y0 + 1e-3 * (1.0 + abs(y0))])
-        for _ in range(n):
-            starts = _preimages(forms, u, starts)
-    # a repeated start makes its pair sums non-finite: the zeroed step then
-    # reads as converged
-    starts = np.sort(starts[np.isfinite(starts)])
-    starts = starts[np.concatenate(([True], starts[1:] != starts[:-1]))]
-    for root in fixed.tolist():
-        if starts.size:
-            starts = np.delete(starts, np.argmin(np.abs(starts - root)))
-    return np.concatenate([starts, _spiral(m - starts.size)])
+    tree = {}
+    if deg >= 2:
+        forms = _forms(coeffs, deg, u)
+        roots = _base_fixed_points(coeffs, deg, u, forms)
+        tree[1] = roots
+        top = max(fixed)
+        if top >= 2:
+            lam = np.abs(_multipliers(coeffs, deg, 1, u, roots))
+            y0 = roots[np.argmax(np.where(np.isfinite(lam), lam, -1.0))]
+            level = np.array([y0 + 1e-3 * (1.0 + abs(y0))])
+            for n in range(1, top + 1):  # level n: the D^n preimages under f^n
+                level = _preimages(forms, u, level)
+                if n >= 2 and n in fixed:
+                    tree[n] = level
+    found = {}
+    for n, held in fixed.items():
+        # a repeated start makes its pair sums non-finite: the zeroed step
+        # then reads as converged
+        starts = tree.get(n, np.empty(0, dtype=complex))
+        starts = np.sort(starts[np.isfinite(starts)])
+        keep = np.ones(starts.size, dtype=bool)
+        keep[1:] = starts[1:] != starts[:-1]
+        starts = starts[keep]
+        for root in held.tolist():
+            if starts.size:
+                starts = np.delete(starts, np.argmin(np.abs(starts - root)))
+        found[n] = np.concatenate([starts, _spiral(deg ** n + 1 - held.size - starts.size)])
+    return found
 
 
 def _forms(coeffs, deg: int, u) -> np.ndarray:
@@ -338,7 +460,7 @@ def _base_fixed_points(coeffs, deg: int, u, forms: np.ndarray) -> np.ndarray:
     there are none, and the caller pads from the spiral."""
     poly = np.convolve(forms[0], u[1, ::-1]) - np.convolve(forms[1], u[0, ::-1])
     roots = _companion_roots(poly[None, :])
-    _aberth(coeffs, deg, 1, u, roots, roots.size)
+    _aberth(coeffs, deg, u, roots, [(1, roots.size, roots.size)])
     return roots
 
 
@@ -373,9 +495,13 @@ def _spiral(m: int) -> np.ndarray:
     return np.sqrt((1 + height) / (1 - height)) * np.exp(1j * GOLDEN_ANGLE * k)
 
 
-def _iterate_jet(coeffs, deg: int, n: int, u, w: np.ndarray):
+def _iterate_jet(coeffs, deg: int, n, u, w: np.ndarray):
     """The start x0 = U (w, 1) and x = F^n(x0), each with its w-derivative.
 
+    ``n`` is one order, or one per w in ascending order: the rows of order
+    n leave the walk after level n.  The rows of each order pass through F
+    as a matrix product of their own, since BLAS rounds a column by its
+    place in the product: a row's jet does not depend on the other orders.
     Each pair (x, dx) is scaled by one factor per point after every step;
     ratios that are homogeneous of degree 0 in it, such as G'/G or the
     derivative of x1/x2 over that of x01/x02, are unchanged by that.
@@ -384,11 +510,15 @@ def _iterate_jet(coeffs, deg: int, n: int, u, w: np.ndarray):
     scale = 1.0 / np.maximum(np.abs(a0), np.abs(b0))
     a0, b0 = a0 * scale, b0 * scale
     da0, db0 = u[0, 0] * scale, u[1, 0] * scale
+    orders = np.broadcast_to(n, w.shape)
+    bounds = [0, *(np.flatnonzero(np.diff(orders)) + 1).tolist(), w.size]  # one order each
+    jet = np.empty((4, w.size), dtype=complex)
     a, b, da, db = a0, b0, da0, db0
     i = np.arange(deg + 1)[:, None]
-    pa = np.ones((deg + 1, w.size), dtype=complex)
-    pb = np.ones((deg + 1, w.size), dtype=complex)
-    for _ in range(n):
+    lo = 0                                       # the rows before lo have left
+    for level in range(1, int(orders.max(initial=0)) + 1):
+        pa = np.ones((deg + 1, a.size), dtype=complex)
+        pb = np.ones((deg + 1, a.size), dtype=complex)
         for k in range(1, deg + 1):              # a^k and b^k, k = 0..D
             pa[k] = pa[k - 1] * a
             pb[k] = pb[k - 1] * b
@@ -397,13 +527,22 @@ def _iterate_jet(coeffs, deg: int, n: int, u, w: np.ndarray):
         dmono = np.zeros_like(mono)              # d/dw of a^i b^(D-i)
         dmono[1:] += i[1:] * low * da
         dmono[:-1] += i[:0:-1] * low * db
-        (a, b), (da, db) = coeffs @ mono, coeffs @ dmono
+        x, dx = np.empty((2, a.size), dtype=complex), np.empty((2, a.size), dtype=complex)
+        spans = [c - lo for c in bounds if c >= lo]
+        for s, e in zip(spans, spans[1:]):
+            x[:, s:e] = coeffs @ mono[:, s:e]
+            dx[:, s:e] = coeffs @ dmono[:, s:e]
+        (a, b), (da, db) = x, dx
         scale = 1.0 / np.maximum(np.abs(a), np.abs(b))
         a, b, da, db = a * scale, b * scale, da * scale, db * scale
-    return (a0, b0, da0, db0), (a, b, da, db)
+        cut = int(np.searchsorted(orders, level, side="right")) - lo  # order `level` leaves
+        jet[:, lo:lo + cut] = a[:cut], b[:cut], da[:cut], db[:cut]
+        a, b, da, db = a[cut:], b[cut:], da[cut:], db[cut:]
+        lo += cut
+    return (a0, b0, da0, db0), tuple(jet)
 
 
-def _log_derivative(coeffs, deg: int, n: int, u, w: np.ndarray) -> np.ndarray:
+def _log_derivative(coeffs, deg: int, n, u, w: np.ndarray) -> np.ndarray:
     """G'/G at each w, through the homogeneous recursion of f^n."""
     (a0, b0, da0, db0), (a, b, da, db) = _iterate_jet(coeffs, deg, n, u, w)
     g = a * b0 - b * a0
@@ -411,7 +550,7 @@ def _log_derivative(coeffs, deg: int, n: int, u, w: np.ndarray) -> np.ndarray:
     return dg / g
 
 
-def _multipliers(coeffs, deg: int, n: int, u, w: np.ndarray) -> np.ndarray:
+def _multipliers(coeffs, deg: int, n, u, w: np.ndarray) -> np.ndarray:
     """The multiplier of f^n at each w, read as a fixed point.
 
     With z = a0/b0 and f^n(z) = a/b, (f^n)'(z) is
@@ -475,7 +614,9 @@ def _product_fixed_points(spec: MapSpec, view) -> FixedPointSet:
                 continua.append(s)
             continue
         pts += [from_latlon(s, (2 * math.pi * k - h) / (d - 1)) for k in range(abs(d - 1))]
-    _check_residuals(spec, pts, len(pts))
+    failed = _residual_failures(spec, {1: pts})[1]
+    if failed:
+        raise _residual_error(spec, failed, len(pts))
     return FixedPointSet(points=tuple(sorted(pts, key=_sort_key)),
                          continuum_latitudes=tuple(continua))
 
@@ -664,8 +805,10 @@ def census_csv(spec: MapSpec, n_max: int) -> str:
 
     The growth report solves each order once; the cross-check reads the
     same fixed-point sets, which are dropped when the call returns or raises.
+    Aberth orders are solved in one batch sharing one orbit walk per step;
+    the report still stops at the first order that fails, with its message.
     """
-    token = _SOLVED.set({})
+    token = _SOLVED.set(_Census(n_max))
     try:
         report = growth_report(spec, n_max)
         cross = theorem_a_crosscheck(spec, n_max)

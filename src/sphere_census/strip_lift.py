@@ -120,7 +120,9 @@ def lift(spec: MapSpec, component: AnnulusComponent, k: int = 0) -> StripMap:
         y = float(rng.uniform(Y_LO, Y_HI))
         a = F(x + 1.0, y)
         b = F(x, y)
-        if abs(a[0] - b[0] - F.translation_degree) > 1e-9 or abs(a[1] - b[1]) > 1e-9:
+        # a[0] and b[0] round d*(x + 1) and d*x: a few ulps of them on top
+        slack = 1e-9 + 4 * math.ulp(abs(F.translation_degree) * (1.0 + abs(x)))
+        if abs(a[0] - b[0] - F.translation_degree) > slack or abs(a[1] - b[1]) > 1e-9:
             raise LiftDiscontinuity("equivariance violated")
     return F
 

@@ -110,8 +110,9 @@ def test_multipliers_match_the_derivative():
     # the fixed points of z^2 + c other than infinity, with (f^n)' = prod 2 f^k(z);
     # at n = 2 the 2-cycle is returned in the south chart
     p, q = as_rational(Quadratic(0.1))
+    solved = census._aberth_fixed_points(p, q, 2, {1: [N_POLE], 2: [N_POLE]})
     for n in (1, 2):
-        points, lam = census._aberth_fixed_points(p, q, 2, n, [N_POLE])
+        points, lam = solved[n]
         for pt, got in zip(points, lam.tolist()):
             z, want = to_chart(pt, Chart.NORTH).value, 1.0
             for _ in range(n):
@@ -120,14 +121,16 @@ def test_multipliers_match_the_derivative():
 
 
 def merge_two_approximations(monkeypatch):
-    """Make the last Aberth approximation a second copy of the first."""
+    """Make the last Aberth approximation of each order a second copy of
+    the first."""
     solve = census._aberth_fixed_points
 
     def twice(*args):
-        points, lam = solve(*args)
-        points[-1] = SpherePoint(points[0].value, points[0].chart)
-        lam[-1] = lam[0]
-        return points, lam
+        found = solve(*args)
+        for points, lam in found.values():
+            points[-1] = SpherePoint(points[0].value, points[0].chart)
+            lam[-1] = lam[0]
+        return found
 
     monkeypatch.setattr(census, "_aberth_fixed_points", twice)
 
@@ -271,7 +274,7 @@ def test_view_route_agrees_with_aberth(text):
     # covers it in test_quadratic_c0_iterate_at_the_degree_cap
     for n in range(1, 5 if order == 1 else 4):
         view = fixed_points(spec, n)
-        aberth = census._rational_fixed_points(base, order * n)
+        aberth = census._rational_fixed_points(base, [order * n])[order * n]
         assert view.count == aberth.count, n
         # a continuum (i z at n = 4 is the identity) has no point list to match
         for p in () if view.is_continuum else view.points:
@@ -301,10 +304,13 @@ def aberth_inputs(monkeypatch, spec, n):
     seen = {}
     solve = census._aberth
 
-    def record(coeffs, deg, order, u, w, m):
-        if order == n:
-            seen["starts"], seen["fixed"] = w[:m].copy(), w[m:].copy()
-        return solve(coeffs, deg, order, u, w, m)
+    def record(coeffs, deg, u, w, blocks):
+        lo = 0
+        for order, size, m in blocks:
+            if order == n:
+                seen["starts"], seen["fixed"] = w[lo:lo + m].copy(), w[lo + m:lo + size].copy()
+            lo += size
+        return solve(coeffs, deg, u, w, blocks)
 
     monkeypatch.setattr(census, "_aberth", record)
     fixed_points(spec, n)
@@ -324,16 +330,76 @@ def test_preimage_starts_are_finite_distinct_and_off_the_fixed_roots(monkeypatch
         assert np.abs(starts - fixed[0]).min() > 1e-9, n
 
 
-@pytest.mark.parametrize("text,n_max", [
+HARD_MAPS = [
     ("rational:P=1,0,1;Q=0,2", 6),             # Newton's map for z^2 + 1
     ("quad:c=-2+0i", 7),
     ("quad:c=-0.122561+0.744862i", 8),         # the rabbit
     ("quad:c=0+1i", 8),
-])
+]
+
+
+@pytest.mark.parametrize("text,n_max", HARD_MAPS)
 def test_hard_maps_count_every_fixed_point(text, n_max):
     spec = charts.parse_map(text)
     for n in range(1, n_max + 1):
         assert fixed_points(spec, n).count == 2 ** n + 1, n
+
+
+@pytest.mark.parametrize("text,n_max", [
+    # the cardioid and period-2 quadratics the benchmark draws at seed 501
+    ("quad:c=0.161024-0.041100i", 8),
+    ("quad:c=-1.071666+0.073510i", 8),
+    ("rational:P=0,2,0,1;Q=1,0,3", 5),
+    *HARD_MAPS,
+])
+def test_census_sets_match_single_order_solves(monkeypatch, text, n_max):
+    # the census solves its orders in one batch; each set must be the one
+    # a solve of that order alone finds
+    spec = charts.parse_map(text)
+    batches = []
+    solve = census._solve
+
+    def record(*args):
+        batches.append(solve(*args))
+        return batches[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(census, "_solve", record)
+        census_csv(spec, n_max)
+    solved = {n: fps for batch in batches for n, fps in batch.items()}
+    assert sorted(solved) == list(range(1, n_max + 1))
+    for n, fps in solved.items():
+        alone = fixed_points(spec, n)
+        assert fps.count == alone.count, n
+        for p in fps.points:
+            assert min(chordal(p, q) for q in alone.points) < 1e-12, n
+
+
+def test_one_orbit_walk_serves_every_order(monkeypatch):
+    # solved one order at a time, this census walks 457 jet levels, 35
+    # preimage levels, 36 residual levels and 8 frames
+    levels, preimages, frames, residual = [], [], [], []
+
+    def counted(name, log, entry):
+        call = getattr(census, name)
+
+        def wrapper(*args):
+            log.append(entry(*args))
+            return call(*args)
+
+        monkeypatch.setattr(census, name, wrapper)
+
+    counted("_iterate_jet", levels, lambda coeffs, deg, n, u, w: int(np.max(n)))
+    counted("_preimages", preimages, lambda forms, u, t: t.size)
+    counted("_frame", frames, lambda *args: None)
+    counted("evaluate_many", residual, lambda spec, values, north: spec)
+    census_csv(Quadratic(0.1), 8)
+    assert max(levels) <= 8
+    assert sum(levels) < 150
+    # one level of the preimage tree per order: order 2 needs levels 1 and 2
+    assert preimages == [2 ** k for k in range(8)]
+    assert len(frames) == 1
+    assert residual == [Quadratic(0.1)] * 8
 
 
 def test_close_fixed_points_are_refused_not_merged():
@@ -350,7 +416,7 @@ def test_preimage_starts_cut_the_aberth_steps(monkeypatch):
     log_derivative = census._log_derivative
 
     def counting(*args):
-        steps.append(args[2])
+        steps.append(np.max(args[2]))
         return log_derivative(*args)
 
     monkeypatch.setattr(census, "_log_derivative", counting)
@@ -387,7 +453,7 @@ def test_companion_fixed_points_match_the_spiral_solve(monkeypatch, text):
     p, q = as_rational(spec)
     coeffs, u = census._frame(p, q, deg)
     spiral = census._spiral(deg + 1)
-    assert census._aberth(coeffs, deg, 1, u, spiral, deg + 1) == 0
+    assert census._aberth(coeffs, deg, u, spiral, [(1, deg + 1, deg + 1)]) == [0]
     # the polish of the companion roots converges within two steps
     left = []
     aberth = census._aberth
@@ -399,7 +465,7 @@ def test_companion_fixed_points_match_the_spiral_solve(monkeypatch, text):
     monkeypatch.setattr(census, "_aberth", polish)
     monkeypatch.setattr(census, "ABERTH_MAX_ITERS", 2)
     roots = census._base_fixed_points(coeffs, deg, u, census._forms(coeffs, deg, u))
-    assert left == [0]
+    assert left == [[0]]
     assert roots.size == deg + 1
     # U is unitary, so the chordal metric in w is the one in z
     gap = 2 * np.abs(roots[:, None] - spiral[None, :]) / np.sqrt(
@@ -585,12 +651,14 @@ def test_census_csv_continuum_marker():
 
 
 def count_solves(monkeypatch, solver):
-    """Record every call of the census's private solver ``solver``."""
+    """The orders each call of the census's private solver ``solver``
+    solves: the list it is given, or the order of the one iterate."""
     calls = []
     solve = getattr(census, solver)
 
     def counted(*args):
-        calls.append(args)
+        calls.append(list(args[1]) if solver == "_rational_fixed_points"
+                     else [charts.iterate_base(args[0])[1]])
         return solve(*args)
 
     monkeypatch.setattr(census, solver, counted)
@@ -605,18 +673,20 @@ def test_census_solves_each_order_once(monkeypatch, spec, solver):
     # the growth report and the cross-check each ask for every order
     calls = count_solves(monkeypatch, solver)
     census_csv(spec, 5)
-    assert len(calls) == 5
+    assert sorted(n for orders in calls for n in orders) == [1, 2, 3, 4, 5]
+    # the Aberth orders are solved in one batch, the product orders one by one
+    assert len(calls) == (1 if solver == "_rational_fixed_points" else 5)
 
 
 def test_no_fixed_point_set_outlives_its_census(monkeypatch):
     calls = count_solves(monkeypatch, "_rational_fixed_points")
     first = census_csv(Quadratic(0.1), 3)
     assert census_csv(Quadratic(0.1), 3) == first
-    assert len(calls) == 6
+    assert calls == [[1, 2, 3], [1, 2, 3]]
     assert census._SOLVED.get() is None
     fixed_points(Quadratic(0.1), 3)
     fixed_points(Quadratic(0.1), 3)
-    assert len(calls) == 8
+    assert calls[2:] == [[3], [3]]
 
 
 def test_a_failed_census_leaves_no_fixed_point_sets(monkeypatch):
@@ -632,4 +702,4 @@ def test_a_failed_census_leaves_no_fixed_point_sets(monkeypatch):
     calls = count_solves(monkeypatch, "_rational_fixed_points")
     assert fixed_points(Quadratic(0.1), 1).count == 3
     assert fixed_points(Quadratic(0.1), 1).count == 3
-    assert len(calls) == 2
+    assert calls == [[1], [1]]

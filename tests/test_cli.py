@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 from numpy.polynomial import polynomial as npoly
 
 import sphere_census
@@ -36,6 +37,46 @@ def test_census_incomplete_exits_1_without_csv(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "CensusIncomplete"
+
+
+# each census fails at the order a solve of one order at a time fails at,
+# with the same stderr: a merge at order 8, an Aberth cap at order 2 (order
+# 1 starts from the polished fixed points of f) and a residual at order 1
+@pytest.mark.parametrize("patch, text, n_max, order, message", [
+    ({}, "quad:c=-2+0i", 8, 8,
+     "iter:n=8(quad:c=-2+0i): 1 of 257 approximations merge into another at a "
+     "fixed point of multiplier away from 1"),
+    ({"ABERTH_MAX_ITERS": 1}, "quad:c=0.1+0.0i", 4, 2,
+     "Aberth iteration for 4 fixed points of an iterate of order 2 left 4 "
+     "unconverged after 1 steps"),
+    ({"RESIDUAL_CAP": 0.0}, "quad:c=0.1+0.0i", 8, 1,
+     "quad:c=0.1+0i: 2 of 3 fixed points fail the residual filter"),
+], ids=["merge", "aberth-cap", "residual"])
+@pytest.mark.parametrize("later_error", [False, True], ids=["alone", "later-error"])
+def test_census_fails_at_the_order_that_fails(capsys, monkeypatch, patch, text, n_max,
+                                             order, message, later_error):
+    for name, value in patch.items():
+        monkeypatch.setattr(census, name, value)
+    if later_error:
+        # a non-census error while growing the preimage tree for the next order
+        preimages = census._preimages
+
+        def failing(forms, u, t):
+            if t.size >= 2 ** order:
+                raise RuntimeError("preimage tree")
+            return preimages(forms, u, t)
+
+        monkeypatch.setattr(census, "_preimages", failing)
+    code, out, err = run(capsys, "census", "--map", text, "--n-max", str(n_max))
+    assert (code, out) == (1, "")
+    assert err == json.dumps({"error": "CensusIncomplete", "message": message}) + "\n"
+
+
+def test_strip_index_lifts_a_huge_degree(capsys):
+    # F(x + 1) - F(x) - d is a rounding step of d*x, about 1e-7 at d = 1e9
+    code, out, err = run(capsys, "strip-index", "--map", "power:d=1000000000", "--lift", "0")
+    assert code == 0, err
+    assert json.loads(out)["index"] == 1
 
 
 def test_census_identity_profile_written_piecewise(capsys):

@@ -18,6 +18,7 @@ from sphere_census.charts import (
     parse_map,
 )
 from sphere_census.strip_lift import (
+    LiftDiscontinuity,
     MNotFound,
     StripError,
     StripMap,
@@ -62,6 +63,18 @@ def test_lift_of_power_doubles_x():
     spec = Power(2)
     F = lift(spec, component(spec), k=0)
     assert F(0.37, 0.5)[0] == pytest.approx(0.74)
+
+
+def test_equivariance_allows_rounding_but_not_an_offset(monkeypatch):
+    # at d = 1e9 F(x + 1) - F(x) - d is a rounding step of d*x, about 1e-7:
+    # the lift passes, but one that moves by d + 1e-3 per turn is refused
+    spec = Power(10 ** 9)
+    comp = component(spec)
+    assert lift(spec, comp, k=0).translation_degree == 10 ** 9
+    monkeypatch.setattr(StripMap, "translation_degree",
+                        property(lambda self: self.component.delta + 1e-3))
+    with pytest.raises(LiftDiscontinuity, match="equivariance"):
+        lift(spec, comp, k=0)
 
 
 def test_equivariance_on_random_points():
