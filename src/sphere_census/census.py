@@ -3,36 +3,22 @@ cross-checks tying the annulus machinery to the periodic-point counts.
 
 Counts are of distinct fixed points (no multiplicity).  A map with a product
 view (powers, z^2, the monomials c*z^k, product maps, and their iterates) is
-solved from it: one-dimensional radial fixed latitudes s*, each carrying the
-|d - 1| points of the exact angular congruence, plus the poles the radial
-ends fix.  Other quadratic and rational maps of degree D are solved by
-Aberth-Ehrlich on f^n(z) - z, evaluated through the n-fold recursion of the
-base map without expanding coefficients, and checked against the
-multiplicity sum D^n + 1: approximations merge only at a multiple fixed
-point (multiplier 1).  The D + 1 fixed points of f come from one companion
-eigensolve of det[F(x), x], polished by Aberth-Ehrlich; they start order 1,
-and order n >= 2 starts from the D^n preimages under f^n of the most
-repelling of them, which lie next to the repelling fixed points of f^n on
-the Julia set.  A Moebius map starts from a golden spiral.  On either
-route every point must pass the residual filter; a failure raises
-``CensusIncomplete``, never a short count.  The cross-check's test that the
-poles attract reads a map with a product view off one latitude orbit per
-pole.  One census (``census_csv``) solves each order once: the growth
-report's fixed-point sets serve the cross-check and are dropped when the
-census returns.  Its Aberth orders 1..n_max are solved together, each order
-one block of a single array: every Aberth step walks one jet of f through
-n_max levels, from which the rows of order k leave after level k, while
-the pairwise sums stay within each block, so every approximation moves as
-in a solve of its order alone.  The base fixed points, the preimage tree
-(one level more per order), the multipliers and the residual walk through
-f are likewise made once for all orders.  An order's ``CensusIncomplete``
-stays its own, raised only when that order is asked for.
+solved from it, any other quadratic or rational map by Aberth-Ehrlich on
+f^n(z) - z through the n-fold recursion of the base map.  On either route
+every point must pass the residual filter; a failure raises
+``CensusIncomplete``, never a short count.  A fixed-point set is carried
+from start to end as the (values, north) arrays of ``evaluate_many``: the
+residual walk, the pole filter, the sort by (latitude, angle) and the dedup
+all work on them, through ``chordal_many`` and ``dedup_many``, and
+``FixedPointSet.points`` builds ``SpherePoint``s only for a caller that
+reads them.
 """
 from __future__ import annotations
 
 import contextvars
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,19 +33,24 @@ from .charts import (  # DEGREE_CAP and DegreeCapExceeded are census API too
     Power,
     S_POLE,
     SpherePoint,
+    _angles,
     _shifted,
     anchor_poles,
     as_product_view,
     as_rational,
     check_degree_cap,
     chordal,
-    dedup_points,
+    chordal_many,
+    dedup_many,
     evaluate,
     evaluate_many,
     format_map,
     from_latlon,
+    from_latlon_many,
+    from_pairs,
     is_identity_profile,
     iterate_base,
+    latitudes,
     solve_profile_level,
     wrap_angle,
 )
@@ -95,13 +86,22 @@ class CensusIncomplete(CensusError):
     converge or merge only at multiple fixed points; no count is given."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPointSet:
-    """Distinct fixed points of one iterate; circles of fixed points are
-    flagged as continua rather than counted."""
+    """Distinct fixed points of one iterate, sorted by (latitude, angle), as
+    the arrays ``evaluate_many`` takes: chart coordinates ``values``, and
+    ``north`` True where a coordinate is in the north chart.  Circles of
+    fixed points are flagged as continua rather than counted.  ``points``
+    builds the ``SpherePoint``s only when it is first read."""
 
-    points: tuple[SpherePoint, ...]
+    values: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=complex))
+    north: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     continuum_latitudes: tuple[float, ...] = ()
+
+    @cached_property
+    def points(self) -> tuple[SpherePoint, ...]:
+        return tuple(SpherePoint(v, Chart.NORTH if nor else Chart.SOUTH)
+                     for v, nor in zip(self.values.tolist(), self.north.tolist()))
 
     @property
     def is_continuum(self) -> bool:
@@ -109,7 +109,7 @@ class FixedPointSet:
 
     @property
     def count(self) -> float:
-        return INF if self.is_continuum else float(len(self.points))
+        return INF if self.is_continuum else float(self.values.size)
 
 
 @dataclass
@@ -175,25 +175,25 @@ def _solve(spec: MapSpec, first: int, last: int) -> dict:
 
 
 def _residual_failures(base: MapSpec, points: dict) -> dict:
-    """For each order n, how many of points[n] f^n fails to send within
-    ``RESIDUAL_CAP`` of itself.
+    """For each order n, how many of the points (values, north) = points[n]
+    f^n fails to send within ``RESIDUAL_CAP`` of itself.
 
     One walk through ``evaluate_many(base, ...)`` takes the points of every
     order, each leaving at its own order, so each image has the bits that
     ``evaluate_many`` of f^n gives it.
     """
+    if not points:
+        return {}
     orders = sorted(points)
-    values = np.array([pt.value for n in orders for pt in points[n]], dtype=complex)
-    north = np.array([pt.chart is Chart.NORTH for n in orders for pt in points[n]], dtype=bool)
+    images, image_north = (np.concatenate([points[n][i] for n in orders]) for i in (0, 1))
     failed, level = {}, 0
     for n in orders:
         for _ in range(level, n):
-            values, north = evaluate_many(base, values, north)
-        level, k = n, len(points[n])
-        failed[n] = k - sum(
-            chordal(SpherePoint(v, Chart.NORTH if nor else Chart.SOUTH), pt) < RESIDUAL_CAP
-            for pt, v, nor in zip(points[n], values[:k].tolist(), north[:k].tolist()))
-        values, north = values[k:], north[k:]
+            images, image_north = evaluate_many(base, images, image_north)
+        level, k = n, points[n][0].size
+        failed[n] = int(np.count_nonzero(
+            ~(chordal_many(images[:k], image_north[:k], *points[n]) < RESIDUAL_CAP)))
+        images, image_north = images[k:], image_north[k:]
     return failed
 
 
@@ -204,16 +204,10 @@ def _residual_error(spec: MapSpec, failed: int, total: int) -> CensusIncomplete:
 
 def _rational_fixed_points(base: MapSpec, orders: list[int]) -> dict:
     """Fixed points of f^n for each n in ``orders`` (ascending), f a
-    quadratic or rational map of degree D, keyed by n: the set, or the
-    error that refuses it.
-
-    Unless f^n is the identity they number D^n + 1 with multiplicity.  The
-    poles fixed exactly are kept as they are; Aberth-Ehrlich finds the
-    others, which must all pass the residual filter, and two of them may
-    merge only where the multiplier of f^n is within MULTIPLE_TOL of 1.
-    The orders are solved together; should that raise, they are solved one
-    at a time, so each error is the result of the order that raises it.
-    """
+    quadratic or rational map, keyed by n: the set, or the error that
+    refuses it.  The orders are solved together; should that raise, they are
+    solved one at a time, so each error is the result of the order that
+    raises it."""
     try:
         return _rational_orders(base, orders)
     except Exception as exc:  # raised again where ``fixed_points`` asks for its order
@@ -232,7 +226,7 @@ def _rational_orders(base: MapSpec, orders: list[int]) -> dict:
         # a Moebius iterate other than the identity fixes what f fixes (the
         # eigenvectors of its matrix), and f^n itself may be too expanding
         # for the residual filter
-        continua = {n: FixedPointSet(points=(), continuum_latitudes=(0.0,))
+        continua = {n: FixedPointSet(continuum_latitudes=(0.0,))
                     for n in orders if _mobius_identity(p, q, n)}
     solve = sorted({1 if deg == 1 else n for n in orders if n not in continua})
     poles = {n: [] for n in solve}
@@ -243,7 +237,7 @@ def _rational_orders(base: MapSpec, orders: list[int]) -> dict:
             if n in poles and image == pole:
                 poles[n].append(pole)
     approx = _aberth_fixed_points(p, q, deg, poles)
-    failed = _residual_failures(base, {n: got[0] for n, got in approx.items()
+    failed = _residual_failures(base, {n: got[:2] for n, got in approx.items()
                                        if not isinstance(got, CensusError)})
     found = {}
     for n, got in approx.items():
@@ -258,23 +252,30 @@ def _rational_orders(base: MapSpec, orders: list[int]) -> dict:
             for n in orders}
 
 
-def _merged(iterate: MapSpec, approx, multipliers, poles, total: int):
+def _merged(iterate: MapSpec, values, north, multipliers, poles, total: int):
     """The fixed points of ``iterate`` from its exact poles and the Aberth
-    approximations, or the ``CensusIncomplete`` that refuses them."""
-    # an approximation of a multiple fixed point at a pole merges into the pole
-    found = dedup_points(sorted([pt for pt in approx if all(
-        chordal(pt, pole) > DEDUP_RADIUS for pole in poles)] + poles, key=_sort_key),
-        DEDUP_RADIUS)
-    # approximations merge only where the fixed point is multiple
-    found_ids = {id(pt) for pt in found}
-    simple = sum(abs(lam - 1.0) > MULTIPLE_TOL
-                 for pt, lam in zip(approx, multipliers.tolist()) if id(pt) not in found_ids)
+    approximations (values, north), or the ``CensusIncomplete`` that refuses
+    them: two approximations may merge only where the multiplier of f^n is
+    within MULTIPLE_TOL of 1."""
+    # the exact poles (0 in the chart of each) go first, so that an
+    # approximation of a multiple fixed point at a pole merges into the pole;
+    # the others by (latitude, angle)
+    order = np.lexsort((_angles(values, north), latitudes(values, north)))
+    ends = np.array([pole.chart is Chart.NORTH for pole in poles], dtype=bool)
+    values = np.concatenate([np.zeros(ends.size, dtype=complex), values[order]])
+    north = np.concatenate([ends, north[order]])
+    kept = dedup_many(values, north, DEDUP_RADIUS)
+    merged = np.ones(values.size, dtype=bool)
+    merged[kept] = False
+    shift = multipliers[order] - 1.0
+    simple = np.count_nonzero(
+        merged[ends.size:] & (np.hypot(shift.real, shift.imag) > MULTIPLE_TOL))
     if simple:
         return CensusIncomplete(
             f"{format_map(iterate)}: {simple} of {total} approximations merge "
             f"into another at a fixed point of multiplier away from 1"
         )
-    return FixedPointSet(points=tuple(found))
+    return _sorted_set(values[kept], north[kept])
 
 
 def _mobius_identity(p, q, n: int) -> bool:
@@ -292,19 +293,18 @@ def _mobius_identity(p, q, n: int) -> bool:
 
 def _aberth_fixed_points(p, q, deg: int, poles: dict) -> dict:
     """For each order n of ``poles``, keyed by n: the D^n + 1 - len(poles[n])
-    fixed points of f^n other than poles[n] and the multiplier of f^n at
-    each, or the ``CensusIncomplete`` for approximations left unconverged.
+    fixed points of f^n other than poles[n], as (values, north, multipliers)
+    with the multiplier of f^n at each, or the ``CensusIncomplete`` for
+    approximations left unconverged.
 
     Aberth-Ehrlich on G(w) = y1 - w y2, where (y1 : y2) is f^n at w after a
     fixed unitary change of coordinates U, so no root sits at w = infinity.
     Up to the constant det U, G = det[F^n(x), x] with x = U (w, 1) and F the
     homogeneous form of f; G and G' come from the n-fold recursion of F with
     the chain rule, and the coefficients of G are never formed.  The exact
-    poles take part in the pairwise sums as fixed roots.  Order 1 starts
-    from the fixed points of f, read off one companion eigensolve, order
-    n >= 2 from the preimage tree of the most repelling of them
-    (``_starts``).  Each order is one block of a single array, and one
-    ``_aberth`` run and one jet of multipliers serve every block.
+    poles take part in the pairwise sums as fixed roots.  Each order is one
+    block of a single array, started by ``_starts``, and one ``_aberth`` run
+    and one jet of multipliers serve every block.
     """
     if not poles:
         return {}
@@ -332,14 +332,10 @@ def _aberth_fixed_points(p, q, deg: int, poles: dict) -> dict:
         rows = np.concatenate(list(roots.values()))
         lam = _multipliers(coeffs, deg, np.repeat(list(roots), [r.size for r in roots.values()]),
                            u, rows)
-        a = u[0, 0] * rows + u[0, 1]
-        b = u[1, 0] * rows + u[1, 1]
-        points = [SpherePoint(x / y, Chart.NORTH) if abs(x) <= abs(y)
-                  else SpherePoint(y / x, Chart.SOUTH)
-                  for x, y in zip(a.tolist(), b.tolist())]
+        values, north = from_pairs(u[0, 0] * rows + u[0, 1], u[1, 0] * rows + u[1, 1])
         lo = 0
         for n, r in roots.items():
-            found[n] = points[lo:lo + r.size], lam[lo:lo + r.size]
+            found[n] = values[lo:lo + r.size], north[lo:lo + r.size], lam[lo:lo + r.size]
             lo += r.size
     return found
 
@@ -586,13 +582,11 @@ def _product_fixed_points(spec: MapSpec, view) -> FixedPointSet:
     radial ends fix, and on each fixed latitude s* the |d - 1| points
     theta = (2 pi k - h(s*)) / (d - 1), distinct by construction."""
     d = view.angular_degree
-    pts: list[SpherePoint] = []
-    continua: list[float] = []
     lo, hi = view.radial.end_limits()
-    if lo == -INF:
-        pts.append(S_POLE)
-    if hi == INF:
-        pts.append(N_POLE)
+    # the latitude and angle of every point, the poles the radial ends fix first
+    lats = [np.array([-INF] * (lo == -INF) + [INF] * (hi == INF))]
+    angles = [np.zeros(lats[0].size)]
+    continua: list[float] = []
     shifted = _shifted(view.radial)
     if is_identity_profile(view.radial) or _is_plateau(shifted):
         # the radial coordinate is fixed at every latitude: fixed points form
@@ -600,25 +594,26 @@ def _product_fixed_points(spec: MapSpec, view) -> FixedPointSet:
         if d == 1:
             # the wrapped twist also changes sign where it jumps from pi to
             # -pi: those roots are not fixed circles
-            lats = tuple(
+            continua = [
                 s for s in solve_profile_level(_mod_twist(view.twist), 0.0)
                 if abs(wrap_angle(view.twist(s))) <= math.pi / 2
-            ) or ((0.0,) if abs(wrap_angle(view.twist(0.0))) < 1e-9 else ())
+            ] or ([0.0] if abs(wrap_angle(view.twist(0.0))) < 1e-9 else [])
         else:
-            lats = (0.0,)
-        return FixedPointSet(points=tuple(pts), continuum_latitudes=lats)
+            continua = [0.0]
+        return _sorted_set(*from_latlon_many(lats[0], angles[0]), continua)
     for s in solve_profile_level(shifted, 0.0, grid=10000):
         h = view.twist(s)
         if d == 1:
             if abs(wrap_angle(h)) < 1e-9:
                 continua.append(s)
             continue
-        pts += [from_latlon(s, (2 * math.pi * k - h) / (d - 1)) for k in range(abs(d - 1))]
-    failed = _residual_failures(spec, {1: pts})[1]
+        lats.append(np.full(abs(d - 1), s))
+        angles.append((2 * math.pi * np.arange(abs(d - 1)) - h) / (d - 1))
+    values, north = from_latlon_many(np.concatenate(lats), np.concatenate(angles))
+    failed = _residual_failures(spec, {1: (values, north)})[1]
     if failed:
-        raise _residual_error(spec, failed, len(pts))
-    return FixedPointSet(points=tuple(sorted(pts, key=_sort_key)),
-                         continuum_latitudes=tuple(continua))
+        raise _residual_error(spec, failed, values.size)
+    return _sorted_set(values, north, continua)
 
 
 def _is_plateau(shifted) -> bool:
@@ -646,8 +641,10 @@ class _mod_twist:
         return ()
 
 
-def _sort_key(p: SpherePoint) -> tuple[float, float]:
-    return (p.latitude(), p.angle())
+def _sorted_set(values: np.ndarray, north: np.ndarray, continua=()) -> FixedPointSet:
+    """The set of the points (values, north), sorted by (latitude, angle)."""
+    order = np.lexsort((_angles(values, north), latitudes(values, north)))
+    return FixedPointSet(values[order], north[order], tuple(continua))
 
 
 # ---------------------------------------------------------------------------
@@ -750,9 +747,8 @@ def poles_attracting(spec: MapSpec) -> bool:
         starts = [pole.value + 0.05 * math.e ** complex(0, rng.uniform(0, 2 * math.pi))
                   for _ in range(20)]
         ends, north = evaluate_many(orbit, starts, pole.chart is Chart.NORTH)
-        for v, n in zip(ends.tolist(), north.tolist()):
-            if chordal(SpherePoint(v, Chart.NORTH if n else Chart.SOUTH), pole) > 1e-3:
-                return False
+        if (chordal_many(ends, north, pole.value, pole.chart is Chart.NORTH) > 1e-3).any():
+            return False
     return True
 
 

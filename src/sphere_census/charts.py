@@ -10,7 +10,6 @@ All types are immutable; evaluation is pure.
 """
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 import re
@@ -143,37 +142,58 @@ def chordal(p: SpherePoint, q: SpherePoint) -> float:
     return num / den
 
 
+def chordal_many(v1, north1, v2, north2) -> np.ndarray:
+    """``chordal`` of each pair of points, bit for bit; the (values, north)
+    arguments broadcast."""
+    a1, b1, norm1 = _projective(v1, north1)
+    a2, b2, norm2 = _projective(v2, north2)
+    cross = _cmul(a1, b2) - _cmul(a2, b1)
+    return 2.0 * np.hypot(cross.real, cross.imag) / (norm1 * norm2)
+
+
+def _projective(values, north):
+    """The pair (a, b) with z = a/b that ``chordal`` forms, north (z, 1) and
+    south (1, w), and its norm: ``abs`` is C hypot, as numpy's is, but
+    ``math.hypot`` rounds apart from both, so the norm goes through libm."""
+    a, b = np.where(north, values, 1.0), np.where(north, 1.0, values)
+    return a, b, _libm(math.hypot, np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))
+
+
 # Chordal distance is at least the difference of sphere heights tanh(s); the
 # slack covers rounding in both, so a pair outside a height window of r + slack
 # is farther than r apart as computed by ``chordal`` too.
 _HEIGHT_SLACK = 1e-12
 
 
-def _height(p: SpherePoint) -> float:
-    """Height of p on the unit sphere, tanh(latitude), in [-1, 1]."""
-    return math.tanh(p.latitude())
+def dedup_many(values: np.ndarray, north: np.ndarray, radius: float) -> np.ndarray:
+    """Indices, ascending, of the points farther than ``radius`` (chordal)
+    from every earlier kept one.  Sorted by height, each point is measured
+    only against the later ones in its height window, the t-th later one of
+    every point in one batch; each close pair then drops its later point,
+    in input order, where the earlier one is kept."""
+    heights = _libm(math.tanh, latitudes(values, north))
+    order = np.argsort(heights)
+    reach = np.searchsorted(heights[order], heights[order] + (radius + _HEIGHT_SLACK),
+                            side="right") - np.arange(values.size)
+    close = []
+    for t in range(1, int(reach.max(initial=0))):
+        first = np.flatnonzero(reach > t)
+        i, j = order[first], order[first + t]
+        near = ~(chordal_many(values[i], north[i], values[j], north[j]) > radius)
+        close += zip(np.maximum(i, j)[near].tolist(), np.minimum(i, j)[near].tolist())
+    keep = np.ones(values.size, dtype=bool)
+    for later, earlier in sorted(close):
+        if keep[earlier]:
+            keep[later] = False
+    return np.flatnonzero(keep)
 
 
 def dedup_points(points, radius: float) -> list[SpherePoint]:
-    """Points farther than ``radius`` (chordal) from every earlier kept one.
-
-    Kept points are held sorted by height, so each point is compared only
-    with the kept ones inside its height window.
-    """
-    kept: list[SpherePoint] = []
-    heights: list[float] = []
-    by_height: list[SpherePoint] = []
-    window = radius + _HEIGHT_SLACK
-    for p in points:
-        h = _height(p)
-        lo = bisect.bisect_left(heights, h - window)
-        hi = bisect.bisect_right(heights, h + window)
-        if all(chordal(p, other) > radius for other in by_height[lo:hi]):
-            at = bisect.bisect_right(heights, h)
-            heights.insert(at, h)
-            by_height.insert(at, p)
-            kept.append(p)
-    return kept
+    """``dedup_many`` on a sequence of ``SpherePoint``s: the kept ones."""
+    points = list(points)
+    kept = dedup_many(np.array([p.value for p in points], dtype=complex),
+                      np.array([p.chart is Chart.NORTH for p in points], dtype=bool), radius)
+    return [points[i] for i in kept.tolist()]
 
 
 def wrap_angle(a):
@@ -390,15 +410,15 @@ def _ramp_many(t: np.ndarray, v0: float, v1: float) -> np.ndarray:
 
 
 def _libm(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
-    """A ``math`` function applied elementwise to 1-D arrays.
+    """A ``math`` function applied elementwise to arrays of one shape.
 
     numpy's vectorised log, exp, tanh, log1p and arctan2 differ from libm
     in the last bit on some inputs; a latitude one ulp off can flip a
     repelling or level-set test, so the batch calls libm like the scalar
     path does.
     """
-    return np.fromiter(map(fn, *(a.tolist() for a in args)), dtype=float,
-                       count=args[0].size)
+    return np.fromiter(map(fn, *(a.ravel().tolist() for a in args)), dtype=float,
+                       count=args[0].size).reshape(args[0].shape)
 
 
 def _on_finite(profile, s: np.ndarray, fn) -> np.ndarray:
@@ -898,31 +918,35 @@ def _rational_many(p_coeffs, q_coeffs, v: np.ndarray, north: np.ndarray):
     b[south] = _cpolyval(v[south], rev_q)
     if ((a == 0) & (b == 0)).any():
         raise OverflowAtChartBoundary("0/0 in rational evaluation")
-    flip = np.hypot(a.real, a.imag) > np.hypot(b.real, b.imag)
-    out = np.empty_like(v)
-    out[flip] = _cdiv(b[flip], a[flip])
-    out[~flip] = _cdiv(a[~flip], b[~flip])
-    return out, ~flip
+    return from_pairs(a, b)
+
+
+def from_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The chart point of each projective pair (a : b), as (values, north):
+    a/b in the north chart unless |a| > |b|, else b/a in the south chart."""
+    north = ~(np.hypot(a.real, a.imag) > np.hypot(b.real, b.imag))
+    return _cdiv(np.where(north, a, b), np.where(north, b, a)), north
+
+
+def from_latlon_many(s: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``from_latlon`` of each (s, theta), as (values, north); s = -inf and
+    +inf are S = (0, north) and N = (0, south), whatever theta is."""
+    north = s <= 0
+    out = np.zeros(s.shape, dtype=complex)
+    m = ~np.isinf(s)
+    x, y = np.where(north, s, -s)[m], np.where(north, theta, -theta)[m]
+    mag = _libm(math.exp, x)  # cmath.exp(x + iy) = exp(x) (cos y + i sin y), x <= 0
+    out[m] = _pack(mag * _libm(math.cos, y), mag * _libm(math.sin, y))
+    return out, north
 
 
 def _product_many(spec: ProductMap, v: np.ndarray, north: np.ndarray):
     s = latitudes(v, north)
-    theta = _angles(v, north)
     s_out = spec.radial.many(s)
-    # infinite radial images are the poles S = (0, north) and N = (0, south)
-    out = np.zeros_like(v)
-    out_north = s_out < 0
-    m = ~np.isinf(s_out)
-    s_fin = s_out[m]
-    ang = spec.angular_degree * theta[m] + spec.twist.many(s[m])
-    low = s_fin <= 0
-    x = np.where(low, s_fin, -s_fin)
-    y = np.where(low, ang, -ang)
-    # cmath.exp(x + iy) = exp(x) * (cos y + i sin y); here x <= 0
-    mag = _libm(math.exp, x)
-    out[m] = _pack(mag * _libm(math.cos, y), mag * _libm(math.sin, y))
-    out_north[m] = low
-    return out, out_north
+    theta = np.zeros_like(s)
+    m = ~np.isinf(s_out)     # an infinite radial image is a pole: no angle
+    theta[m] = spec.angular_degree * _angles(v, north)[m] + spec.twist.many(s[m])
+    return from_latlon_many(s_out, theta)
 
 
 def as_plane_map(spec: MapSpec, chart: Chart = Chart.NORTH) -> Callable[[complex], complex]:

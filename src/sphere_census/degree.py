@@ -218,9 +218,15 @@ def global_degree(
     When y is omitted it is drawn from a seeded pseudo-random sequence,
     rejecting values whose preimages cluster too tightly.  A mismatch with
     the declared degree is fatal.  A power, quadratic or rational map of
-    degree over ``DEGREE_CAP`` is refused before any solve.
+    degree over ``DEGREE_CAP`` is refused before any solve, and so is a
+    product view of angular degree over it: every level solution carries
+    |d| preimages, each wound once.
     """
     check_degree_cap(spec, 1)
+    view = as_product_view(spec)
+    if view is not None and abs(view.angular_degree) > charts.DEGREE_CAP:
+        raise charts.DegreeCapExceeded(
+            f"angular degree {view.angular_degree} exceeds {charts.DEGREE_CAP}")
     if y is not None:
         report = _degree_at(spec, y)
     else:

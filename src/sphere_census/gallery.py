@@ -23,6 +23,7 @@ from .charts import (
     ProductMap,
     Quadratic,
     RationalPair,
+    latitudes,
 )
 from .lefschetz import Rect, RectCertificate
 from .winding import SampledCurve, concatenate, winding_number
@@ -74,7 +75,8 @@ class CriterionResult:
 
 def _interior_count(spec: MapSpec, s_lo: float, s_hi: float) -> int:
     fps = census.fixed_points(spec, 1)
-    return sum(1 for p in fps.points if s_lo < p.latitude() < s_hi)
+    lat = latitudes(fps.values, fps.north)
+    return int(np.count_nonzero((s_lo < lat) & (lat < s_hi)))
 
 
 def check_counterexample_census() -> tuple[bool, str]:

@@ -32,6 +32,7 @@ from sphere_census.charts import (
     S_POLE,
     SpherePoint,
     as_rational,
+    chart_values,
     chordal,
     evaluate,
     to_chart,
@@ -112,9 +113,9 @@ def test_multipliers_match_the_derivative():
     p, q = as_rational(Quadratic(0.1))
     solved = census._aberth_fixed_points(p, q, 2, {1: [N_POLE], 2: [N_POLE]})
     for n in (1, 2):
-        points, lam = solved[n]
-        for pt, got in zip(points, lam.tolist()):
-            z, want = to_chart(pt, Chart.NORTH).value, 1.0
+        values, north, lam = solved[n]
+        for z, got in zip(chart_values(values, north, Chart.NORTH).tolist(), lam.tolist()):
+            want = 1.0
             for _ in range(n):
                 want, z = want * 2 * z, z * z + 0.1
             assert abs(got - want) < 1e-9 * abs(want)
@@ -127,9 +128,8 @@ def merge_two_approximations(monkeypatch):
 
     def twice(*args):
         found = solve(*args)
-        for points, lam in found.values():
-            points[-1] = SpherePoint(points[0].value, points[0].chart)
-            lam[-1] = lam[0]
+        for values, north, lam in found.values():
+            values[-1], north[-1], lam[-1] = values[0], north[0], lam[0]
         return found
 
     monkeypatch.setattr(census, "_aberth_fixed_points", twice)
@@ -511,6 +511,37 @@ def test_monotone_consistency():
             large = fixed_points(spec, 2 * n).points
             for p in small:
                 assert min(chordal(p, q) for q in large) < 1e-6
+
+
+@pytest.mark.parametrize("spec", [
+    RationalPair((1, 2), (3, 1)), CUBIC, Quadratic(0.25), Power(-2),
+    ProductMap(AffineProfile(2.0, 0.0), 3),
+])
+def test_fixed_point_sets_are_sorted_chart_arrays(spec):
+    # with or without a fixed pole, a set is the (values, north) pair of
+    # evaluate_many, sorted by (latitude, angle), and its points are read off it
+    for n in (1, 2):
+        fps = fixed_points(spec, n)
+        assert fps.values.dtype == complex and fps.north.dtype == bool
+        keys = [(p.latitude(), p.angle()) for p in fps.points]
+        assert keys == sorted(keys)
+        assert [(p.value, p.chart is Chart.NORTH) for p in fps.points] == list(
+            zip(fps.values.tolist(), fps.north.tolist()))
+
+
+def test_census_builds_no_point_it_does_not_print(monkeypatch):
+    # the census carries its points as arrays: the 16,411 points of every
+    # order's approximations, images and merges are never built one by one
+    made = []
+    init = SpherePoint.__post_init__
+
+    def counting(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(SpherePoint, "__post_init__", counting)
+    assert census_csv(Quadratic(0.1), 12).splitlines()[-1].startswith("12,4097,")
+    assert len(made) < 100
 
 
 def test_degree_cap():

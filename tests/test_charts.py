@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sphere_census.census import _mod_twist
 from sphere_census.charts import (
     AffineProfile,
+    CHART_OVERFLOW,
     Chart,
     Iterate,
     N_POLE,
@@ -32,6 +33,7 @@ from sphere_census.charts import (
     as_product_view,
     as_rational,
     chordal,
+    chordal_many,
     dedup_points,
     evaluate,
     evaluate_many,
@@ -298,6 +300,44 @@ def test_profile_many_matches_call(profile, ss):
     assert got == want or np.array_equal(got, want, equal_nan=True)
 
 
+# coordinates of either chart out to the cap, with the poles, and a second
+# point that is free, within 1e-9 of the first, or the first's other-chart
+# coordinate moved by as little
+chart_coordinates = st.one_of(
+    st.sampled_from([0j, complex(CHART_OVERFLOW), 1 + 0j]),
+    st.builds(lambda m, a: 10.0 ** m * cmath.exp(1j * a),
+              st.floats(-8.0, 7.999), st.floats(0.0, 2 * math.pi)),
+)
+
+
+@st.composite
+def point_pairs(draw):
+    z, north = draw(chart_coordinates), draw(st.booleans())
+    kind = draw(st.sampled_from(["free", "near", "other chart"]))
+    if kind == "free":
+        return z, north, draw(chart_coordinates), draw(st.booleans())
+    eps = draw(st.sampled_from([0.0, 1e-17, 1e-13, 1e-9])) * cmath.exp(
+        1j * draw(st.floats(0.0, 2 * math.pi)))
+    if kind == "near":
+        return z, north, z + eps, north
+    return z, north, (1 / z if abs(z) >= 1 / CHART_OVERFLOW else 0j) + eps, not north
+
+
+@given(pairs=st.lists(point_pairs(), min_size=1, max_size=8))
+# chart norms where math.hypot and numpy's hypot round apart
+@example(pairs=[(-2.50075149791556 - 1.0800597973040416j, True,
+                 0.060355688296061825 - 0.2116537347695932j, False)])
+def test_chordal_many_matches_chordal(pairs):
+    v1, n1, v2, n2 = (np.array(col) for col in zip(*pairs))
+    p = [SpherePoint(z, Chart.NORTH if n else Chart.SOUTH) for z, n in zip(v1, n1)]
+    q = [SpherePoint(z, Chart.NORTH if n else Chart.SOUTH) for z, n in zip(v2, n2)]
+    # the batch repeats the scalar arithmetic, so the distances are identical
+    assert chordal_many(v1, n1, v2, n2).tolist() == [chordal(a, b) for a, b in zip(p, q)]
+    for pole in (S_POLE, N_POLE):
+        got = chordal_many(v1, n1, pole.value, pole.chart is Chart.NORTH)
+        assert got.tolist() == [chordal(a, pole) for a in p]
+
+
 def dedup_all_pairs(points, radius):
     """The greedy quadratic loop the height sweep replaced."""
     kept = []
@@ -324,7 +364,21 @@ clustered_points = st.lists(coordinates, min_size=1, max_size=4).flatmap(
     ), max_size=30))
 
 
-@given(points=clustered_points, radius=st.sampled_from([1e-7, 1e-6, 1e-4, 0.3]))
+# many points at one height, as a product map's preimages of one value lie:
+# |d| angles evenly spaced on a latitude, a few of them again one turn on, on
+# one latitude or on two nearby ones
+ring_points = st.builds(
+    lambda s, shifts, d, t, again: [from_latlon(s + ds, (t + 2 * math.pi * k) / d)
+                                    for ds in shifts for k in [*range(abs(d)), *again]],
+    st.floats(-3.0, 3.0), st.lists(st.sampled_from([0.0, 1e-7, 1e-4, 0.2]), min_size=1,
+                                   max_size=2),
+    st.integers(-60, 60).filter(bool), st.floats(0.0, 2 * math.pi),
+    st.lists(st.integers(0, 120), max_size=3),
+)
+
+
+@given(points=st.one_of(clustered_points, ring_points),
+       radius=st.sampled_from([1e-7, 1e-6, 1e-4, 0.3]))
 def test_dedup_sweep_matches_all_pairs(points, radius):
     assert dedup_points(points, radius) == dedup_all_pairs(points, radius)
 

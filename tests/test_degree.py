@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from sphere_census import annuli
+from sphere_census import annuli, degree
 from sphere_census.charts import (
     AffineProfile,
     Chart,
@@ -182,6 +182,17 @@ def test_global_degree_refuses_the_degree_cap_before_any_solve(monkeypatch, spec
     monkeypatch.setattr(npoly, "polyroots", forbidden)
     with pytest.raises(DegreeCapExceeded, match="exceeds 4096"):
         global_degree(spec)
+
+
+def test_global_degree_refuses_a_product_view_over_the_cap(monkeypatch):
+    # no cap on the census's product route, but each of the |d| preimages of
+    # a level solution is wound: d = 5000 ran for minutes before the cap
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved a map over the degree cap")
+
+    monkeypatch.setattr(degree, "find_preimages", forbidden)
+    with pytest.raises(DegreeCapExceeded, match="angular degree 5000 exceeds 4096"):
+        global_degree(ProductMap(AffineProfile(5000.0, 0.0), 5000))
 
 
 # ---------------------------------------------------------------------------
