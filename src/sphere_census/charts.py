@@ -949,13 +949,16 @@ def _product_many(spec: ProductMap, v: np.ndarray, north: np.ndarray):
     return from_latlon_many(s_out, theta)
 
 
-def as_plane_map(spec: MapSpec, chart: Chart = Chart.NORTH) -> Callable[[complex], complex]:
-    """The map in one chart's coordinate as a plane function z -> f(z)."""
+def curve_image(spec: MapSpec, curve, target: Chart) -> tuple[list, Callable[[float], complex]]:
+    """The image of a sampled curve in the target chart: one ``evaluate_many``
+    batch of its ``points`` (read in its ``chart``), and the scalar image at a
+    curve parameter, through ``point_at``, for refinement."""
 
-    def fn(z: complex) -> complex:
-        return chart_value(evaluate(spec, SpherePoint(z, chart)), chart)
+    def image_at(t: float) -> complex:
+        return chart_value(evaluate(spec, SpherePoint(curve.point_at(t), curve.chart)), target)
 
-    return fn
+    values, north = evaluate_many(spec, curve.points, curve.chart is Chart.NORTH)
+    return chart_values(values, north, target).tolist(), image_at
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Subcommands: census, degree, index, annuli, strip-index, check-h, gallery.
 Structured reports are JSON (CSV for the census table); identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1
-analysis failure, 2 parse/usage error (a map spec, an --n-max below 1, a
---value past the chart cap, a missing, malformed or non-finite curve
-fixture); errors go to stderr as JSON.  The parser is built once per process.
+analysis failure, 2 parse/usage error (a usage error, a map spec, an
+--n-max below 1, a --value past the chart cap, a missing, malformed or
+non-finite curve fixture, or one with a row past the chart cap); errors go
+to stderr as JSON.  The parser is built once per process.
 """
 from __future__ import annotations
 
@@ -105,6 +106,10 @@ def cmd_index(args) -> int:
         curve = load_curve_csv(Path(args.curve).read_text())
     except (OSError, ValueError) as exc:
         raise ParseError(f"curve {args.curve!r}: {exc}") from exc
+    for z in curve.points:
+        if abs(z) > CHART_OVERFLOW:
+            raise ParseError(f"curve {args.curve!r}: row {z.real:.12g},{z.imag:.12g} "
+                             f"is past the chart cap |z| <= {CHART_OVERFLOW:g}")
     idx = lefschetz_index(spec, curve)
     _json_out({"index": idx, "map": format_map(spec), "samples": len(curve.points)})
     return 0
@@ -174,9 +179,16 @@ def cmd_gallery(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``ParseError``, which ``main`` prints as JSON."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sphere-census",
         description="Fixed-point counting machinery for closed-form sphere maps",
     )
@@ -219,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ParseError as exc:
         return _fail(exc, code=2)

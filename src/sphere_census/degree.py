@@ -19,16 +19,16 @@ from . import charts
 from .charts import (
     Chart,
     MapSpec,
+    PoleHasNoCoordinate,
     SpherePoint,
     as_product_view,
     as_rational,
     chart_value,
-    chart_values,
     check_degree_cap,
     chordal,
+    curve_image,
     dedup_points,
     evaluate,
-    evaluate_many,
     from_latlon,
     iterate_base,
     solve_profile_level,
@@ -193,19 +193,10 @@ def local_degree(spec: MapSpec, x: SpherePoint, y: SpherePoint, radius: float) -
 
 
 def image_curve(spec: MapSpec, curve: SampledCurve, target: Chart) -> SampledCurve:
-    """The image of a sampled curve in the target chart.
-
-    The samples are mapped in one batch; refinement maps parameter
-    midpoints one at a time through the curve's own parameterization.
-    """
-
-    def image_value(t: float) -> complex:
-        p = SpherePoint(curve.point_at(t), curve.chart)
-        return chart_value(evaluate(spec, p), target)
-
-    imgs = evaluate_many(spec, curve.points, curve.chart is Chart.NORTH)
-    pts = tuple(chart_values(*imgs, target).tolist())
-    return SampledCurve(pts, target, param_fn=image_value, params=curve.params)
+    """The image of a sampled curve in the target chart, as ``curve_image``
+    maps it: refinement maps parameter midpoints one at a time."""
+    points, image_at = curve_image(spec, curve, target)
+    return SampledCurve(tuple(points), target, param_fn=image_at, params=curve.params)
 
 
 def global_degree(
@@ -279,30 +270,21 @@ def witness_radius(preimages) -> float:
 def annular_degree(spec: MapSpec, core: SampledCurve) -> int:
     """Action of the map on the annulus first homology along a core circle.
 
-    Computed as the winding of the image of the core about the S coordinate
-    in the north chart.  The core must be essential and its image must stay
-    away from both poles; an image constant on the sample grid has degree 0,
-    unless it winds between the samples (ValueError: resample denser).
+    Computed as the winding of the ``curve_image`` of the core about the S
+    coordinate in the north chart.  The core must be essential and its image
+    must stay away from both poles; an image constant on the sample grid has
+    degree 0, unless it winds between the samples (ValueError: resample denser).
     """
     if not is_essential(core):
         raise ValueError("core circle is not essential")
-
-    def image_value(t: float) -> complex:
-        p = SpherePoint(core.point_at(t), core.chart)
-        return chart_value(evaluate(spec, p), Chart.NORTH)
-
-    vals, north = evaluate_many(
-        spec, [core.point_at(t) for t in core.params], core.chart is Chart.NORTH
-    )
-    pole = vals == 0
-    arr = np.zeros_like(vals)
-    arr[~pole] = chart_values(vals[~pole], north[~pole], Chart.NORTH)
-    mag = np.hypot(arr.real, arr.imag)
-    bad = pole | ~((1e-6 < mag) & (mag < 1e6))
-    if bad.any():
-        t = core.params[int(np.argmax(bad))]
-        raise ImageHitsPole(f"core image at parameter {t:.4f} is near a pole")
-    return winding_about_zero(arr.tolist(), image_value, core.params, 1e-9)
+    try:
+        image, image_at = curve_image(spec, core, Chart.NORTH)
+    except PoleHasNoCoordinate as exc:
+        raise ImageHitsPole("core image passes through N") from exc
+    for t, z in zip(core.params, image):
+        if not 1e-6 < abs(z) < 1e6:
+            raise ImageHitsPole(f"core image at parameter {t:.4f} is near a pole")
+    return winding_about_zero(image, image_at, core.params, 1e-9)
 
 
 # ---------------------------------------------------------------------------

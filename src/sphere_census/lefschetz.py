@@ -3,14 +3,16 @@
 The index of a map f along gamma is the winding number of the displacement
 field x -> f(gamma(x)) - gamma(x) about the origin; when it is nonzero a
 fixed point exists in the region the curve bounds (a field constant on the
-sample grid goes through the alias probe of ``winding_about_zero``).  The
+sample grid goes through the alias probe of ``winding_about_zero``).  A map
+spec's samples are mapped in one ``charts.curve_image`` batch, the image
+routine ``degree`` winds too; a plane function is called per sample.  The
 four canonical boundary-behavior patterns on an axis-aligned rectangle
 certify the index (+1 for fully expanding or fully contracting sides, -1
 for the two mixed saddle patterns), and the numeric integrator is checked
 against each certificate rather than trusted.  ``fixed_point_in`` finds the fixed point
 that carries a rectangle's index by one Newton polish, checked by the index
 of a small square about it; the gallery and the tests use it, while strip
-lifts read theirs off the product view.
+lifts read theirs off the product view.  Both take plane functions only.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .charts import Chart, MapSpec, as_plane_map
+from .charts import MapSpec, curve_image
 from .winding import PointOnCurve, SampledCurve, curve_diameter, winding_about_zero
 
 PlaneMap = Callable[[complex], complex]
@@ -34,23 +36,22 @@ class CertificateIndexMismatch(Exception):
     """A certified rectangle disagreed with the numeric index: integrator bug."""
 
 
-def _plane(f: Union[MapSpec, PlaneMap], chart: Chart = Chart.NORTH) -> PlaneMap:
-    return f if callable(f) else as_plane_map(f, chart)
-
-
 def lefschetz_index(f: Union[MapSpec, PlaneMap], curve: SampledCurve) -> int:
     """Winding of the displacement field of f along the curve, about 0; a
-    map spec is read in the curve's chart.  A field constant on the sample
-    grid has index 0, unless it winds between the samples: then ValueError
-    asks for a denser curve."""
-    fn = _plane(f, curve.chart)
+    map spec is read in the curve's chart, its samples mapped in one batch.
+    A field constant on the sample grid has index 0, unless it winds between
+    the samples: then ValueError asks for a denser curve."""
+    if callable(f):
+        images = [f(z) for z in curve.points]
+        image_at = lambda t: f(curve.point_at(t))
+    else:
+        images, image_at = curve_image(f, curve, curve.chart)
 
     def disp_at(t: float) -> complex:
-        z = curve.point_at(t)
-        return fn(z) - z
+        return image_at(t) - curve.point_at(t)
 
     diam = curve_diameter(curve.points)
-    disp = [fn(z) - z for z in curve.points]
+    disp = [w - z for w, z in zip(images, curve.points)]
     low = min(abs(d) for d in disp)
     if low <= 1e-7 * diam:
         raise FixedPointOnCurve(f"min displacement {low:.3g} on a curve of size {diam:.3g}")
@@ -138,7 +139,7 @@ def _side_direction(values: np.ndarray, line: float, outward_positive: bool) -> 
     return "none"
 
 
-def rectangle_certificate(f: Union[MapSpec, PlaneMap], rect: Rect) -> RectCertificate:
+def rectangle_certificate(fn: PlaneMap, rect: Rect) -> RectCertificate:
     """Match the rectangle boundary behavior against the four patterns.
 
     The sides are read off one 64-per-side boundary curve, each with both of
@@ -146,7 +147,6 @@ def rectangle_certificate(f: Union[MapSpec, PlaneMap], rect: Rect) -> RectCertif
     computed and must equal the certified value; a mismatch is a fatal
     self-test failure, never a data condition.
     """
-    fn = _plane(f)
     m = 64  # samples per side
     curve = boundary_curve(rect, m)
     images = np.array([fn(z) for z in curve.points], dtype=complex)
@@ -185,7 +185,7 @@ def rectangle_certificate(f: Union[MapSpec, PlaneMap], rect: Rect) -> RectCertif
 # ---------------------------------------------------------------------------
 
 
-def fixed_point_in(f: Union[MapSpec, PlaneMap], rect: Rect) -> complex | None:
+def fixed_point_in(fn: PlaneMap, rect: Rect) -> complex | None:
     """The fixed point that carries the rectangle's whole nonzero index, or None.
 
     Newton polishes the rectangle's centre; the result is kept only when it
@@ -194,7 +194,6 @@ def fixed_point_in(f: Union[MapSpec, PlaneMap], rect: Rect) -> complex | None:
     index give None, and a fixed point on either boundary raises
     FixedPointOnCurve, as ``lefschetz_index`` does.
     """
-    fn = _plane(f)
     index = lefschetz_index(fn, boundary_curve(rect, 48))
     if index == 0:
         return None

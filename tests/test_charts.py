@@ -32,8 +32,10 @@ from sphere_census.charts import (
     SpherePoint,
     as_product_view,
     as_rational,
+    chart_value,
     chordal,
     chordal_many,
+    curve_image,
     dedup_points,
     evaluate,
     evaluate_many,
@@ -42,6 +44,7 @@ from sphere_census.charts import (
     parse_map,
     to_chart,
 )
+from sphere_census.winding import SampledCurve, circle
 
 INF = math.inf
 
@@ -265,6 +268,40 @@ def test_scalar_evaluate_is_bit_identical_to_the_batch(text):
         got, got_north = evaluate_many(spec, values, north)
         assert np.array([w.value for w in want]).tobytes() == got.tobytes()
         assert [w.chart is Chart.NORTH for w in want] == got_north.tolist()
+
+
+curves = st.one_of(
+    st.builds(circle, st.sampled_from([0j, 0.5 + 0j, 1 + 1j, -2j]), st.floats(0.01, 3.0),
+              st.sampled_from([16, 64]), st.sampled_from(list(Chart))),
+    # explicit samples, the poles of either chart among them
+    st.builds(SampledCurve, st.lists(coordinates, min_size=8, max_size=12, unique=True),
+              st.sampled_from(list(Chart))),
+)
+
+
+@given(spec=specs, curve=curves, target=st.sampled_from(list(Chart)))
+# 1/z^2 sends the sample z = 0 to N, which has no north coordinate
+@example(spec=Power(-2), target=Chart.NORTH,
+         curve=SampledCurve((0j, 1, 1j, -1, -1j, 2, 2j, -2), Chart.NORTH))
+def test_curve_image_matches_the_scalar_image(spec, curve, target):
+    """One batch gives each sample's scalar image bit for bit, or the error
+    the first failing scalar image raises; on a parameterized curve the
+    refinement closure agrees with the batch on the sample grid."""
+
+    def scalar(z):
+        return chart_value(evaluate(spec, SpherePoint(z, curve.chart)), target)
+
+    try:
+        want = [scalar(z) for z in curve.points]
+    except Exception as exc:
+        with pytest.raises(Exception) as info:
+            curve_image(spec, curve, target)
+        assert type(info.value) is type(exc)
+        return
+    got, image_at = curve_image(spec, curve, target)
+    assert [repr(w) for w in want] == [repr(g) for g in got]
+    if curve.param_fn is not None:
+        assert [repr(image_at(t)) for t in curve.params] == [repr(g) for g in got]
 
 
 def test_horner_matches_numpy_polyval():

@@ -207,7 +207,18 @@ def test_parse_error_exits_2(capsys, tmp_path):
     infinite.write_text("# chart=north\ninf,0\n" + ring)
     not_a_number = tmp_path / "not_a_number.csv"
     not_a_number.write_text("# chart=north\nnan,0\n" + ring)
+    past_cap = tmp_path / "past_cap.csv"
+    past_cap.write_text("# chart=north\n1e9,0\n" + ring)
+    # the row past the cap is refused before 0 is mapped to N by 1/z^2
+    past_cap_and_pole = tmp_path / "past_cap_and_pole.csv"
+    past_cap_and_pole.write_text("# chart=north\n0,0\n1e9,0\n" + ring)
     for argv in (
+        # usage errors
+        ("census",),
+        ("census", "--map", "power:d=2", "--n-max", "abc"),
+        ("degree", "--map", "power:d=2", "--value"),
+        ("frobnicate",),
+        (),
         ("census", "--map", "power:k=2"),
         ("census", "--map", "quad:c=nan"),
         ("census", "--map", "product:q=affine(nan,0);d=2"),
@@ -230,6 +241,8 @@ def test_parse_error_exits_2(capsys, tmp_path):
         ("index", "--map", "power:d=2", "--curve", str(too_few)),
         ("index", "--map", "power:d=2", "--curve", str(infinite)),
         ("index", "--map", "power:d=2", "--curve", str(not_a_number)),
+        ("index", "--map", "power:d=-2", "--curve", str(past_cap)),
+        ("index", "--map", "power:d=-2", "--curve", str(past_cap_and_pole)),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -237,6 +250,11 @@ def test_parse_error_exits_2(capsys, tmp_path):
     # a value at the chart cap itself is accepted
     code, out, _ = run(capsys, "degree", "--map", "power:d=2", "--value", "1e8,0")
     assert code == 0 and json.loads(out)["global"] == 2
+    # help is not an error: usage on stdout, exit 0
+    for argv in (["-h"], ["census", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0 and capsys.readouterr().out.startswith("usage:")
 
 
 def test_analysis_error_exits_1(capsys):
@@ -282,16 +300,13 @@ def test_one_process_runs_many_queries_as_fresh_ones(capsys):
     # no trace in the queries that follow it
     queries = [
         ("census", "--map", "power:d=2", "--n-max", "3"),
-        ("census", "--n-max", "3"),  # --map missing: argparse exits 2
+        ("census", "--n-max", "3"),  # --map missing: exit 2, JSON on stderr
         ("degree", "--map", "power:d=3"),
         ("strip-index", "--map", "product:q=affine(2,0);d=3"),
         ("census", "--map", "power:d=-2", "--n-max", "2"),
     ]
     for argv in queries:
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = main(list(argv))
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == _fresh_process(argv), argv
     assert cli.build_parser() is cli.build_parser()

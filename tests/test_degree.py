@@ -232,9 +232,14 @@ def test_annular_degree_rejects_inessential_core():
 
 def test_annular_degree_image_near_pole():
     from sphere_census.degree import ImageHitsPole
+    from sphere_census.winding import circle
 
-    with pytest.raises(ImageHitsPole):
-        annular_degree(Power(2), latitude_circle(-7.5))
+    # images near S and near N, and through N: the unit circle passes
+    # through z = 1, the pole of 1/(z - 1)
+    for spec, core in ((Power(2), latitude_circle(-7.5)), (Power(2), latitude_circle(7.5)),
+                       (RationalPair((1,), (-1, 1)), circle(0j, 1.0, 64))):
+        with pytest.raises(ImageHitsPole):
+            annular_degree(spec, core)
 
 
 def test_annular_degree_refuses_an_aliased_core():

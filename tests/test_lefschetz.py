@@ -77,10 +77,27 @@ def test_squaring_map_counts_interior_fixed_points():
 def test_mapspec_input_is_accepted():
     assert lefschetz_index(Power(2), circle(0j, 2.0, 64)) == 2
     assert lefschetz_index(RationalPair((5, 1), (1,)), circle(0j, 1.0, 64)) == 0
+    # a constant map: the image has one distinct sample, the displacement many
+    assert lefschetz_index(RationalPair((5,), (1,)), circle(0j, 1.0, 64)) == 0
     # a spec is read in the curve's chart: |w| = 0.5 in the south chart
     # surrounds only N, a superattracting fixed point of z^2 + 0.5
     assert lefschetz_index(Quadratic(0.5), circle(0j, 0.5, 64, chart=Chart.SOUTH)) == 1
     assert lefschetz_index(Quadratic(0.5), circle(0j, 0.5, 64)) == 0
+
+
+def test_a_spec_index_maps_its_samples_in_one_batch(monkeypatch):
+    from sphere_census import charts
+
+    calls = {"evaluate": 0, "evaluate_many": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(charts, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(charts, name, counting)
+    # z^2 - z winds twice about 0 on |z| = 2, with no edge to refine
+    assert lefschetz_index(Power(2), circle(0j, 2.0, 64)) == 2
+    assert calls == {"evaluate": 0, "evaluate_many": 1}
 
 
 def test_fixed_point_on_curve_raises():
