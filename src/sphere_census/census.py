@@ -4,8 +4,9 @@ cross-checks tying the annulus machinery to the periodic-point counts.
 Counts are of distinct fixed points (no multiplicity).  A map with a product
 view (powers, z^2, the monomials c*z^k, product maps, and their iterates) is
 solved from it, any other quadratic or rational map by Aberth-Ehrlich on
-f^n(z) - z through the n-fold recursion of the base map.  On either route
-every point must pass the residual filter; a failure raises
+f^n(z) - z through the n-fold recursion of the base map, one elementwise
+homogeneous Horner pass per level, for every order of a census at once.
+On either route every point must pass the residual filter; a failure raises
 ``CensusIncomplete``, never a short count.  A fixed-point set is carried
 from start to end as the (values, north) arrays of ``evaluate_many``: the
 residual walk, the pole filter, the sort by (latitude, angle) and the dedup
@@ -300,11 +301,12 @@ def _aberth_fixed_points(p, q, deg: int, poles: dict) -> dict:
     Aberth-Ehrlich on G(w) = y1 - w y2, where (y1 : y2) is f^n at w after a
     fixed unitary change of coordinates U, so no root sits at w = infinity.
     Up to the constant det U, G = det[F^n(x), x] with x = U (w, 1) and F the
-    homogeneous form of f; G and G' come from the n-fold recursion of F with
-    the chain rule, and the coefficients of G are never formed.  The exact
-    poles take part in the pairwise sums as fixed roots.  Each order is one
-    block of a single array, started by ``_starts``, and one ``_aberth`` run
-    and one jet of multipliers serve every block.
+    homogeneous form of f; G and G' come from the n-fold recursion of F,
+    one homogeneous Horner pass per level with the chain rule, and the
+    coefficients of G are never formed.  The exact poles take part in the
+    pairwise sums as fixed roots.  Each order is one block of a single
+    array, started by ``_starts``, and one ``_aberth`` run and one jet of
+    multipliers serve every block.
     """
     if not poles:
         return {}
@@ -359,8 +361,8 @@ def _aberth(coeffs, deg: int, u, w: np.ndarray, blocks) -> list[int]:
     entries of w approximate the fixed points of f^n, of which the first m
     move and the rest are held as fixed roots.  A step reads G'/G of every
     moving entry off one jet, each at its own order, and sums the pairs
-    within each block alone, so an entry moves as it would in a run of its
-    order by itself.
+    within each block alone, skipping a block with no moving entry, so an
+    entry moves as it would in a run of its order by itself.
     """
     bounds = np.cumsum([0] + [size for _, size, _ in blocks])
     active = np.concatenate([np.arange(lo, lo + m) for (_, _, m), lo in zip(blocks, bounds)])
@@ -373,7 +375,7 @@ def _aberth(coeffs, deg: int, u, w: np.ndarray, blocks) -> list[int]:
             cut = np.searchsorted(active, bounds)
             pairs = np.concatenate([
                 _pair_sums(w[lo:hi], active[i:j] - lo)
-                for lo, hi, i, j in zip(bounds, bounds[1:], cut, cut[1:])])
+                for lo, hi, i, j in zip(bounds, bounds[1:], cut, cut[1:]) if j > i])
             ratio = _log_derivative(coeffs, deg, orders[active], u, w[active])
             step = 1.0 / (ratio - pairs)
             step[~np.isfinite(step)] = 0.0
@@ -495,39 +497,33 @@ def _iterate_jet(coeffs, deg: int, n, u, w: np.ndarray):
     """The start x0 = U (w, 1) and x = F^n(x0), each with its w-derivative.
 
     ``n`` is one order, or one per w in ascending order: the rows of order
-    n leave the walk after level n.  The rows of each order pass through F
-    as a matrix product of their own, since BLAS rounds a column by its
-    place in the product: a row's jet does not depend on the other orders.
-    Each pair (x, dx) is scaled by one factor per point after every step;
-    ratios that are homogeneous of degree 0 in it, such as G'/G or the
-    derivative of x1/x2 over that of x01/x02, are unchanged by that.
+    n leave the walk after level n.  Each level is one homogeneous Horner
+    recursion on both rows of F, F(a, b) = (..(c_D a + c_(D-1) b) a + ..) a
+    + c_0 b^D, with its w-derivative by the product rule; the arithmetic is
+    elementwise, so a row's jet does not depend on the other rows.  Each
+    pair (x, dx) is scaled by one factor per point after every step; ratios
+    that are homogeneous of degree 0 in it, such as G'/G or the derivative
+    of x1/x2 over that of x01/x02, are unchanged by that.
     """
     a0, b0 = u[0, 0] * w + u[0, 1], u[1, 0] * w + u[1, 1]
     scale = 1.0 / np.maximum(np.abs(a0), np.abs(b0))
     a0, b0 = a0 * scale, b0 * scale
     da0, db0 = u[0, 0] * scale, u[1, 0] * scale
     orders = np.broadcast_to(n, w.shape)
-    bounds = [0, *(np.flatnonzero(np.diff(orders)) + 1).tolist(), w.size]  # one order each
     jet = np.empty((4, w.size), dtype=complex)
     a, b, da, db = a0, b0, da0, db0
-    i = np.arange(deg + 1)[:, None]
+    c = coeffs[:, :, None]                       # c[:, i] multiplies a^i b^(D-i)
     lo = 0                                       # the rows before lo have left
     for level in range(1, int(orders.max(initial=0)) + 1):
-        pa = np.ones((deg + 1, a.size), dtype=complex)
-        pb = np.ones((deg + 1, a.size), dtype=complex)
-        for k in range(1, deg + 1):              # a^k and b^k, k = 0..D
-            pa[k] = pa[k - 1] * a
-            pb[k] = pb[k - 1] * b
-        mono = pa * pb[::-1]                     # a^i b^(D-i)
-        low = pa[:-1] * pb[-2::-1]               # a^k b^(D-1-k)
-        dmono = np.zeros_like(mono)              # d/dw of a^i b^(D-i)
-        dmono[1:] += i[1:] * low * da
-        dmono[:-1] += i[:0:-1] * low * db
-        x, dx = np.empty((2, a.size), dtype=complex), np.empty((2, a.size), dtype=complex)
-        spans = [c - lo for c in bounds if c >= lo]
-        for s, e in zip(spans, spans[1:]):
-            x[:, s:e] = coeffs @ mono[:, s:e]
-            dx[:, s:e] = coeffs @ dmono[:, s:e]
+        x, dx = c[:, deg] * a, c[:, deg] * da
+        bp, dbp = b, db                          # b^(D-i) and its derivative
+        for i in range(deg - 1, -1, -1):
+            x += c[:, i] * bp
+            dx += c[:, i] * dbp
+            if i:
+                dx = dx * a + x * da
+                x = x * a
+                bp, dbp = bp * b, dbp * b + bp * db
         (a, b), (da, db) = x, dx
         scale = 1.0 / np.maximum(np.abs(a), np.abs(b))
         a, b, da, db = a * scale, b * scale, da * scale, db * scale

@@ -43,9 +43,12 @@ def lefschetz_index(f: Union[MapSpec, PlaneMap], curve: SampledCurve) -> int:
     the samples: then ValueError asks for a denser curve."""
     if callable(f):
         images = [f(z) for z in curve.points]
-        image_at = lambda t: f(curve.point_at(t))
-    else:
-        images, image_at = curve_image(f, curve, curve.chart)
+        return _index_of_images(images, lambda t: f(curve.point_at(t)), curve)
+    return _index_of_images(*curve_image(f, curve, curve.chart), curve)
+
+
+def _index_of_images(images, image_at, curve: SampledCurve) -> int:
+    """``lefschetz_index`` from the sample images and the image at a parameter."""
 
     def disp_at(t: float) -> complex:
         return image_at(t) - curve.point_at(t)
@@ -144,13 +147,13 @@ def rectangle_certificate(fn: PlaneMap, rect: Rect) -> RectCertificate:
 
     The sides are read off one 64-per-side boundary curve, each with both of
     its corners.  When a pattern holds, the numeric index along that curve is
-    computed and must equal the certified value; a mismatch is a fatal
-    self-test failure, never a data condition.
+    computed from the same images and must equal the certified value; a
+    mismatch is a fatal self-test failure, never a data condition.
     """
     m = 64  # samples per side
     curve = boundary_curve(rect, m)
-    images = np.array([fn(z) for z in curve.points], dtype=complex)
-    closed = np.append(images, images[0])
+    images = [fn(z) for z in curve.points]
+    closed = np.array(images + images[:1], dtype=complex)
     bottom, right, top, left = (closed[k * m:(k + 1) * m + 1] for k in range(4))
 
     dir_top = _side_direction(top.imag, rect.y1, outward_positive=True)
@@ -171,7 +174,7 @@ def rectangle_certificate(fn: PlaneMap, rect: Rect) -> RectCertificate:
     else:
         return RectCertificate.NO_CERTIFICATE
 
-    idx = lefschetz_index(fn, curve)
+    idx = _index_of_images(images, lambda t: fn(curve.point_at(t)), curve)
     if idx != cert.certified_index:
         raise CertificateIndexMismatch(
             f"{cert.value} rectangle certified {cert.certified_index} "

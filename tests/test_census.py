@@ -371,8 +371,57 @@ def test_census_sets_match_single_order_solves(monkeypatch, text, n_max):
     for n, fps in solved.items():
         alone = fixed_points(spec, n)
         assert fps.count == alone.count, n
-        for p in fps.points:
-            assert min(chordal(p, q) for q in alone.points) < 1e-12, n
+        assert fps.values.tobytes() == alone.values.tobytes(), n
+        assert fps.north.tobytes() == alone.north.tobytes(), n
+
+
+def monomial_jet(coeffs, deg, n, u, w):
+    """F^n(x0) and its w-derivative at x0 = U (w, 1), each level a matrix
+    product of the coefficient rows with the monomials a^i b^(D-i) and
+    their derivatives, scaled as ``census._iterate_jet`` scales."""
+    a, b = u[0, 0] * w + u[0, 1], u[1, 0] * w + u[1, 1]
+    scale = 1.0 / np.maximum(np.abs(a), np.abs(b))
+    a, b, da, db = a * scale, b * scale, u[0, 0] * scale, u[1, 0] * scale
+    i = np.arange(deg + 1)[:, None]
+    for _ in range(n):
+        pa = np.ones((deg + 1, w.size), dtype=complex)
+        pb = np.ones((deg + 1, w.size), dtype=complex)
+        for k in range(1, deg + 1):
+            pa[k] = pa[k - 1] * a
+            pb[k] = pb[k - 1] * b
+        mono = pa * pb[::-1]
+        low = pa[:-1] * pb[-2::-1]
+        dmono = np.zeros_like(mono)
+        dmono[1:] += i[1:] * low * da
+        dmono[:-1] += i[:0:-1] * low * db
+        (a, b), (da, db) = coeffs @ mono, coeffs @ dmono
+        scale = 1.0 / np.maximum(np.abs(a), np.abs(b))
+        a, b, da, db = a * scale, b * scale, da * scale, db * scale
+    return a, b, da, db
+
+
+@pytest.mark.parametrize("deg", [1, 2, 3, 4])
+def test_iterate_jet_matches_the_monomial_recursion(deg):
+    rng = np.random.default_rng(deg)
+    for _ in range(3):
+        coeffs = rng.normal(size=(2, deg + 1)) + 1j * rng.normal(size=(2, deg + 1))
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        orders = np.repeat(np.arange(1, 7), 8)
+        w = rng.normal(size=orders.size) + 1j * rng.normal(size=orders.size)
+        (a0, b0, da0, db0), jet = census._iterate_jet(coeffs, deg, orders, u, w)
+        a, b, _, _ = jet = np.array(jet)
+        ratio = census._log_derivative(coeffs, deg, orders, u, w)
+        for n in range(1, 7):
+            rows = orders == n
+            ra, rb, rda, rdb = monomial_jet(coeffs, deg, n, u, w[rows])
+            np.testing.assert_allclose(a[rows] / b[rows], ra / rb, rtol=1e-12)
+            g = ra * b0[rows] - rb * a0[rows]
+            dg = rda * b0[rows] + ra * db0[rows] - rdb * a0[rows] - rb * da0[rows]
+            np.testing.assert_allclose(ratio[rows], dg / g, rtol=1e-12)
+        # each row's jet has the same bits alone as in the mixed batch
+        for k in rng.permutation(orders.size)[:12]:
+            _, alone = census._iterate_jet(coeffs, deg, orders[k:k + 1], u, w[k:k + 1])
+            assert np.array(alone).tobytes() == jet[:, k:k + 1].tobytes(), k
 
 
 def test_one_orbit_walk_serves_every_order(monkeypatch):

@@ -113,7 +113,7 @@ def test_large_magnitude_images_are_handled():
 def test_certificate_mismatch_guard_fires(monkeypatch):
     import sphere_census.lefschetz as lf
 
-    monkeypatch.setattr(lf, "lefschetz_index", lambda f, c: 99)
+    monkeypatch.setattr(lf, "_index_of_images", lambda images, image_at, curve: 99)
     with pytest.raises(CertificateIndexMismatch):
         lf.rectangle_certificate(lambda z: 2 * z, UNIT)
 
@@ -129,6 +129,18 @@ def test_certificate_sides_are_read_off_the_boundary_curve():
     assert rectangle_certificate(doubling, rect) is RectCertificate.EXPANDING
     # the sides sample the index curve, so every side point is a curve point
     assert set(calls[:256]) == set(boundary_curve(rect, 64).points)
+
+
+def test_certificate_maps_its_boundary_once():
+    # the sides and the index read the same 256 images
+    calls = []
+
+    def doubling(z):
+        calls.append(z)
+        return 2 * z
+
+    assert rectangle_certificate(doubling, UNIT) is RectCertificate.EXPANDING
+    assert len(calls) == 256
 
 
 def test_certificates_on_canonical_linear_models():
