@@ -122,11 +122,7 @@ def _rational_pole_preimages(spec: MapSpec) -> list[PolePreimage]:
     south, north = anchor_poles(spec)
     comps: list[PolePreimage] = []
     for target, to_north in ((south, False), (north, True)):
-        try:
-            preimages = degree_mod.find_preimages(spec, target)
-        except charts.ParseError as exc:
-            raise UnsupportedSpec(f"cannot resolve pole preimages of {spec!r}") from exc
-        for x in preimages:
+        for x in degree_mod.find_preimages(spec, target):
             is_anchor = min(chordal(x, south), chordal(x, north)) < 1e-9
             kind = ComponentType.TYPE_I if is_anchor else ComponentType.TYPE_III
             comps.append(PolePreimage(kind, point=x, latitude=x.latitude(),

@@ -7,7 +7,9 @@ solved from it, any other quadratic or rational map by Aberth-Ehrlich on
 f^n(z) - z through the n-fold recursion of the base map, one elementwise
 homogeneous Horner pass per level, for every order of a census at once.
 On either route every point must pass the residual filter; a failure raises
-``CensusIncomplete``, never a short count.  A fixed-point set is carried
+``CensusIncomplete`` where it is found, never a short count: a batch of
+orders is checked in ascending order and raises the error of the first that
+fails, as a solve of that order alone would.  A fixed-point set is carried
 from start to end as the (values, north) arrays of ``evaluate_many``: the
 residual walk, the pole filter, the sort by (latitude, angle) and the dedup
 all work on them, through ``chordal_many`` and ``dedup_many``, and
@@ -29,6 +31,7 @@ from .charts import (  # DEGREE_CAP and DegreeCapExceeded are census API too
     DEGREE_CAP,
     DegreeCapExceeded,
     Iterate,
+    LEVEL_S_CAP,
     MapSpec,
     N_POLE,
     Power,
@@ -116,7 +119,7 @@ class FixedPointSet:
 @dataclass
 class _Census:
     """The census in progress: its last order, and each fixed-point set it
-    has solved, keyed by (spec, n), or the error that refuses that order."""
+    has solved, keyed by (spec, n)."""
 
     n_max: int
     solved: dict = field(default_factory=dict)
@@ -137,26 +140,21 @@ def fixed_points(spec: MapSpec, n: int = 1) -> FixedPointSet:
     points of a rational iterate than the multiplicity sum certifies.
     Inside ``census_csv`` each order is solved once and its set read again;
     the first Aberth order asked for is solved with every order after it up
-    to the census's last, and each order's error is raised only when that
-    order is asked for.
+    to the census's last, and the lowest of them that fails raises its error.
     """
     census = _SOLVED.get()
     if census is None:
-        found = _solve(spec, n, n)[n]
-    else:
-        if (spec, n) not in census.solved:
-            census.solved.update(((spec, k), got) for k, got in
-                                 _solve(spec, n, max(n, census.n_max)).items())
-        found = census.solved[spec, n]
-    if isinstance(found, Exception):
-        raise found
-    return found
+        return _solve(spec, n, n)[n]
+    if (spec, n) not in census.solved:
+        census.solved.update(((spec, k), got) for k, got in
+                             _solve(spec, n, max(n, census.n_max)).items())
+    return census.solved[spec, n]
 
 
 def _solve(spec: MapSpec, first: int, last: int) -> dict:
     """Keyed by n: the fixed points of f^first from its product view, or
-    those of f^n for every n in first..last by Aberth-Ehrlich, each the set
-    or the error that refuses it."""
+    those of f^n for every n in first..last by Aberth-Ehrlich.  The lowest
+    order that fails raises its error."""
     if first < 1:
         raise ValueError("iterate order must be >= 1")
     check_degree_cap(spec, first)
@@ -169,9 +167,15 @@ def _solve(spec: MapSpec, first: int, last: int) -> dict:
     view = as_product_view(flat)
     if view is not None:
         return {first: _product_fixed_points(flat, view)}
-    if as_rational(base) is None:
-        raise annuli.UnsupportedSpec(f"no fixed-point solver for {spec!r}")
-    found = _rational_fixed_points(base, [order * n for n in range(first, last + 1)])
+    orders = [order * n for n in range(first, last + 1)]
+    try:
+        found = _rational_fixed_points(base, orders)
+    except CensusError:
+        raise
+    except Exception:  # solved one at a time, so each order raises as it would alone
+        if len(orders) == 1:
+            raise
+        found = {n: _rational_fixed_points(base, [n])[n] for n in orders}
     return {n: found[order * n] for n in range(first, last + 1)}
 
 
@@ -198,28 +202,18 @@ def _residual_failures(base: MapSpec, points: dict) -> dict:
     return failed
 
 
-def _residual_error(spec: MapSpec, failed: int, total: int) -> CensusIncomplete:
-    return CensusIncomplete(f"{format_map(spec)}: {failed} of {total} "
-                            f"fixed points fail the residual filter")
+def _check_residuals(spec: MapSpec, failed: int, total: int) -> None:
+    if failed:
+        raise CensusIncomplete(f"{format_map(spec)}: {failed} of {total} "
+                               f"fixed points fail the residual filter")
 
 
 def _rational_fixed_points(base: MapSpec, orders: list[int]) -> dict:
     """Fixed points of f^n for each n in ``orders`` (ascending), f a
-    quadratic or rational map, keyed by n: the set, or the error that
-    refuses it.  The orders are solved together; should that raise, they are
-    solved one at a time, so each error is the result of the order that
-    raises it."""
-    try:
-        return _rational_orders(base, orders)
-    except Exception as exc:  # raised again where ``fixed_points`` asks for its order
-        if len(orders) == 1:
-            return {orders[0]: exc}
-        return {n: _rational_fixed_points(base, [n])[n] for n in orders}
-
-
-def _rational_orders(base: MapSpec, orders: list[int]) -> dict:
-    """``_rational_fixed_points`` of every order at once: one orbit of each
-    pole, one Aberth run and one residual walk serve them all."""
+    quadratic or rational map, keyed by n.  One orbit of each pole, one
+    Aberth run and one residual walk serve every order; the orders are then
+    checked in ascending order, and the first left unconverged, failing the
+    residual filter or merging raises its ``CensusIncomplete``."""
     p, q = as_rational(base)
     deg = base.declared_degree
     continua = {}
@@ -237,27 +231,27 @@ def _rational_orders(base: MapSpec, orders: list[int]) -> dict:
             image = evaluate(base, image)
             if n in poles and image == pole:
                 poles[n].append(pole)
-    approx = _aberth_fixed_points(p, q, deg, poles)
-    failed = _residual_failures(base, {n: got[:2] for n, got in approx.items()
-                                       if not isinstance(got, CensusError)})
+    approx, left = _aberth_fixed_points(p, q, deg, poles)
+    failed = _residual_failures(base, {n: got[:2] for n, got in approx.items()})
     found = {}
-    for n, got in approx.items():
-        iterate = base if n == 1 else Iterate(base, n)
-        if isinstance(got, CensusError):
-            found[n] = got
-        elif failed[n]:
-            found[n] = _residual_error(iterate, failed[n], deg ** n + 1)
-        else:
-            found[n] = _merged(iterate, *got, poles[n], deg ** n + 1)
+    for n in solve:
+        iterate, total = base if n == 1 else Iterate(base, n), deg ** n + 1
+        if left[n]:
+            raise CensusIncomplete(
+                f"Aberth iteration for {total - len(poles[n])} fixed points of an "
+                f"iterate of order {n} left {left[n]} unconverged after "
+                f"{ABERTH_MAX_ITERS} steps")
+        _check_residuals(iterate, failed[n], total)
+        found[n] = _merged(iterate, *approx[n], poles[n], total)
     return {n: continua[n] if n in continua else found[1 if deg == 1 else n]
             for n in orders}
 
 
-def _merged(iterate: MapSpec, values, north, multipliers, poles, total: int):
+def _merged(iterate: MapSpec, values, north, multipliers, poles, total: int) -> FixedPointSet:
     """The fixed points of ``iterate`` from its exact poles and the Aberth
-    approximations (values, north), or the ``CensusIncomplete`` that refuses
-    them: two approximations may merge only where the multiplier of f^n is
-    within MULTIPLE_TOL of 1."""
+    approximations (values, north); two approximations may merge only where
+    the multiplier of f^n is within MULTIPLE_TOL of 1, or
+    ``CensusIncomplete`` is raised."""
     # the exact poles (0 in the chart of each) go first, so that an
     # approximation of a multiple fixed point at a pole merges into the pole;
     # the others by (latitude, angle)
@@ -272,7 +266,7 @@ def _merged(iterate: MapSpec, values, north, multipliers, poles, total: int):
     simple = np.count_nonzero(
         merged[ends.size:] & (np.hypot(shift.real, shift.imag) > MULTIPLE_TOL))
     if simple:
-        return CensusIncomplete(
+        raise CensusIncomplete(
             f"{format_map(iterate)}: {simple} of {total} approximations merge "
             f"into another at a fixed point of multiplier away from 1"
         )
@@ -292,11 +286,11 @@ def _mobius_identity(p, q, n: int) -> bool:
         return bool(np.isfinite(m).all() and off <= 1e-12 * abs(m).max())
 
 
-def _aberth_fixed_points(p, q, deg: int, poles: dict) -> dict:
-    """For each order n of ``poles``, keyed by n: the D^n + 1 - len(poles[n])
+def _aberth_fixed_points(p, q, deg: int, poles: dict) -> tuple[dict, dict]:
+    """Keyed by n, for each order n of ``poles``: the D^n + 1 - len(poles[n])
     fixed points of f^n other than poles[n], as (values, north, multipliers)
-    with the multiplier of f^n at each, or the ``CensusIncomplete`` for
-    approximations left unconverged.
+    with the multiplier of f^n at each, for the orders whose approximations
+    all converged; and the number each order left unconverged.
 
     Aberth-Ehrlich on G(w) = y1 - w y2, where (y1 : y2) is f^n at w after a
     fixed unitary change of coordinates U, so no root sits at w = infinity.
@@ -309,7 +303,7 @@ def _aberth_fixed_points(p, q, deg: int, poles: dict) -> dict:
     multipliers serve every block.
     """
     if not poles:
-        return {}
+        return {}, {}
     coeffs, u = _frame(p, q, deg)
     # (w : 1) = U^H (z : 1): S = (0 : 1) and N = (1 : 0)
     fixed = {n: np.array([u[1, 0].conjugate() / u[1, 1].conjugate() if pole == S_POLE
@@ -318,16 +312,11 @@ def _aberth_fixed_points(p, q, deg: int, poles: dict) -> dict:
     starts = _starts(coeffs, deg, u, fixed)
     blocks = [(n, deg ** n + 1, deg ** n + 1 - fixed[n].size) for n in sorted(fixed)]
     w = np.concatenate([np.concatenate([starts[n], fixed[n]]) for n, _, _ in blocks])
-    left = _aberth(coeffs, deg, u, w, blocks)
+    left = dict(zip([n for n, _, _ in blocks], _aberth(coeffs, deg, u, w, blocks)))
     found, roots = {}, {}
     lo = 0
-    for (n, size, m), k in zip(blocks, left):
-        if k:
-            found[n] = CensusIncomplete(
-                f"Aberth iteration for {m} fixed points of an iterate of order {n} "
-                f"left {k} unconverged after {ABERTH_MAX_ITERS} steps"
-            )
-        else:
+    for n, size, m in blocks:
+        if not left[n]:
             roots[n] = w[lo:lo + m]
         lo += size
     if roots:
@@ -339,7 +328,7 @@ def _aberth_fixed_points(p, q, deg: int, poles: dict) -> dict:
         for n, r in roots.items():
             found[n] = values[lo:lo + r.size], north[lo:lo + r.size], lam[lo:lo + r.size]
             lo += r.size
-    return found
+    return found, left
 
 
 def _frame(p, q, deg: int):
@@ -606,15 +595,13 @@ def _product_fixed_points(spec: MapSpec, view) -> FixedPointSet:
         lats.append(np.full(abs(d - 1), s))
         angles.append((2 * math.pi * np.arange(abs(d - 1)) - h) / (d - 1))
     values, north = from_latlon_many(np.concatenate(lats), np.concatenate(angles))
-    failed = _residual_failures(spec, {1: (values, north)})[1]
-    if failed:
-        raise _residual_error(spec, failed, values.size)
+    _check_residuals(spec, _residual_failures(spec, {1: (values, north)})[1], values.size)
     return _sorted_set(values, north, continua)
 
 
 def _is_plateau(shifted) -> bool:
     """Whether profile(s) - s vanishes to rounding on a sampled grid."""
-    plateau = shifted.many(np.linspace(-18.0, 18.0, 2001))
+    plateau = shifted.many(np.linspace(-LEVEL_S_CAP, LEVEL_S_CAP, 2001))
     plateau = np.abs(plateau[np.isfinite(plateau)])
     return bool(plateau.size and plateau.max() < 1e-12)
 

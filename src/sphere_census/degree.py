@@ -100,10 +100,7 @@ def find_preimages(spec: MapSpec, y: SpherePoint) -> list[SpherePoint]:
             level = [x for t in level for x in _rational_preimages(base, t)]
             level = dedup_points(sorted(level, key=_north_order), PREIMAGE_DEDUP)
         return level
-    view = as_product_view(spec)
-    if view is not None:
-        return _product_preimages(view, y)
-    raise charts.ParseError(f"no preimage solver for {spec!r}")
+    return _product_preimages(as_product_view(spec), y)
 
 
 def _north_order(p: SpherePoint) -> tuple:

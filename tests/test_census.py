@@ -111,7 +111,7 @@ def test_multipliers_match_the_derivative():
     # the fixed points of z^2 + c other than infinity, with (f^n)' = prod 2 f^k(z);
     # at n = 2 the 2-cycle is returned in the south chart
     p, q = as_rational(Quadratic(0.1))
-    solved = census._aberth_fixed_points(p, q, 2, {1: [N_POLE], 2: [N_POLE]})
+    solved, _ = census._aberth_fixed_points(p, q, 2, {1: [N_POLE], 2: [N_POLE]})
     for n in (1, 2):
         values, north, lam = solved[n]
         for z, got in zip(chart_values(values, north, Chart.NORTH).tolist(), lam.tolist()):
@@ -127,10 +127,10 @@ def merge_two_approximations(monkeypatch):
     solve = census._aberth_fixed_points
 
     def twice(*args):
-        found = solve(*args)
+        found, left = solve(*args)
         for values, north, lam in found.values():
             values[-1], north[-1], lam[-1] = values[0], north[0], lam[0]
-        return found
+        return found, left
 
     monkeypatch.setattr(census, "_aberth_fixed_points", twice)
 
@@ -604,6 +604,17 @@ def test_continuum_flags():
     rotation = ProductMap(AffineProfile(1.0, 0.0), 1, AffineProfile(0.0, math.pi))
     assert fixed_points(rotation, 1).count == 2  # poles only
     assert fixed_points(rotation, 2).is_continuum  # full turn: identity
+
+
+def test_degree_1_product_fixes_its_fixed_latitude_only_untwisted():
+    # q(s) = 2s + 1/2 fixes s* = -1/2: without a twist its whole circle is
+    # fixed; the twist h = 1 turns it, and only S and N stay fixed
+    fps = fixed_points(ProductMap(AffineProfile(2.0, 0.5), 1))
+    assert fps.count == math.inf
+    assert fps.continuum_latitudes == pytest.approx((-0.5,))
+    twisted = fixed_points(ProductMap(AffineProfile(2.0, 0.5), 1, AffineProfile(0.0, 1.0)))
+    assert twisted.count == 2
+    assert twisted.points == (S_POLE, N_POLE)
 
 
 def test_a_wrapped_twist_jump_is_not_a_fixed_circle():

@@ -41,7 +41,9 @@ def test_census_incomplete_exits_1_without_csv(capsys, monkeypatch):
 
 # each census fails at the order a solve of one order at a time fails at,
 # with the same stderr: a merge at order 8, an Aberth cap at order 2 (order
-# 1 starts from the polished fixed points of f) and a residual at order 1
+# 1 starts from the polished fixed points of f) and a residual at order 1;
+# with both the cap and the residual patched, order 1's residual failure
+# comes before order 2's cap, of the quadratic and of a cubic alike
 @pytest.mark.parametrize("patch, text, n_max, order, message", [
     ({}, "quad:c=-2+0i", 8, 8,
      "iter:n=8(quad:c=-2+0i): 1 of 257 approximations merge into another at a "
@@ -51,7 +53,12 @@ def test_census_incomplete_exits_1_without_csv(capsys, monkeypatch):
      "unconverged after 1 steps"),
     ({"RESIDUAL_CAP": 0.0}, "quad:c=0.1+0.0i", 8, 1,
      "quad:c=0.1+0i: 2 of 3 fixed points fail the residual filter"),
-], ids=["merge", "aberth-cap", "residual"])
+    ({"ABERTH_MAX_ITERS": 1, "RESIDUAL_CAP": 0.0}, "quad:c=0.1+0.0i", 4, 1,
+     "quad:c=0.1+0i: 2 of 3 fixed points fail the residual filter"),
+    ({"ABERTH_MAX_ITERS": 1, "RESIDUAL_CAP": 0.0}, "rational:P=0,2,0,1;Q=1,0,3", 3, 1,
+     "rational:P=0+0i,2+0i,0+0i,1+0i;Q=1+0i,0+0i,3+0i: 2 of 4 fixed points fail "
+     "the residual filter"),
+], ids=["merge", "aberth-cap", "residual", "residual-before-cap", "cubic-residual-before-cap"])
 @pytest.mark.parametrize("later_error", [False, True], ids=["alone", "later-error"])
 def test_census_fails_at_the_order_that_fails(capsys, monkeypatch, patch, text, n_max,
                                              order, message, later_error):

@@ -19,6 +19,7 @@ from sphere_census.charts import (
     ProductMap,
     Quadratic,
     RationalPair,
+    S_POLE,
     SpherePoint,
     chart_value,
     evaluate,
@@ -169,6 +170,20 @@ def test_degree_mismatch_is_fatal():
 
     with pytest.raises(DegreeMismatch):
         global_degree(MisdeclaredPower(2))
+
+
+def test_product_pole_is_its_own_only_preimage():
+    # q(s) = 2s keeps each end of the latitude line: each pole is the one
+    # preimage of itself, of local degree d
+    spec = ProductMap(AffineProfile(2.0, 0.0), 3)
+    for pole in (S_POLE, N_POLE):
+        assert global_degree(spec, y=pole).witnesses == ((pole, 3),)
+
+
+def test_angular_degree_0_circle_preimage_is_refused():
+    # d = 0 sends the whole circle s = 0.2 to the one point (0.4, 0)
+    with pytest.raises(PreimageClusterTooTight, match="angular-degree-0"):
+        find_preimages(ProductMap(AffineProfile(2.0, 0.0), 0), from_latlon(0.4, 0.0))
 
 
 @pytest.mark.parametrize("spec", [

@@ -18,7 +18,7 @@ from sphere_census.lefschetz import (
     lefschetz_index,
     rectangle_certificate,
 )
-from sphere_census.winding import circle
+from sphere_census.winding import SampledCurve, circle
 
 UNIT = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -49,6 +49,28 @@ def test_each_base_sample_is_mapped_once():
 
     assert lefschetz_index(doubling, circle(0j, 1.0, 64)) == 1
     assert len(calls) < 2 * 64
+
+
+def test_a_polygon_is_refined_along_its_chords(monkeypatch):
+    # a curve without param_fn: each point refinement asks for lies on the
+    # chord between the two vertices around its parameter
+    gon = SampledCurve(tuple(0.9 * cmath.exp(2j * math.pi * k / 8) for k in range(8)))
+    read = []
+    point_at = SampledCurve.point_at
+
+    def recorded(curve, t):
+        read.append((t, point_at(curve, t)))
+        return read[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SampledCurve, "point_at", recorded)
+        assert lefschetz_index(Power(6), gon) == 1
+    assert lefschetz_index(Power(6), circle(0j, 0.9, 256)) == 1
+    assert len(read) == 4
+    for t, z in read:
+        k, lam = int(8 * t), 8 * t % 1.0
+        start, end = gon.points[k], gon.points[(k + 1) % 8]
+        assert abs(z - (start + lam * (end - start))) < 1e-15
 
 
 def test_translation_has_zero_index():
