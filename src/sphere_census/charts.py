@@ -782,7 +782,9 @@ def chart_values(values: np.ndarray, north: np.ndarray, target: Chart) -> np.nda
                 f"pole at origin of {target.other.value} chart has no "
                 f"{target.value} coordinate"
             )
-        out[flip] = _cdiv(1.0, out[flip])
+        # a value within ~1e-308 of 0 gives inf, silently as in chart_value
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[flip] = _cdiv(1.0, out[flip])
     return out
 
 
@@ -983,8 +985,9 @@ def check_degree_cap(spec: MapSpec, n: int) -> None:
 
 
 def as_rational(spec: MapSpec) -> tuple[tuple[complex, ...], tuple[complex, ...]] | None:
-    """Ascending (P, Q) with f = P/Q; None for product-type specs and for
-    iterates of maps other than powers (those are never expanded)."""
+    """Ascending (P, Q) with f = P/Q for a power, quadratic or rational pair;
+    None for product maps and for every iterate (iterates are never
+    expanded: their callers walk the base n times)."""
     if isinstance(spec, Power):
         if spec.d >= 0:
             return ((0j,) * spec.d + (1 + 0j,), (1 + 0j,))
@@ -993,10 +996,6 @@ def as_rational(spec: MapSpec) -> tuple[tuple[complex, ...], tuple[complex, ...]
         return ((spec.c, 0j, 1 + 0j), (1 + 0j,))
     if isinstance(spec, RationalPair):
         return (spec.p, spec.q)
-    if isinstance(spec, Iterate):
-        base, n = iterate_base(spec)
-        if isinstance(base, Power):
-            return as_rational(Power(base.d ** n))
     return None
 
 
@@ -1019,9 +1018,6 @@ class _ComposedTwist:
 
     def end_limits(self) -> tuple[float, float]:
         return (self(-INF), self(INF))
-
-    def pole_crossings(self):
-        return ()
 
 
 def as_product_view(spec: MapSpec) -> ProductMap | None:

@@ -85,26 +85,27 @@ class DegreeReport:
 def find_preimages(spec: MapSpec, y: SpherePoint) -> list[SpherePoint]:
     """All preimages of y, deterministically ordered.
 
-    Rational specs are solved algebraically (companion-matrix roots of
-    P - y*Q).  An iterate f^n of a quadratic or rational f is solved level
-    by level, n rounds of f's own degree-D solve, and its coefficients are
-    never formed.  Product specs reduce to a latitude level-set solve plus
-    the angular congruence.
+    A spec f^n whose base f is a power, quadratic or rational map is solved
+    level by level: n rounds of f's own degree-D solve (companion-matrix
+    roots of P - y*Q), one for a plain f, never expanded.  Close pairs are
+    kept to the last level, which alone is sorted and deduplicated.  Every
+    other spec reduces, through its product view, to a latitude level-set
+    solve plus the angular congruence.
     """
-    if as_rational(spec) is not None:
-        return _rational_preimages(spec, y)
     base, n = iterate_base(spec)
-    if as_rational(base) is not None:
-        level = [y]
-        for _ in range(n):
-            level = [x for t in level for x in _rational_preimages(base, t)]
-            level = dedup_points(sorted(level, key=_north_order), PREIMAGE_DEDUP)
-        return level
-    return _product_preimages(as_product_view(spec), y)
+    if as_rational(base) is None:
+        return _product_preimages(as_product_view(spec), y)
+    level = [y]
+    for _ in range(n):
+        level = [x for t in level for x in _rational_preimages(base, t)]
+    if chordal(evaluate(spec, charts.N_POLE), y) < 1e-9:  # f^n(N) = y
+        level.append(charts.N_POLE)
+    return dedup_points(sorted(level, key=_north_order), PREIMAGE_DEDUP)
 
 
 def _north_order(p: SpherePoint) -> tuple:
-    """The order of ``_rational_preimages``: north-chart value, N last."""
+    """The order of ``find_preimages``: north-chart value rounded to 9
+    places, N last."""
     if p == charts.N_POLE:
         return (1,)
     z = chart_value(p, Chart.NORTH)
@@ -112,23 +113,23 @@ def _north_order(p: SpherePoint) -> tuple:
 
 
 def _rational_preimages(spec: MapSpec, y: SpherePoint) -> list[SpherePoint]:
+    """The preimages of y under a power, quadratic or rational map: the
+    polished roots of P - y*Q, then N if the solve lost a root to
+    infinity; neither sorted nor deduplicated."""
     p, q = (np.array(c, dtype=complex) for c in as_rational(spec))
-    out: list[SpherePoint] = []
     if y.normalized().is_pole and y.normalized().chart is Chart.SOUTH:
         poly = q  # preimages of N are the poles of the map
     else:
         y_val = to_chart(y.normalized(), Chart.NORTH).value
         poly = npoly.polysub(p, y_val * q)
     poly_t = np.trim_zeros(poly, "b")
+    out = []
     if poly_t.size > 1:
-        roots = npoly.polyroots(poly_t)
-        roots = [_polish_root(poly_t, z) for z in roots]
-        for z in sorted(roots, key=lambda z: (round(z.real, 9), round(z.imag, 9))):
-            out.append(SpherePoint(z, Chart.NORTH).normalized())
-    # infinity is a preimage when the image of N matches y
-    if chordal(evaluate(spec, charts.N_POLE), y) < 1e-9:
+        out = [SpherePoint(_polish_root(poly_t, z), Chart.NORTH).normalized()
+               for z in npoly.polyroots(poly_t)]
+    if poly_t.size < max(p.size, q.size):  # f(N) = y: a near miss is a large root
         out.append(charts.N_POLE)
-    return dedup_points(out, PREIMAGE_DEDUP)
+    return out
 
 
 def _polish_root(poly: np.ndarray, z: complex) -> complex:

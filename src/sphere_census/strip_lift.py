@@ -89,15 +89,6 @@ class StripMap:
         x_out = view.angular_degree * x + view.twist(s) / (2 * math.pi)
         return (x_out + self.lift_offset, self.y_of_s(view.radial(s)))
 
-    def as_plane(self):
-        """The lift as a map of the complex plane x + i*y."""
-
-        def fn(z: complex) -> complex:
-            xo, yo = self(z.real, z.imag)
-            return complex(xo, yo)
-
-        return fn
-
     def project(self, x: float, y: float) -> SpherePoint:
         return from_latlon(self.s_of_y(y), 2 * math.pi * x)
 
@@ -171,7 +162,7 @@ def verify_index(F: StripMap) -> VerifyResult:
     if not width < M_CAP:  # a non-finite reach is refused as well
         raise MNotFound(refused)
     m = math.floor(width) + 1
-    idx = lefschetz_index(F.as_plane(), build_beta(F, m))
+    idx = lefschetz_index(lambda z: complex(*F(z.real, z.imag)), build_beta(F, m))
     if idx != expected:
         raise IndexMismatch(f"loop index {idx} != certified {expected} for degree {d}")
     return VerifyResult(index=idx, m_used=m)

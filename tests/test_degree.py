@@ -21,8 +21,10 @@ from sphere_census.charts import (
     RationalPair,
     S_POLE,
     SpherePoint,
+    as_rational,
     chart_value,
     evaluate,
+    format_map,
     from_latlon,
     parse_map,
 )
@@ -125,6 +127,43 @@ def test_iterate_preimages_match_expanded_roots():
         assert np.abs(want - z).min() < 1e-12
     keys = [(round(z.real, 9), round(z.imag, 9)) for z in zs]
     assert keys == sorted(keys)
+
+
+def test_power_iterate_preimages_are_solved_level_by_level(monkeypatch):
+    # z^8 = y, found as three rounds of square roots: one solve of the first
+    # level, two of the second and four of the third; z^8 is never formed
+    rng = np.random.default_rng(41)
+    y = SpherePoint(complex(*rng.uniform(-1.0, 1.0, 2)))
+    solve = degree._rational_preimages
+    calls = []
+    monkeypatch.setattr(degree, "_rational_preimages",
+                        lambda spec, t: calls.append(t) or solve(spec, t))
+    pre = find_preimages(Iterate(Power(2), 3), y)
+    assert len(calls) == 1 + 2 + 4
+    assert pre == sorted(pre, key=degree._north_order)
+    zs = [chart_value(p, Chart.NORTH) for p in pre]
+    want = [abs(y.value) ** (1 / 8) * cmath.exp(1j * (cmath.phase(y.value) + 2 * math.pi * k) / 8)
+            for k in range(8)]
+    assert len(zs) == 8
+    assert all(min(abs(z - w) for z in zs) < 1e-12 for w in want)
+    assert as_rational(Iterate(Power(2), 3)) is None
+
+
+@pytest.mark.parametrize("spec", [
+    Iterate(Power(2), 2),
+    Iterate(Power(-2), 2),
+    Iterate(Power(2), 3),
+    Iterate(Quadratic(0), 2),
+    Iterate(RationalPair((1,), (0, 0, 1)), 2),
+], ids=format_map)
+@pytest.mark.parametrize("v", [1e-16, 1e-12])
+def test_iterate_near_a_critical_value_keeps_every_preimage(spec, v):
+    # at y = 1e-16 a first level of z^2 is the pair +-1e-8 and one of 1/z^2
+    # is +-1e8, each chordal 4e-8 apart (within PREIMAGE_DEDUP), and the pair
+    # separates at the next level; 1/z^2 sends N within chordal 2e-12 of
+    # y = 1e-12, but N is no preimage of y and S no preimage of y under f^2
+    report = global_degree(spec, y=SpherePoint(complex(v)))
+    assert [d for _, d in report.witnesses] == [1] * spec.declared_degree
 
 
 def test_global_degree_of_deep_iterates():
