@@ -476,17 +476,23 @@ def is_identity_profile(profile) -> bool:
     return False
 
 
+def _shifted(profile):
+    """profile(s) - s, so radial fixed latitudes are level-set zeros; an
+    affine profile stays affine, so its fixed latitude has a closed form."""
+    if isinstance(profile, AffineProfile):
+        return AffineProfile(profile.a - 1.0, profile.b)
+    return _Shifted(profile)
+
+
 @dataclass(frozen=True)
-class _shifted:
-    """profile(s) - s, so radial fixed latitudes are level-set zeros."""
+class _Shifted:
+    """profile(s) - s for a profile that is not affine."""
 
     profile: object
 
     def __call__(self, s: float) -> float:
         v = self.profile(s)
-        if math.isinf(v):
-            return v
-        return v - s
+        return v if math.isinf(v) else v - s
 
     def many(self, s: np.ndarray) -> np.ndarray:
         v = self.profile.many(s)
@@ -502,12 +508,13 @@ LEVEL_S_CAP = 18.0
 
 
 def solve_profile_level(profile, level: float, grid: int = 4096) -> list[float]:
-    """All finite s with |s| < LEVEL_S_CAP and profile(s) == level, by
-    per-branch bisection.
-
-    Branches are the intervals between consecutive pole crossings (profile
-    values are finite and continuous inside each).  Deterministic.
+    """All finite s with profile(s) == level: (level - b) / a for an affine
+    profile with a != 0, else those with |s| < LEVEL_S_CAP by per-branch
+    bisection.  Branches are the intervals between consecutive pole
+    crossings (profile values are finite and continuous inside each).
     """
+    if isinstance(profile, AffineProfile) and profile.a != 0:
+        return [(level - profile.b) / profile.a]
     cuts = [-LEVEL_S_CAP] + sorted(s for s, _ in profile.pole_crossings()) + [LEVEL_S_CAP]
     roots: list[float] = []
     for lo, hi in zip(cuts, cuts[1:]):
@@ -978,20 +985,16 @@ def iterate_base(spec: MapSpec) -> tuple[MapSpec, int]:
 
 def check_degree_cap(spec: MapSpec, n: int) -> None:
     """Refuse f^n of a power, quadratic or rational f of degree over the cap:
-    every f but a product map (a power's rational form is never built)."""
+    every f but a product map (a power's view gives |d|^n points to wind)."""
     base, _ = iterate_base(spec)
     if not isinstance(base, ProductMap) and abs(spec.declared_degree) ** n > DEGREE_CAP:
         raise DegreeCapExceeded(f"degree {spec.declared_degree}^{n} exceeds {DEGREE_CAP}")
 
 
 def as_rational(spec: MapSpec) -> tuple[tuple[complex, ...], tuple[complex, ...]] | None:
-    """Ascending (P, Q) with f = P/Q for a power, quadratic or rational pair;
-    None for product maps and for every iterate (iterates are never
-    expanded: their callers walk the base n times)."""
-    if isinstance(spec, Power):
-        if spec.d >= 0:
-            return ((0j,) * spec.d + (1 + 0j,), (1 + 0j,))
-        return ((1 + 0j,), (0j,) * (-spec.d) + (1 + 0j,))
+    """Ascending (P, Q) with f = P/Q for a quadratic or rational pair; None
+    for powers and product maps (solved on their product views) and for
+    every iterate (never expanded: its callers walk the base n times)."""
     if isinstance(spec, Quadratic):
         return ((spec.c, 0j, 1 + 0j), (1 + 0j,))
     if isinstance(spec, RationalPair):
@@ -1025,7 +1028,7 @@ def as_product_view(spec: MapSpec) -> ProductMap | None:
     product maps, powers, z**2 and the monomials c*z**k, and their iterates."""
     if isinstance(spec, ProductMap):
         return spec
-    if isinstance(spec, Power):  # not as_rational's |d| + 1 coefficients
+    if isinstance(spec, Power):  # a power has no rational form: this is its normal form
         return ProductMap(AffineProfile(float(spec.d), 0.0), spec.d)
     if isinstance(spec, Iterate):
         base = as_product_view(spec.inner)

@@ -83,23 +83,22 @@ class DegreeReport:
 
 
 def find_preimages(spec: MapSpec, y: SpherePoint) -> list[SpherePoint]:
-    """All preimages of y, deterministically ordered.
+    """All preimages of y, sorted by ``_north_order`` and deduplicated once.
 
-    A spec f^n whose base f is a power, quadratic or rational map is solved
-    level by level: n rounds of f's own degree-D solve (companion-matrix
-    roots of P - y*Q), one for a plain f, never expanded.  Close pairs are
-    kept to the last level, which alone is sorted and deduplicated.  Every
-    other spec reduces, through its product view, to a latitude level-set
-    solve plus the angular congruence.
+    A spec with a product view reduces to a latitude level-set solve plus
+    the angular congruence: a power's preimages are its closed-form d-th
+    roots.  Any other spec is f^n of a quadratic or rational f, solved level
+    by level: n rounds of f's own degree-D solve, never expanded, with close
+    pairs kept to the last level.
     """
-    base, n = iterate_base(spec)
-    if as_rational(base) is None:
-        return _product_preimages(as_product_view(spec), y)
-    level = [y]
-    for _ in range(n):
-        level = [x for t in level for x in _rational_preimages(base, t)]
-    if chordal(evaluate(spec, charts.N_POLE), y) < 1e-9:  # f^n(N) = y
-        level.append(charts.N_POLE)
+    view = as_product_view(spec)
+    if view is not None:
+        level = _product_preimages(view, y)
+    else:
+        base, n = iterate_base(spec)
+        level = [y]
+        for _ in range(n):
+            level = [x for t in level for x in _rational_preimages(base, t)]
     return dedup_points(sorted(level, key=_north_order), PREIMAGE_DEDUP)
 
 
@@ -113,9 +112,9 @@ def _north_order(p: SpherePoint) -> tuple:
 
 
 def _rational_preimages(spec: MapSpec, y: SpherePoint) -> list[SpherePoint]:
-    """The preimages of y under a power, quadratic or rational map: the
-    polished roots of P - y*Q, then N if the solve lost a root to
-    infinity; neither sorted nor deduplicated."""
+    """The preimages of y under a quadratic or rational map: the polished
+    companion roots of P - y*Q, then N exactly when the solve lost a root
+    to infinity (f(N) = y); neither sorted nor deduplicated."""
     p, q = (np.array(c, dtype=complex) for c in as_rational(spec))
     if y.normalized().is_pole and y.normalized().chart is Chart.SOUTH:
         poly = q  # preimages of N are the poles of the map
@@ -144,19 +143,16 @@ def _polish_root(poly: np.ndarray, z: complex) -> complex:
 
 
 def _product_preimages(view, y: SpherePoint) -> list[SpherePoint]:
+    """The preimages of y under a product view, unsorted."""
     d = view.angular_degree
-    out: list[SpherePoint] = []
     s_y = y.latitude()
     theta_y = y.angle()
     if math.isinf(s_y):
         # preimages of a pole: crossing circles are continua, skip them here;
         # point preimages are the ends whose limit matches
-        lo, hi = view.radial.end_limits()
-        if lo == s_y:
-            out.append(charts.S_POLE)
-        if hi == s_y:
-            out.append(charts.N_POLE)
-        return out
+        return [pole for pole, end in zip((charts.S_POLE, charts.N_POLE),
+                                          view.radial.end_limits()) if end == s_y]
+    out: list[SpherePoint] = []
     for s in solve_profile_level(view.radial, s_y):
         if d == 0:
             # image of this circle is a single point; generic y misses it
@@ -166,7 +162,7 @@ def _product_preimages(view, y: SpherePoint) -> list[SpherePoint]:
         for k in range(abs(d)):
             theta = (theta_y - view.twist(s) + 2 * math.pi * k) / d
             out.append(from_latlon(s, theta))
-    return dedup_points(out, PREIMAGE_DEDUP)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -626,6 +626,16 @@ def test_a_wrapped_twist_jump_is_not_a_fixed_circle():
     assert [row[1] for row in rows] == ["2", "inf"]
 
 
+def test_an_affine_fixed_latitude_past_the_level_grid_is_counted():
+    # q(s) = 2s - 20 fixes s* = 20, beyond the grid's |s| < 18, and q^2
+    # fixes it too: the poles plus |2^n - 1| points on it; the dilation
+    # q(s) = s + ln 2 fixes no latitude at any order
+    rows = census_csv(charts.parse_map("product:q=affine(2,-20);d=2"), 2).splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["1", "3"], ["2", "5"]]
+    rows = census_csv(DILATION, 4).splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["2"] * 4
+
+
 def test_growth_report_squaring():
     report = growth_report(Power(2), 8)
     assert [int(r.count) for r in report.rows] == [2 ** n + 1 for n in range(1, 9)]

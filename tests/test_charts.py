@@ -27,6 +27,7 @@ from sphere_census.charts import (
     S_POLE,
     _ComposedRadial,
     _ComposedTwist,
+    _Shifted,
     _horner,
     _shifted,
     SpherePoint,
@@ -41,6 +42,7 @@ from sphere_census.charts import (
     format_map,
     from_latlon,
     parse_map,
+    solve_profile_level,
     to_chart,
 )
 from sphere_census.winding import SampledCurve, circle
@@ -623,3 +625,20 @@ def test_grammar_examples():
 def test_grammar_rejects(bad):
     with pytest.raises(ParseError):
         parse_map(bad)
+
+
+def test_affine_fixed_latitude_closed_form_matches_the_grid():
+    # an affine profile's fixed latitude is -b / (a - 1) at any latitude;
+    # inside the grid's |s| < 18 the per-branch bisection finds the same root
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        a = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 6.0)
+        if abs(a - 1.0) < 0.05:
+            continue
+        s_star = rng.uniform(-17.5, 17.5)
+        profile = AffineProfile(a, s_star * (1.0 - a))
+        closed = solve_profile_level(_shifted(profile), 0.0)
+        grid = solve_profile_level(_Shifted(profile), 0.0)
+        assert len(closed) == len(grid) == 1
+        assert abs(closed[0] - grid[0]) < 1e-12
+        assert abs(closed[0] - s_star) < 1e-12

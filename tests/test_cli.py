@@ -123,6 +123,15 @@ def test_degree_with_explicit_value(capsys):
     assert code == 0 and payload["global"] == 2
 
 
+def test_degree_of_a_constant_power_at_its_value_is_refused(capsys):
+    # z^0 sends the whole sphere to 1: the level latitude s = 0 is a whole
+    # circle of preimages, which no set of witnesses can stand for
+    code, out, err = run(capsys, "degree", "--map", "power:d=0", "--value", "1,0")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "PreimageClusterTooTight",
+                               "message": "angular-degree-0 circle preimage"}
+
+
 def test_index_subcommand(tmp_path, capsys):
     path = tmp_path / "curve.csv"
     path.write_text(dump_curve_csv(circle(0j, 2.0, 64)))

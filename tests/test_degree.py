@@ -23,6 +23,7 @@ from sphere_census.charts import (
     SpherePoint,
     as_rational,
     chart_value,
+    chordal,
     evaluate,
     format_map,
     from_latlon,
@@ -129,17 +130,26 @@ def test_iterate_preimages_match_expanded_roots():
     assert keys == sorted(keys)
 
 
-def test_power_iterate_preimages_are_solved_level_by_level(monkeypatch):
-    # z^8 = y, found as three rounds of square roots: one solve of the first
-    # level, two of the second and four of the third; z^8 is never formed
+def test_preimage_routes_level_loop_and_product_view(monkeypatch):
+    # (z^2 + 1/2)^3 = y is solved as three rounds of the quadratic's own
+    # solve: one of the first level, two of the second and four of the
+    # third, f^3 never formed; z^8 = y takes the product view of the
+    # iterated power, its closed-form eighth roots, and no level is solved
     rng = np.random.default_rng(41)
     y = SpherePoint(complex(*rng.uniform(-1.0, 1.0, 2)))
     solve = degree._rational_preimages
     calls = []
     monkeypatch.setattr(degree, "_rational_preimages",
                         lambda spec, t: calls.append(t) or solve(spec, t))
-    pre = find_preimages(Iterate(Power(2), 3), y)
+    spec = Iterate(Quadratic(0.5), 3)
+    pre = find_preimages(spec, y)
     assert len(calls) == 1 + 2 + 4
+    assert len(pre) == 8
+    assert pre == sorted(pre, key=degree._north_order)
+    assert all(chordal(evaluate(spec, x), y) < 1e-9 for x in pre)
+    calls.clear()
+    pre = find_preimages(Iterate(Power(2), 3), y)
+    assert calls == []
     assert pre == sorted(pre, key=degree._north_order)
     zs = [chart_value(p, Chart.NORTH) for p in pre]
     want = [abs(y.value) ** (1 / 8) * cmath.exp(1j * (cmath.phase(y.value) + 2 * math.pi * k) / 8)
@@ -147,6 +157,22 @@ def test_power_iterate_preimages_are_solved_level_by_level(monkeypatch):
     assert len(zs) == 8
     assert all(min(abs(z - w) for z in zs) < 1e-12 for w in want)
     assert as_rational(Iterate(Power(2), 3)) is None
+    assert as_rational(Power(2)) is None
+
+
+def test_product_preimages_are_sorted_by_north_order():
+    # a fold with a twist: two level latitudes of three angles each, found
+    # latitude by latitude and angle by angle, returned in the one order of
+    # every route
+    spec = ProductMap(PiecewiseLinearProfile(((-INF, -INF), (0.0, 1.0), (INF, -INF))), 3,
+                      AffineProfile(0.0, 0.7))
+    y = from_latlon(0.25, 2.0)
+    raw = degree._product_preimages(spec, y)
+    pre = find_preimages(spec, y)
+    assert raw != pre
+    assert pre == sorted(raw, key=degree._north_order)
+    assert len(pre) == 6
+    assert all(chordal(evaluate(spec, x), y) < 1e-9 for x in pre)
 
 
 @pytest.mark.parametrize("spec", [
@@ -391,3 +417,19 @@ def test_a_pinned_value_near_a_pole_is_not_too_close_to_its_image():
     report = global_degree(Power(1), y=SpherePoint(1e-9, Chart.NORTH))
     assert report.total == 1
     assert [d for _, d in report.witnesses] == [1]
+
+
+def test_a_power_pinned_next_to_its_pole_image_takes_no_extra_pole():
+    # 1/z^8 sends N to 0, within chordal 2e-12 of y = 1e-12, but N is no
+    # preimage of y: the eight roots of modulus 10^1.5 are the only witnesses
+    report = global_degree(Iterate(Power(-2), 3), y=SpherePoint(1e-12 + 0j))
+    assert report.total == 8
+    assert [d for _, d in report.witnesses] == [1] * 8
+    assert N_POLE not in [x for x, _ in report.witnesses]
+
+
+def test_a_power_pinned_with_preimages_below_the_witness_floor_is_refused():
+    # the two preimages of 1e-12 under 1/z^2 are +-1e6, chordal 4e-6 apart:
+    # below the 1e-4 separation floor for witnesses, by design
+    with pytest.raises(PreimageClusterTooTight, match="witness separation"):
+        global_degree(Power(-2), y=SpherePoint(1e-12 + 0j))
