@@ -304,7 +304,7 @@ def _aberth_fixed_points(p, q, deg: int, poles: dict) -> tuple[dict, dict]:
     """
     if not poles:
         return {}, {}
-    coeffs, u = _frame(p, q, deg)
+    coeffs, u = _frame(p, q)
     # (w : 1) = U^H (z : 1): S = (0 : 1) and N = (1 : 0)
     fixed = {n: np.array([u[1, 0].conjugate() / u[1, 1].conjugate() if pole == S_POLE
                           else u[0, 0].conjugate() / u[0, 1].conjugate() for pole in ps],
@@ -331,15 +331,12 @@ def _aberth_fixed_points(p, q, deg: int, poles: dict) -> tuple[dict, dict]:
     return found, left
 
 
-def _frame(p, q, deg: int):
-    """The coefficient rows of F = (p, q), padded to degree D, and the
-    seeded unitary change of coordinates U of the w chart."""
+def _frame(p, q):
+    """The coefficient rows of F = (p, q) (``degree._coefficient_rows``)
+    and the seeded unitary change of coordinates U of the w chart."""
     rng = np.random.default_rng(ABERTH_SEED)
     u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    coeffs = np.zeros((2, deg + 1), dtype=complex)
-    coeffs[0, :len(p)] = p
-    coeffs[1, :len(q)] = q
-    return coeffs, u
+    return degree_mod._coefficient_rows(p, q), u
 
 
 def _aberth(coeffs, deg: int, u, w: np.ndarray, blocks) -> list[int]:
@@ -390,9 +387,11 @@ def _starts(coeffs, deg: int, u, fixed: dict) -> dict:
     repelling or parabolic, so it lies on the Julia set, where the iterated
     preimages of a point equidistribute (Brolin) as the repelling periodic
     points do.  The nudge keeps a critical orbit through y0 from doubling a
-    start.  One preimage tree, grown a level at a time, serves every order.
-    At either order the start nearest each fixed root gives way to it; the
-    golden spiral pads the set up to its size, and starts a Moebius map.
+    start.  One preimage tree, grown a level at a time by
+    ``degree._preimages`` on the targets (a, b) = U (t, 1), serves every
+    order.  At either order the start nearest each fixed root gives way to
+    it; the golden spiral pads the set up to its size, and starts a Moebius
+    map.
     """
     tree = {}
     if deg >= 2:
@@ -405,7 +404,8 @@ def _starts(coeffs, deg: int, u, fixed: dict) -> dict:
             y0 = roots[np.argmax(np.where(np.isfinite(lam), lam, -1.0))]
             level = np.array([y0 + 1e-3 * (1.0 + abs(y0))])
             for n in range(1, top + 1):  # level n: the D^n preimages under f^n
-                level = _preimages(forms, u, level)
+                level = degree_mod._preimages(forms, u[0, 0] * level + u[0, 1],
+                                              u[1, 0] * level + u[1, 1])
                 if n >= 2 and n in fixed:
                     tree[n] = level
     found = {}
@@ -444,35 +444,12 @@ def _base_fixed_points(coeffs, deg: int, u, forms: np.ndarray) -> np.ndarray:
     polynomial G(w) = det[F(x), x] with x = U (w, 1), whose coefficients are
     forms[0] * (u10 w + u11) - forms[1] * (u00 w + u01), from one companion
     eigensolve, polished by Aberth-Ehrlich at order 1.  If G drops degree
-    there are none, and the caller pads from the spiral."""
+    its roots at infinity go, and the caller pads from the spiral."""
     poly = np.convolve(forms[0], u[1, ::-1]) - np.convolve(forms[1], u[0, ::-1])
-    roots = _companion_roots(poly[None, :])
+    roots = degree_mod._companion_roots(poly[None, :])
+    roots = roots[np.isfinite(roots)]
     _aberth(coeffs, deg, u, roots, [(1, roots.size, roots.size)])
     return roots
-
-
-def _preimages(forms: np.ndarray, u, t: np.ndarray) -> np.ndarray:
-    """The D preimages under f of each target t in the w chart: the roots of
-    b F1(x) - a F2(x) with (a, b) = U (t, 1) and x = U (w, 1), whose
-    w-coefficients are b forms[0] - a forms[1].  A target whose equation
-    drops degree is skipped."""
-    a, b = u[0, 0] * t + u[0, 1], u[1, 0] * t + u[1, 1]
-    scale = 1.0 / np.maximum(np.abs(a), np.abs(b))
-    return _companion_roots(np.outer(b * scale, forms[0]) - np.outer(a * scale, forms[1]))
-
-
-def _companion_roots(poly: np.ndarray) -> np.ndarray:
-    """The roots of each row of ascending coefficients, as one batch of
-    companion eigenvalues; a row whose leading coefficient vanishes is
-    skipped."""
-    deg = poly.shape[1] - 1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        last = -poly[:, :deg] / poly[:, deg:]
-    last = last[np.isfinite(last).all(axis=1)]
-    companion = np.zeros((last.shape[0], deg, deg), dtype=complex)
-    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-    companion[:, :, -1] = last
-    return np.linalg.eigvals(companion).ravel()
 
 
 def _spiral(m: int) -> np.ndarray:

@@ -476,9 +476,18 @@ def is_identity_profile(profile) -> bool:
     return False
 
 
+def _affine_form(profile):
+    """A ``PolyProfile`` of degree <= 1 as the ``AffineProfile`` it is."""
+    if isinstance(profile, PolyProfile) and len(profile.coeffs) <= 2:
+        b, a = (profile.coeffs + (0.0,))[:2]
+        return AffineProfile(a, b)
+    return profile
+
+
 def _shifted(profile):
     """profile(s) - s, so radial fixed latitudes are level-set zeros; an
-    affine profile stays affine, so its fixed latitude has a closed form."""
+    affine profile (``_affine_form``) stays affine: a closed-form root."""
+    profile = _affine_form(profile)
     if isinstance(profile, AffineProfile):
         return AffineProfile(profile.a - 1.0, profile.b)
     return _Shifted(profile)
@@ -509,10 +518,11 @@ LEVEL_S_CAP = 18.0
 
 def solve_profile_level(profile, level: float, grid: int = 4096) -> list[float]:
     """All finite s with profile(s) == level: (level - b) / a for an affine
-    profile with a != 0, else those with |s| < LEVEL_S_CAP by per-branch
-    bisection.  Branches are the intervals between consecutive pole
-    crossings (profile values are finite and continuous inside each).
+    profile (``_affine_form``) with a != 0, else those with |s| < LEVEL_S_CAP
+    by per-branch bisection.  Branches are the intervals between consecutive
+    pole crossings (profile values are finite and continuous inside each).
     """
+    profile = _affine_form(profile)
     if isinstance(profile, AffineProfile) and profile.a != 0:
         return [(level - profile.b) / profile.a]
     cuts = [-LEVEL_S_CAP] + sorted(s for s, _ in profile.pole_crossings()) + [LEVEL_S_CAP]
@@ -1051,11 +1061,9 @@ def as_product_view(spec: MapSpec) -> ProductMap | None:
 
 
 def _compose_views(outer: ProductMap, inner: ProductMap) -> ProductMap:
-    if isinstance(outer.radial, AffineProfile) and isinstance(inner.radial, AffineProfile):
-        radial = AffineProfile(
-            outer.radial.a * inner.radial.a,
-            outer.radial.a * inner.radial.b + outer.radial.b,
-        )
+    q_out, q_in = _affine_form(outer.radial), _affine_form(inner.radial)
+    if isinstance(q_out, AffineProfile) and isinstance(q_in, AffineProfile):
+        radial = AffineProfile(q_out.a * q_in.a, q_out.a * q_in.b + q_out.b)
     else:
         radial = _ComposedRadial(outer.radial, inner.radial)
     twist = _ComposedTwist(outer.angular_degree, inner.twist, inner.radial, outer.twist)

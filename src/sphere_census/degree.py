@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import charts
 from .charts import (
@@ -30,9 +29,9 @@ from .charts import (
     dedup_points,
     evaluate,
     from_latlon,
+    from_pairs,
     iterate_base,
     solve_profile_level,
-    to_chart,
     wrap_angle,
 )
 from .winding import (
@@ -88,17 +87,24 @@ def find_preimages(spec: MapSpec, y: SpherePoint) -> list[SpherePoint]:
     A spec with a product view reduces to a latitude level-set solve plus
     the angular congruence: a power's preimages are its closed-form d-th
     roots.  Any other spec is f^n of a quadratic or rational f, solved level
-    by level: n rounds of f's own degree-D solve, never expanded, with close
-    pairs kept to the last level.
+    by level in the north chart: n calls of ``_preimages`` on 1, D, D^2, ...
+    targets (a : b), f^n never expanded, close pairs kept to the last level;
+    a root lost to infinity is N = (1 : 0) exactly.
     """
     view = as_product_view(spec)
     if view is not None:
         level = _product_preimages(view, y)
     else:
         base, n = iterate_base(spec)
-        level = [y]
+        forms = _coefficient_rows(*as_rational(base))
+        pair = (y.value, 1.0) if y.chart is Chart.NORTH else (1.0, y.value)
+        a, b = np.array([pair], dtype=complex).T
         for _ in range(n):
-            level = [x for t in level for x in _rational_preimages(base, t)]
+            w = _preimages(forms, a, b)
+            finite = np.isfinite(w)
+            a, b = np.where(finite, w, 1.0), finite.astype(complex)
+        level = [SpherePoint(v, Chart.NORTH if north else Chart.SOUTH)
+                 for v, north in zip(*from_pairs(a, b))]
     return dedup_points(sorted(level, key=_north_order), PREIMAGE_DEDUP)
 
 
@@ -111,35 +117,43 @@ def _north_order(p: SpherePoint) -> tuple:
     return (0, round(z.real, 9), round(z.imag, 9))
 
 
-def _rational_preimages(spec: MapSpec, y: SpherePoint) -> list[SpherePoint]:
-    """The preimages of y under a quadratic or rational map: the polished
-    companion roots of P - y*Q, then N exactly when the solve lost a root
-    to infinity (f(N) = y); neither sorted nor deduplicated."""
-    p, q = (np.array(c, dtype=complex) for c in as_rational(spec))
-    if y.normalized().is_pole and y.normalized().chart is Chart.SOUTH:
-        poly = q  # preimages of N are the poles of the map
-    else:
-        y_val = to_chart(y.normalized(), Chart.NORTH).value
-        poly = npoly.polysub(p, y_val * q)
-    poly_t = np.trim_zeros(poly, "b")
-    out = []
-    if poly_t.size > 1:
-        out = [SpherePoint(_polish_root(poly_t, z), Chart.NORTH).normalized()
-               for z in npoly.polyroots(poly_t)]
-    if poly_t.size < max(p.size, q.size):  # f(N) = y: a near miss is a large root
-        out.append(charts.N_POLE)
-    return out
+def _coefficient_rows(p, q) -> np.ndarray:
+    """F = (P, Q) as two rows of ascending coefficients, padded to degree D."""
+    rows = np.zeros((2, max(len(p), len(q))), dtype=complex)
+    rows[0, :len(p)], rows[1, :len(q)] = p, q
+    return rows
 
 
-def _polish_root(poly: np.ndarray, z: complex) -> complex:
-    dpoly = npoly.polyder(poly)
-    for _ in range(4):
-        val = complex(npoly.polyval(z, poly))
-        dval = complex(npoly.polyval(z, dpoly))
-        if dval == 0:
-            break
-        z -= val / dval
-    return z
+def _preimages(forms: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The D preimages under f of each target (a : b), target by target:
+    the roots w of b F1(w, 1) - a F2(w, 1), with ``forms`` holding the
+    w-coefficients of F(w, 1) in the caller's chart, each row scaled by
+    1 / max(|a|, |b|).  A root lost to infinity is inf: there f(inf) is the
+    target."""
+    scale = 1.0 / np.maximum(np.abs(a), np.abs(b))
+    return _companion_roots(np.outer(b * scale, forms[0]) - np.outer(a * scale, forms[1]))
+
+
+def _companion_roots(poly: np.ndarray) -> np.ndarray:
+    """The roots of each row of ascending coefficients, row by row, as one
+    batch of companion eigenvalues: a row whose leading coefficient
+    vanishes gives the roots of the row trimmed of it, and inf for each
+    root lost to infinity."""
+    deg = poly.shape[1] - 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        last = -poly[:, :deg] / poly[:, deg:]
+    full = np.isfinite(last).all(axis=1)
+    companion = np.zeros((np.count_nonzero(full), deg, deg), dtype=complex)
+    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    companion[:, :, -1] = last[full]
+    roots = np.linalg.eigvals(companion)
+    if full.all():
+        return roots.ravel()
+    out = np.full((full.size, deg), complex(math.inf))
+    out[full] = roots
+    if deg > 1:
+        out[~full, :-1] = _companion_roots(poly[~full, :-1]).reshape(-1, deg - 1)
+    return out.ravel()
 
 
 def _product_preimages(view, y: SpherePoint) -> list[SpherePoint]:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 import time
 import tracemalloc
 import warnings
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from sphere_census import census, charts
+from sphere_census import census, charts, degree
 from sphere_census.census import (
     CensusIncomplete,
     DegreeCapExceeded,
@@ -429,24 +430,27 @@ def test_one_orbit_walk_serves_every_order(monkeypatch):
     # preimage levels, 36 residual levels and 8 frames
     levels, preimages, frames, residual = [], [], [], []
 
-    def counted(name, log, entry):
-        call = getattr(census, name)
+    def counted(name, log, entry, module=census):
+        call = getattr(module, name)
 
         def wrapper(*args):
             log.append(entry(*args))
             return call(*args)
 
-        monkeypatch.setattr(census, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     counted("_iterate_jet", levels, lambda coeffs, deg, n, u, w: int(np.max(n)))
-    counted("_preimages", preimages, lambda forms, u, t: t.size)
+    # the levels of the preimage tree, not the pole preimages of the
+    # cross-check's decomposition, which share the solver
+    counted("_preimages", preimages, lambda forms, a, b: a.size
+            if sys._getframe(2).f_code.co_name == "_starts" else None, degree)
     counted("_frame", frames, lambda *args: None)
     counted("evaluate_many", residual, lambda spec, values, north: spec)
     census_csv(Quadratic(0.1), 8)
     assert max(levels) <= 8
     assert sum(levels) < 150
     # one level of the preimage tree per order: order 2 needs levels 1 and 2
-    assert preimages == [2 ** k for k in range(8)]
+    assert [k for k in preimages if k is not None] == [2 ** k for k in range(8)]
     assert len(frames) == 1
     assert residual == [Quadratic(0.1)] * 8
 
@@ -500,7 +504,7 @@ def test_companion_fixed_points_match_the_spiral_solve(monkeypatch, text):
     spec = charts.parse_map(text)
     deg = spec.declared_degree
     p, q = as_rational(spec)
-    coeffs, u = census._frame(p, q, deg)
+    coeffs, u = census._frame(p, q)
     spiral = census._spiral(deg + 1)
     assert census._aberth(coeffs, deg, u, spiral, [(1, deg + 1, deg + 1)]) == [0]
     # the polish of the companion roots converges within two steps
@@ -634,6 +638,19 @@ def test_an_affine_fixed_latitude_past_the_level_grid_is_counted():
     assert [row.split(",")[:2] for row in rows] == [["1", "3"], ["2", "5"]]
     rows = census_csv(DILATION, 4).splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["2"] * 4
+
+
+def test_a_degree_1_poly_profile_is_counted_as_its_affine_form():
+    # poly(-20,2) is q(s) = 2s - 20 written as a polynomial: its fixed
+    # latitude s* = 20 is found in closed form at every order, as the affine
+    # spelling's is, and the map still prints as written
+    for poly, affine, counts in (("poly(-20,2);d=2", "affine(2,-20);d=2", ["3", "5", "9"]),
+                                 ("poly(0.5,2);d=3", "affine(2,0.5);d=3", ["4", "10", "28"])):
+        spec = charts.parse_map("product:q=" + poly)
+        assert charts.format_map(spec) == "product:q=" + poly
+        rows = census_csv(spec, 3).splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == counts
+        assert rows == census_csv(charts.parse_map("product:q=" + affine), 3).splitlines()[1:]
 
 
 def test_growth_report_squaring():

@@ -363,10 +363,13 @@ def point_pairs(draw):
         1j * draw(st.floats(0.0, 2 * math.pi)))
     if kind == "near":
         return z, north, z + eps, north
-    return z, north, (1 / z if abs(z) >= 1 / CHART_OVERFLOW else 0j) + eps, not north
+    return z, north, (1 / z if z and abs(1 / z) <= CHART_OVERFLOW else 0j) + eps, not north
 
 
 @given(pairs=st.lists(point_pairs(), min_size=1, max_size=8))
+# a coordinate whose modulus rounds to 1 / CHART_OVERFLOW, but whose
+# other-chart coordinate lies past the cap
+@example(pairs=[(9.999999999999982e-09 + 5.96046447753906e-16j, True, 0j, False)])
 # chart norms where math.hypot and numpy's hypot round apart
 @example(pairs=[(-2.50075149791556 - 1.0800597973040416j, True,
                  0.060355688296061825 - 0.2116537347695932j, False)])

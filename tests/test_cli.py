@@ -11,7 +11,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import sphere_census
-from sphere_census import census, cli, strip_lift
+from sphere_census import census, cli, degree, strip_lift
 from sphere_census.charts import Chart
 from sphere_census.cli import main
 from sphere_census.winding import circle, dump_curve_csv
@@ -66,14 +66,14 @@ def test_census_fails_at_the_order_that_fails(capsys, monkeypatch, patch, text, 
         monkeypatch.setattr(census, name, value)
     if later_error:
         # a non-census error while growing the preimage tree for the next order
-        preimages = census._preimages
+        preimages = degree._preimages
 
-        def failing(forms, u, t):
-            if t.size >= 2 ** order:
+        def failing(forms, a, b):
+            if a.size >= 2 ** order:
                 raise RuntimeError("preimage tree")
-            return preimages(forms, u, t)
+            return preimages(forms, a, b)
 
-        monkeypatch.setattr(census, "_preimages", failing)
+        monkeypatch.setattr(degree, "_preimages", failing)
     code, out, err = run(capsys, "census", "--map", text, "--n-max", str(n_max))
     assert (code, out) == (1, "")
     assert err == json.dumps({"error": "CensusIncomplete", "message": message}) + "\n"

@@ -131,19 +131,19 @@ def test_iterate_preimages_match_expanded_roots():
 
 
 def test_preimage_routes_level_loop_and_product_view(monkeypatch):
-    # (z^2 + 1/2)^3 = y is solved as three rounds of the quadratic's own
-    # solve: one of the first level, two of the second and four of the
-    # third, f^3 never formed; z^8 = y takes the product view of the
-    # iterated power, its closed-form eighth roots, and no level is solved
+    # (z^2 + 1/2)^3 = y is solved as three calls of the shared level
+    # solver, on the 1, 2 and 4 targets of its levels, f^3 never formed;
+    # z^8 = y takes the product view of the iterated power, its closed-form
+    # eighth roots, and no level is solved
     rng = np.random.default_rng(41)
     y = SpherePoint(complex(*rng.uniform(-1.0, 1.0, 2)))
-    solve = degree._rational_preimages
+    solve = degree._preimages
     calls = []
-    monkeypatch.setattr(degree, "_rational_preimages",
-                        lambda spec, t: calls.append(t) or solve(spec, t))
+    monkeypatch.setattr(degree, "_preimages",
+                        lambda forms, a, b: calls.append(a.size) or solve(forms, a, b))
     spec = Iterate(Quadratic(0.5), 3)
     pre = find_preimages(spec, y)
-    assert len(calls) == 1 + 2 + 4
+    assert calls == [1, 2, 4]
     assert len(pre) == 8
     assert pre == sorted(pre, key=degree._north_order)
     assert all(chordal(evaluate(spec, x), y) < 1e-9 for x in pre)
@@ -158,6 +158,19 @@ def test_preimage_routes_level_loop_and_product_view(monkeypatch):
     assert all(min(abs(z - w) for z in zs) < 1e-12 for w in want)
     assert as_rational(Iterate(Power(2), 3)) is None
     assert as_rational(Power(2)) is None
+
+
+def test_preimages_lost_to_infinity_are_n_exactly():
+    # z + 1/z = (z^2 + 1)/z sends S and N to N: the equation of N, -z = 0,
+    # drops degree at both ends, a root at 0 and one lost to infinity
+    spec = parse_map("rational:P=1,0,1;Q=0,1")
+    assert find_preimages(spec, N_POLE) == [S_POLE, N_POLE]
+    # under f^2 the preimages of S, z^2 + 1 = 0, join them
+    pre = find_preimages(Iterate(spec, 2), N_POLE)
+    assert len(pre) == 4
+    assert [x for x in pre if x.is_pole] == [S_POLE, N_POLE]
+    zs = sorted((chart_value(x, Chart.NORTH) for x in pre if not x.is_pole), key=lambda z: z.imag)
+    assert abs(zs[0] + 1j) < 1e-12 and abs(zs[1] - 1j) < 1e-12
 
 
 def test_product_preimages_are_sorted_by_north_order():
