@@ -188,11 +188,16 @@ def dedup_many(values: np.ndarray, north: np.ndarray, radius: float) -> np.ndarr
     return np.flatnonzero(keep)
 
 
+def point_arrays(points) -> tuple[np.ndarray, np.ndarray]:
+    """A sequence of ``SpherePoint``s as (values, north)."""
+    return (np.array([p.value for p in points], dtype=complex),
+            np.array([p.chart is Chart.NORTH for p in points], dtype=bool))
+
+
 def dedup_points(points, radius: float) -> list[SpherePoint]:
     """``dedup_many`` on a sequence of ``SpherePoint``s: the kept ones."""
     points = list(points)
-    kept = dedup_many(np.array([p.value for p in points], dtype=complex),
-                      np.array([p.chart is Chart.NORTH for p in points], dtype=bool), radius)
+    kept = dedup_many(*point_arrays(points), radius)
     return [points[i] for i in kept.tolist()]
 
 
@@ -968,16 +973,17 @@ def _product_many(spec: ProductMap, v: np.ndarray, north: np.ndarray):
     return from_latlon_many(s_out, theta)
 
 
-def curve_image(spec: MapSpec, curve, target: Chart) -> tuple[list, Callable[[float], complex]]:
+def curve_image(spec: MapSpec, curve,
+                target: Chart) -> tuple[np.ndarray, Callable[[float], complex]]:
     """The image of a sampled curve in the target chart: one ``evaluate_many``
-    batch of its ``points`` (read in its ``chart``), and the scalar image at a
-    curve parameter, through ``point_at``, for refinement."""
+    batch of its ``point_array`` (read in its ``chart``), and the scalar image
+    at a curve parameter, through ``point_at``, for refinement."""
 
     def image_at(t: float) -> complex:
         return chart_value(evaluate(spec, SpherePoint(curve.point_at(t), curve.chart)), target)
 
-    values, north = evaluate_many(spec, curve.points, curve.chart is Chart.NORTH)
-    return chart_values(values, north, target).tolist(), image_at
+    values, north = evaluate_many(spec, curve.point_array, curve.chart is Chart.NORTH)
+    return chart_values(values, north, target), image_at
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,14 @@ from .charts import (
     chart_value,
     check_degree_cap,
     chordal,
+    chordal_many,
     curve_image,
     dedup_points,
     evaluate,
     from_latlon,
     from_pairs,
     iterate_base,
+    point_arrays,
     solve_profile_level,
     wrap_angle,
 )
@@ -43,6 +45,8 @@ from .winding import (
 )
 
 PREIMAGE_DEDUP = 1e-7
+# separations measured by one ``chordal_many`` call of ``witness_radius``
+PAIR_BLOCK = 1 << 16
 
 
 class DegreeError(Exception):
@@ -194,8 +198,8 @@ def local_degree(spec: MapSpec, x: SpherePoint, y: SpherePoint, radius: float) -
     probe = circle(x.value, radius, samples=128, chart=x.chart)
     image = image_curve(spec, probe, y.chart)
     # scale-free: near a pole the probe circle, and so its image, is small
-    gaps = [abs(z - y_val) for z in image.points]
-    if min(gaps) <= 1e-9 * max(gaps):
+    gaps = np.abs(image.point_array - y_val)
+    if gaps.min() <= 1e-9 * gaps.max():
         raise RadiusTooLarge("image circle passes through the target value")
     return winding_number(image, y_val)
 
@@ -204,7 +208,7 @@ def image_curve(spec: MapSpec, curve: SampledCurve, target: Chart) -> SampledCur
     """The image of a sampled curve in the target chart, as ``curve_image``
     maps it: refinement maps parameter midpoints one at a time."""
     points, image_at = curve_image(spec, curve, target)
-    return SampledCurve(tuple(points), target, param_fn=image_at, params=curve.params)
+    return SampledCurve(points, target, param_fn=image_at, params=curve.param_array)
 
 
 def global_degree(
@@ -252,27 +256,46 @@ def _draw_regular_value(spec: MapSpec, seed: int | None, screen=None) -> DegreeR
 
 def _degree_at(spec: MapSpec, y: SpherePoint, screen=None) -> DegreeReport:
     """Local degrees at the preimages of y; ``screen`` sees the preimages
-    before any of them is wound."""
+    before any of them is wound.  The probe circles also keep clear of the
+    preimages of the point at infinity of y's chart (N for a north-chart
+    value, S for a south-chart one): a disc holding one winds a pole of the
+    chart image as well as its zero."""
     pre = find_preimages(spec, y)
     if screen is not None:
         screen(pre)
-    radius = witness_radius(pre)
+    infinity = charts.N_POLE if y.normalized().chart is Chart.NORTH else charts.S_POLE
+    radius = witness_radius(pre, find_preimages(spec, infinity))
     witnesses = tuple((x, local_degree(spec, x, y, radius)) for x in pre)
     total = sum(d for _, d in witnesses)
     return DegreeReport(total, witnesses, y)
 
 
-def witness_radius(preimages) -> float:
+def witness_radius(preimages, clear=()) -> float:
     """Probe radius separated from every other witness by a factor >= 10.
 
-    S and N shrink it too, so that no probe circle encloses its chart's
-    pole, but only witnesses within 1e-4 of each other are too tight.
+    S, N and the points of ``clear`` shrink it too, so that no probe circle
+    encloses its chart's pole or one of them, but only witnesses within 1e-4
+    of each other are too tight.  A witness at S or N is not measured
+    against itself.  Each block of at most ``PAIR_BLOCK`` separations is one
+    ``chordal_many`` batch of witnesses against every point.
     """
-    seps = [chordal(a, b) for i, a in enumerate(preimages) for b in preimages[i + 1:]]
-    if min(seps, default=2.0) < 1e-4:
-        raise PreimageClusterTooTight(f"witness separation {min(seps):.3g}")
-    seps += [chordal(a, p) for a in preimages for p in (charts.S_POLE, charts.N_POLE) if a != p]
-    return min([0.05] + [sep / 20.0 for sep in seps])
+    values, north = point_arrays(preimages)
+    others = point_arrays([charts.S_POLE, charts.N_POLE, *clear])
+    cols = [np.concatenate(pair) for pair in zip((values, north), others)]
+    n = values.size
+    tight = least = 2.0
+    rows = max(1, PAIR_BLOCK // cols[0].size)
+    for lo in range(0, n, rows):
+        i = np.arange(lo, min(lo + rows, n))[:, None]
+        sep = chordal_many(values[i], north[i], *cols)
+        # each pair of witnesses once, and no witness at a pole against itself
+        sep[:, :n][np.arange(n) <= i] = 2.0
+        sep[:, n:n + 2][(values[i] == 0) & (north[i] == [True, False])] = 2.0
+        tight = min(tight, sep[:, :n].min(initial=2.0))
+        least = min(least, sep.min())
+    if tight < 1e-4:
+        raise PreimageClusterTooTight(f"witness separation {tight:.3g}")
+    return min(0.05, float(least) / 20.0)
 
 
 def annular_degree(spec: MapSpec, core: SampledCurve) -> int:
@@ -289,10 +312,11 @@ def annular_degree(spec: MapSpec, core: SampledCurve) -> int:
         image, image_at = curve_image(spec, core, Chart.NORTH)
     except PoleHasNoCoordinate as exc:
         raise ImageHitsPole("core image passes through N") from exc
-    for t, z in zip(core.params, image):
-        if not 1e-6 < abs(z) < 1e6:
-            raise ImageHitsPole(f"core image at parameter {t:.4f} is near a pole")
-    return winding_about_zero(image, image_at, core.params, 1e-9)
+    mag = np.abs(image)
+    near = np.flatnonzero(~((1e-6 < mag) & (mag < 1e6)))
+    if near.size:
+        raise ImageHitsPole(f"core image at parameter {core.params[near[0]]:.4f} is near a pole")
+    return winding_about_zero(image, image_at, core.param_array, 1e-9)
 
 
 # ---------------------------------------------------------------------------

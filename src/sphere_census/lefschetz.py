@@ -22,7 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .charts import MapSpec, curve_image
+from .charts import MapSpec, _cmul, curve_image
 from .winding import PointOnCurve, SampledCurve, curve_diameter, winding_about_zero
 
 PlaneMap = Callable[[complex], complex]
@@ -53,13 +53,13 @@ def _index_of_images(images, image_at, curve: SampledCurve) -> int:
     def disp_at(t: float) -> complex:
         return image_at(t) - curve.point_at(t)
 
-    diam = curve_diameter(curve.points)
-    disp = [w - z for w, z in zip(images, curve.points)]
-    low = min(abs(d) for d in disp)
+    diam = curve_diameter(curve.point_array)
+    disp = np.asarray(images, dtype=complex) - curve.point_array
+    low = np.abs(disp).min()
     if low <= 1e-7 * diam:
         raise FixedPointOnCurve(f"min displacement {low:.3g} on a curve of size {diam:.3g}")
     try:
-        return winding_about_zero(disp, disp_at, curve.params, 1e-12)
+        return winding_about_zero(disp, disp_at, curve.param_array, 1e-12)
     except PointOnCurve as exc:
         raise FixedPointOnCurve(str(exc)) from exc
 
@@ -92,7 +92,8 @@ class Rect:
 
 
 def boundary_curve(rect: Rect, samples_per_side: int = 64) -> SampledCurve:
-    """Positively oriented (counterclockwise) rectangle boundary."""
+    """Positively oriented (counterclockwise) rectangle boundary, its samples
+    built as arrays with the rounding of the scalar ``param_fn``."""
     corners = [
         complex(rect.x0, rect.y0),
         complex(rect.x1, rect.y0),
@@ -108,8 +109,13 @@ def boundary_curve(rect: Rect, samples_per_side: int = 64) -> SampledCurve:
         return a + frac * (b - a)
 
     n = 4 * samples_per_side
-    ts = [i / n for i in range(n)]
-    return SampledCurve(tuple(at(t) for t in ts), param_fn=at, params=tuple(ts))
+    ts = np.arange(n) / n
+    # divmod of 4t in [0, 4) by 1: fmod is its exact remainder
+    frac = np.fmod(ts * 4.0, 1.0)
+    leg = (ts * 4.0 - frac).astype(int)
+    ends = np.array(corners + corners[:1])
+    a, b = ends[leg], ends[leg + 1]
+    return SampledCurve(a + _cmul(frac, b - a), param_fn=at, params=ts)
 
 
 class RectCertificate(Enum):

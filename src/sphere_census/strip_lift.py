@@ -23,13 +23,17 @@ from .charts import (
     DegreeCapExceeded,
     MapSpec,
     SpherePoint,
+    _pack,
     _shifted,
     chordal,
+    chordal_many,
     evaluate,
+    evaluate_many,
     from_latlon,
+    from_latlon_many,
     solve_profile_level,
 )
-from .lefschetz import Rect, boundary_curve, lefschetz_index
+from .lefschetz import Rect, _index_of_images, boundary_curve
 from .winding import SampledCurve
 
 Y_LO, Y_HI = 0.25, 0.75
@@ -89,32 +93,49 @@ class StripMap:
         x_out = view.angular_degree * x + view.twist(s) / (2 * math.pi)
         return (x_out + self.lift_offset, self.y_of_s(view.radial(s)))
 
+    def many(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``__call__`` at each (x, y), bit for bit: the profiles' ``many``
+        twins and the same float arithmetic on arrays."""
+        s = self.s_of_y(np.asarray(y, dtype=float))
+        view = self._view
+        x = np.asarray(x, dtype=float)
+        x_out = float(view.angular_degree) * x + view.twist.many(s) / (2 * math.pi)
+        return (x_out + float(self.lift_offset), self.y_of_s(view.radial.many(s)))
+
     def project(self, x: float, y: float) -> SpherePoint:
         return from_latlon(self.s_of_y(y), 2 * math.pi * x)
 
 
 def lift(spec: MapSpec, component: AnnulusComponent, k: int = 0) -> StripMap:
-    """Build the lift F + (k, 0) and validate it against the covering map."""
+    """Build the lift F + (k, 0) and validate it against the covering map:
+    100 seeded points must commute with the projection, and 10 more must
+    move by (d, 0) under x -> x + 1.  Each check is one batch; a failure
+    names the first failing point."""
     F = StripMap(spec, component, lift_offset=k)
+
+    def project(x, y):
+        return from_latlon_many(F.s_of_y(y), 2 * math.pi * x)
+
+    def first(bad, x, y):
+        i = np.flatnonzero(bad)[0]
+        return f"(x, y) = ({x[i]:.6g}, {y[i]:.6g})"
+
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        x = float(rng.uniform(-2.0, 2.0))
-        y = float(rng.uniform(Y_LO, Y_HI))
-        xo, yo = F(x, y)
-        down = evaluate(spec, F.project(x, y))
-        if chordal(F.project(xo - k, yo), down) > 1e-9:
-            raise LiftDiscontinuity(
-                f"projection does not commute at (x, y) = ({x:.6g}, {y:.6g})"
-            )
-    for _ in range(10):
-        x = float(rng.uniform(-2.0, 2.0))
-        y = float(rng.uniform(Y_LO, Y_HI))
-        a = F(x + 1.0, y)
-        b = F(x, y)
-        # a[0] and b[0] round d*(x + 1) and d*x: a few ulps of them on top
-        slack = 1e-9 + 4 * math.ulp(abs(F.translation_degree) * (1.0 + abs(x)))
-        if abs(a[0] - b[0] - F.translation_degree) > slack or abs(a[1] - b[1]) > 1e-9:
-            raise LiftDiscontinuity("equivariance violated")
+    # row by row the draws of rng.uniform(-2, 2), then rng.uniform(Y_LO, Y_HI)
+    x, y = rng.uniform([-2.0, Y_LO], [2.0, Y_HI], size=(100, 2)).T
+    xo, yo = F.many(x, y)
+    down = evaluate_many(spec, *project(x, y))
+    bad = ~(chordal_many(*project(xo - k, yo), *down) <= 1e-9)
+    if bad.any():
+        raise LiftDiscontinuity(f"projection does not commute at {first(bad, x, y)}")
+    x, y = rng.uniform([-2.0, Y_LO], [2.0, Y_HI], size=(10, 2)).T
+    a, b = F.many(x + 1.0, y), F.many(x, y)
+    d = F.translation_degree
+    # a[0] and b[0] round d*(x + 1) and d*x: a few ulps of them on top
+    slack = 1e-9 + 4 * np.spacing(abs(d) * (1.0 + np.abs(x)))
+    bad = (np.abs(a[0] - b[0] - d) > slack) | (np.abs(a[1] - b[1]) > 1e-9)
+    if bad.any():
+        raise LiftDiscontinuity(f"equivariance violated at {first(bad, x, y)}")
     return F
 
 
@@ -150,19 +171,27 @@ def verify_index(F: StripMap) -> VerifyResult:
         raise ValueError("translation degree 1 carries no certified index")
     expected = 1 if d >= 2 else -1
     refused = f"conditions never held for m <= {M_CAP}"
-    # the image height depends on the height alone: one point per horizontal
-    # side decides, for every width, that it maps below or above the loop
-    if F(0.0, Y_LO)[1] >= Y_LO - COND_MARGIN or F(0.0, Y_HI)[1] <= Y_HI + COND_MARGIN:
+    # one pass of the lift along x = 0, at 65 heights from Y_LO to Y_HI
+    reach, heights = F.many(np.zeros(65), np.linspace(Y_LO, Y_HI, 65))
+    # the image height depends on the height alone: the end points decide,
+    # for every width, that each horizontal side maps below or above the loop
+    if heights[0] >= Y_LO - COND_MARGIN or heights[-1] <= Y_HI + COND_MARGIN:
         raise MNotFound(refused)
     # F(x, y)[0] = d*x + F(0, y)[0], so the sides x = -m and x = m map beyond
     # themselves (d >= 2) or toward the center (d <= 0) at each of 65 heights
     # exactly when |d - 1|*m > COND_MARGIN + |F(0, y)[0]|
-    reach = np.abs([F(0.0, float(y))[0] for y in np.linspace(Y_LO, Y_HI, 65)]).max()
-    width = (COND_MARGIN + float(reach)) / abs(d - 1)
+    width = (COND_MARGIN + float(np.abs(reach).max())) / abs(d - 1)
     if not width < M_CAP:  # a non-finite reach is refused as well
         raise MNotFound(refused)
     m = math.floor(width) + 1
-    idx = lefschetz_index(lambda z: complex(*F(z.real, z.imag)), build_beta(F, m))
+    beta = build_beta(F, m)
+
+    def image_at(t: float) -> complex:  # refinement midpoints, one at a time
+        z = beta.point_at(t)
+        return complex(*F(z.real, z.imag))
+
+    images = _pack(*F.many(beta.point_array.real, beta.point_array.imag))
+    idx = _index_of_images(images, image_at, beta)
     if idx != expected:
         raise IndexMismatch(f"loop index {idx} != certified {expected} for degree {d}")
     return VerifyResult(index=idx, m_used=m)

@@ -4,6 +4,8 @@ The winding number about p is the total continuous argument change of
 gamma(t) - p over one traversal, divided by 2*pi.  Per-edge principal
 argument increments are summed after adaptive resampling has driven every
 increment below pi/2, so the rounded sum is provably the true integer.
+Sample arrays are built, trimmed and wound with numpy, rounded as the scalar
+Python arithmetic rounds; only refinement midpoints are mapped one at a time.
 ``winding_about_zero`` is the one probe, shared by the Lefschetz index and
 the annular degree, that tells a curve constant on its sample grid from one
 that winds between its samples.
@@ -18,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import Chart
+from .charts import Chart, _cmul, _libm, _pack
 
 MAX_SAMPLES = 2 ** 20
 MAX_REFINE_ROUNDS = 64
@@ -49,7 +51,9 @@ class SampledCurve:
 
     When ``param_fn`` is present, adaptive refinement inserts parameter
     midpoints and re-evaluates the underlying curve; otherwise refinement
-    bisects chords, which leaves the polyline geometry unchanged.
+    bisects chords, which leaves the polyline geometry unchanged.  The kept
+    samples are also read-only arrays, ``point_array`` and ``param_array``,
+    which the winding, Lefschetz and degree layers compute on.
     """
 
     points: tuple[complex, ...]
@@ -58,24 +62,26 @@ class SampledCurve:
     params: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        pts = [complex(z) for z in self.points]
-        pars = list(self.params) if self.params is not None else [
-            i / len(pts) for i in range(len(pts))
-        ]
-        if len(pars) != len(pts):
+        pts = np.array(self.points, dtype=complex)
+        pars = (np.arange(pts.size) / pts.size if self.params is None
+                else np.array(self.params, dtype=float))
+        if pars.size != pts.size:
             raise ValueError("params must match points")
-        keep_p, keep_t = [], []
-        for z, t in zip(pts, pars):
-            if not keep_p or z != keep_p[-1]:
-                keep_p.append(z)
-                keep_t.append(t)
-        while len(keep_p) > 1 and keep_p[-1] == keep_p[0]:
-            keep_p.pop()
-            keep_t.pop()
-        if len(keep_p) < 8:
+        # the first of each run of equal consecutive samples, and no last
+        # sample equal to the first: the closing edge would be empty
+        keep = np.ones(pts.size, dtype=bool)
+        keep[1:] = pts[1:] != pts[:-1]
+        kept = np.flatnonzero(keep)
+        if kept.size > 1 and pts[kept[-1]] == pts[0]:
+            keep[kept[-1]] = False
+        pts, pars = pts[keep], pars[keep]
+        if pts.size < 8:
             raise ValueError("a sampled curve needs at least 8 distinct samples")
-        object.__setattr__(self, "points", tuple(keep_p))
-        object.__setattr__(self, "params", tuple(keep_t))
+        pts.flags.writeable = pars.flags.writeable = False
+        object.__setattr__(self, "points", tuple(pts.tolist()))
+        object.__setattr__(self, "params", tuple(pars.tolist()))
+        object.__setattr__(self, "point_array", pts)
+        object.__setattr__(self, "param_array", pars)
 
     def point_at(self, t: float) -> complex:
         """Curve position at parameter t (mod 1)."""
@@ -99,11 +105,17 @@ class SampledCurve:
 
 def circle(center: complex, radius: float, samples: int = 64,
            chart: Chart = Chart.NORTH) -> SampledCurve:
+    """``samples`` points center + radius*exp(2*pi*i*t) at t = k/samples,
+    built as arrays with the scalar ``param_fn``'s rounding: cmath.exp of
+    the imaginary 2*pi*t is (cos, sin) through libm, and the complex
+    product is CPython's."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    ts = [i / samples for i in range(samples)]
+    ts = np.arange(samples) / samples
     fn = lambda t: center + radius * cmath.exp(2j * math.pi * t)
-    return SampledCurve(tuple(fn(t) for t in ts), chart, param_fn=fn, params=tuple(ts))
+    angle = 2 * math.pi * ts
+    turn = _pack(_libm(math.cos, angle), _libm(math.sin, angle))
+    return SampledCurve(center + _cmul(complex(radius), turn), chart, param_fn=fn, params=ts)
 
 
 def latitude_circle(s: float, samples: int = 256) -> SampledCurve:
@@ -129,23 +141,21 @@ def winding_about_zero(values: Sequence[complex], value_at: Callable[[float], co
     at ``params``.  Samples all within ``rtol * max(1, |first|)`` of the first
     are a constant curve, winding 0, when three off-grid values agree, and
     otherwise a grid that aliases the winding: ValueError."""
-    first = values[0]
+    values = np.asarray(values, dtype=complex)
+    first = complex(values[0])
     tol = rtol * max(1.0, abs(first))
-    if max(abs(z - first) for z in values) < tol:
+    if np.abs(values - first).max() < tol:
         if all(abs(value_at(t) - first) < tol for t in (0.1137, 0.4711, 0.7893)):
             return 0
         raise ValueError("the sample grid aliases the winding; resample denser")
-    curve = SampledCurve(tuple(values), param_fn=value_at, params=tuple(params))
-    return winding_number(curve, 0j)
+    return winding_number(SampledCurve(values, param_fn=value_at, params=params), 0j)
 
 
 def winding_number(curve: SampledCurve, p: complex) -> int:
     """Integer winding number of the closed curve about p."""
-    z = np.asarray(curve.points, dtype=complex)
-    t = np.asarray(curve.params, dtype=float)
-    z = np.append(z, z[0])
-    t = np.append(t, t[0] + 1.0)
-    diam = curve_diameter(curve.points)
+    z = np.append(curve.point_array, curve.point_array[0])
+    t = np.append(curve.param_array, curve.param_array[0] + 1.0)
+    diam = curve_diameter(curve.point_array)
     min_ok = 1e-9 * diam
     if np.abs(z - p).min() <= min_ok:
         raise PointOnCurve(f"query point within {min_ok:.3g} of a sample")

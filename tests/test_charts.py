@@ -305,6 +305,7 @@ def test_curve_image_matches_the_scalar_image(spec, curve, target):
         assert type(info.value) is type(exc)
         return
     got, image_at = curve_image(spec, curve, target)
+    got = got.tolist()
     assert [repr(w) for w in want] == [repr(g) for g in got]
     if curve.param_fn is not None:
         assert [repr(image_at(t)) for t in curve.params] == [repr(g) for g in got]

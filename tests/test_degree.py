@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,9 +39,11 @@ from sphere_census.degree import (
     component_degrees,
     find_preimages,
     global_degree,
+    image_curve,
     local_degree,
+    witness_radius,
 )
-from sphere_census.winding import latitude_circle
+from sphere_census.winding import EDGE_CAP, circle, latitude_circle
 
 INF = math.inf
 
@@ -87,6 +90,14 @@ def test_local_degree_orientation_reversal():
     x = from_latlon(0.3, 0.4)
     y = evaluate(spec, x)
     assert local_degree(spec, x, y, 0.02) == -1
+
+
+def test_local_degree_refines_a_fast_winding_image():
+    # the image of the 128-sample probe about 0 winds 40 times, 1.96 rad per
+    # edge, past the pi/2 edge cap: the winding refines before it settles
+    image = image_curve(Power(40), circle(0j, 0.1, 128), Chart.NORTH)
+    assert np.abs(np.angle(image.point_array / np.roll(image.point_array, 1))).min() > EDGE_CAP
+    assert local_degree(Power(40), SpherePoint(0j), SpherePoint(0j), 0.1) == 40
 
 
 def test_radius_too_large():
@@ -446,3 +457,63 @@ def test_a_power_pinned_with_preimages_below_the_witness_floor_is_refused():
     # below the 1e-4 separation floor for witnesses, by design
     with pytest.raises(PreimageClusterTooTight, match="witness separation"):
         global_degree(Power(-2), y=SpherePoint(1e-12 + 0j))
+
+
+def test_probe_circles_keep_clear_of_the_preimages_of_the_chart_pole():
+    # the value drawn at seed 212 lies in the south chart, whose point at
+    # infinity is S; a zero of f^2 lies 0.042 from the witness
+    # -0.5126+0.2655i (south chart), inside the probe of radius 0.04999 that
+    # the witnesses and the poles allow, which winds 1 - 1 = 0 there; the
+    # zeros shrink the radius
+    spec = Iterate(Quadratic(-0.5643151715852792 - 1.4016142519734291j), 2)
+    report = global_degree(spec, seed=212)
+    assert report.regular_value.normalized().chart is Chart.SOUTH
+    assert report.total == 4
+    assert [d for _, d in report.witnesses] == [1, 1, 1, 1]
+    witnesses = [x for x, _ in report.witnesses]
+    bare = witness_radius(witnesses)
+    assert witness_radius(witnesses, find_preimages(spec, S_POLE)) < bare
+    assert [local_degree(spec, x, report.regular_value, bare) for x in witnesses] == [0, 1, 1, 0]
+
+
+def scalar_witness_radius(preimages, clear=()):
+    """``witness_radius`` as scalar ``chordal`` calls over every pair."""
+    seps = [chordal(a, b) for i, a in enumerate(preimages) for b in preimages[i + 1:]]
+    if min(seps, default=2.0) < 1e-4:
+        raise PreimageClusterTooTight(f"witness separation {min(seps):.3g}")
+    seps += [chordal(a, p) for a in preimages for p in (S_POLE, N_POLE) if a != p]
+    seps += [chordal(a, c) for a in preimages for c in clear]
+    return min([0.05] + [sep / 20.0 for sep in seps])
+
+
+@pytest.mark.parametrize("block", [degree.PAIR_BLOCK, 7])
+def test_witness_radius_matches_the_scalar_pairs(block, monkeypatch):
+    # blocks of 7 pairs split every row; poles, near-ties and tight pairs
+    # are among the draws
+    monkeypatch.setattr(degree, "PAIR_BLOCK", block)
+    rng = np.random.default_rng(47)
+
+    def draw(count):
+        pts = [from_latlon(rng.uniform(-4.0, 4.0), rng.uniform(0.0, 2 * math.pi))
+               for _ in range(count)]
+        for pole in (S_POLE, N_POLE):
+            if rng.random() < 0.3:
+                pts.insert(int(rng.integers(0, len(pts) + 1)), pole)
+        return pts
+
+    tight = 0
+    for _ in range(150):
+        pre = draw(int(rng.integers(0, 25)))
+        if pre and rng.random() < 0.2:
+            near = pre[int(rng.integers(0, len(pre)))]
+            pre.append(SpherePoint(near.value + rng.uniform(1e-7, 1e-4), near.chart))
+        clear = draw(int(rng.integers(0, 6)))
+        try:
+            want = scalar_witness_radius(pre, clear)
+        except PreimageClusterTooTight as exc:
+            with pytest.raises(PreimageClusterTooTight, match=re.escape(str(exc))):
+                witness_radius(pre, clear)
+            tight += 1
+            continue
+        assert repr(witness_radius(pre, clear)) == repr(want)
+    assert 5 < tight < 100

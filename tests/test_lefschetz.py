@@ -285,3 +285,24 @@ def test_fixed_point_in_raises_on_a_boundary_fixed_point():
     fn = lambda z: 0.5 * (z - 1) + 1  # fixes 1, on the right side of UNIT
     with pytest.raises(FixedPointOnCurve):
         fixed_point_in(fn, UNIT)
+
+
+@pytest.mark.parametrize("rect,per_side", [
+    (UNIT, 64), (UNIT, 48), (Rect(-3.0, 3.0, 0.25, 0.75), 56), (Rect(0.0, 1.0, 0.25, 0.75), 16),
+    (Rect(-1e-3, 2e-3, -7.5, -0.1), 8), (Rect(0.1, 0.30000000000000004, 1e8, 1e8 + 64), 37),
+])
+def test_boundary_samples_are_the_scalar_samples(rect, per_side):
+    corners = [complex(rect.x0, rect.y0), complex(rect.x1, rect.y0),
+               complex(rect.x1, rect.y1), complex(rect.x0, rect.y1)]
+
+    def at(t):
+        leg, frac = divmod(t % 1.0 * 4.0, 1.0)
+        a, b = corners[int(leg) % 4], corners[(int(leg) + 1) % 4]
+        return a + frac * (b - a)
+
+    n = 4 * per_side
+    ts = [i / n for i in range(n)]
+    curve = boundary_curve(rect, per_side)
+    assert [repr(z) for z in curve.points] == [repr(at(t)) for t in ts]
+    assert curve.params == tuple(ts)
+    assert [repr(curve.param_fn(t)) for t in ts] == [repr(at(t)) for t in ts]

@@ -1,6 +1,7 @@
 """Strip lifts, the comparison loop, certified indices, Nielsen separation."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -162,19 +163,31 @@ def test_verify_index_needs_repelling_behavior():
         verify_index(F)
 
 
-def test_verify_index_tests_the_horizontal_sides_once(monkeypatch):
-    # the image height does not depend on x or on the loop width: the two
-    # horizontal sides are decided by one lift evaluation each, before any m
+def count_passes(monkeypatch):
+    """The lift passes made from now on: one entry per scalar call and one
+    per ``many`` batch, whatever its size."""
     calls = []
-    call = StripMap.__call__
+    call, many = StripMap.__call__, StripMap.many
 
     def counting(self, x, y):
         calls.append((x, y))
         return call(self, x, y)
 
+    def counting_many(self, x, y):
+        calls.append((x, y))
+        return many(self, x, y)
+
+    monkeypatch.setattr(StripMap, "__call__", counting)
+    monkeypatch.setattr(StripMap, "many", counting_many)
+    return calls
+
+
+def test_verify_index_tests_the_horizontal_sides_once(monkeypatch):
+    # the image height does not depend on x or on the loop width: the two
+    # horizontal sides are decided by one lift evaluation each, before any m
     spec = ProductMap(AffineProfile(0.5, 0.0), 2)
     F = StripMap(spec, component(spec), lift_offset=0)
-    monkeypatch.setattr(StripMap, "__call__", counting)
+    calls = count_passes(monkeypatch)
     with pytest.raises(MNotFound):
         verify_index(F)
     assert len(calls) <= 2
@@ -329,18 +342,65 @@ def test_loop_width_matches_the_width_search():
 def test_a_width_past_the_cap_is_refused_after_one_pass(monkeypatch):
     # the twist moves x = 0 by up to 628.3 / 2pi ~ 100 fundamental domains,
     # so the sides clear the loop only at m ~ 101, past M_CAP = 64
-    calls = []
-    call = StripMap.__call__
-
-    def counting(self, x, y):
-        calls.append((x, y))
-        return call(self, x, y)
-
     spec = parse_map("product:q=affine(2,0);d=2;h=affine(0,628.3)")
     F = StripMap(spec, component(spec), lift_offset=0)
     assert _width_search(F, m_cap=128) > strip_lift.M_CAP
-    monkeypatch.setattr(StripMap, "__call__", counting)
+    calls = count_passes(monkeypatch)
     with pytest.raises(MNotFound, match="m <= 64"):
         verify_index(F)
     assert len(calls) <= 67
+
+
+def test_verify_index_maps_its_loop_in_one_pass(monkeypatch):
+    # the reach and the loop are one batch each; the scalar lift maps only
+    # the midpoints that refinement asks for, and this loop needs none
+    spec = repel(3)
+    F = StripMap(spec, component(spec), lift_offset=1)
+    calls = count_passes(monkeypatch)
+    assert verify_index(F).index == 1
+    assert len(calls) == 2
+
+
+# one view per kind of radial and twist profile the lift reads
+MANY_SPECS = {
+    "affine": "product:q=affine(2.3,0.1);d=-3",
+    "poly": "product:q=poly(0.05,1.7,0,0.4);d=2",
+    "pwl": THREE_LATITUDES,
+    "twisted": "product:q=affine(2,0);d=2;h=pwl(-inf:-3,-0.2:1.5,0.4:-2,inf:5)",
+    "iterate": "iter:n=2(product:q=pwl(-inf:-inf,-1:-2,1:2,inf:inf);d=-2;h=affine(0.7,0.3))",
+    "power": "power:d=-4",
+}
+
+
+@pytest.mark.parametrize("text", MANY_SPECS.values(), ids=MANY_SPECS.keys())
+def test_many_matches_the_scalar_lift_bit_for_bit(text):
+    spec = parse_map(text)
+    rng = np.random.default_rng(31)
+    x = np.concatenate([rng.uniform(-5.0, 5.0, 200), [0.0, -0.0, 1.0, -2.0, 0.5]])
+    y = np.concatenate([rng.uniform(-0.2, 1.2, 200), [0.25, 0.75, 0.5, 0.0, 1.0]])
+    for k in (0, 3):
+        F = StripMap(spec, component(repel(2)), lift_offset=k)
+        xo, yo = F.many(x, y)
+        want = [F(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert [repr(v) for v in xo.tolist()] == [repr(w[0]) for w in want]
+        assert [repr(v) for v in yo.tolist()] == [repr(w[1]) for w in want]
+
+
+def test_lift_names_the_first_point_that_does_not_commute(monkeypatch):
+    # a lift that jumps by half a turn where x > 1.5 misses the covering map
+    # there: the error names the first such draw of the seeded stream
+    many = StripMap.many
+
+    def jumping(self, x, y):
+        xo, yo = many(self, x, y)
+        return xo + np.where(np.asarray(x) > 1.5, 0.5, 0.0), yo
+
+    rng = np.random.default_rng(0)
+    draws = [(rng.uniform(-2.0, 2.0), rng.uniform(0.25, 0.75)) for _ in range(100)]
+    x, y = next((x, y) for x, y in draws if x > 1.5)
+    spec = repel(2)
+    monkeypatch.setattr(StripMap, "many", jumping)
+    with pytest.raises(LiftDiscontinuity,
+                       match=re.escape(f"does not commute at (x, y) = ({x:.6g}, {y:.6g})")):
+        lift(spec, component(spec))
 

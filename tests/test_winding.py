@@ -183,3 +183,66 @@ def test_curve_csv_round_trip(tmp_path):
     back = load_curve_csv(text)
     assert back.chart is Chart.NORTH
     assert np.allclose(back.points, c.points)
+
+
+def scalar_curve(points, params=None):
+    """The sample lists ``SampledCurve`` kept when it trimmed in Python: the
+    first of each run of equal consecutive samples, then no last sample
+    equal to the first."""
+    pts = [complex(z) for z in points]
+    pars = list(params) if params is not None else [i / len(pts) for i in range(len(pts))]
+    keep_p, keep_t = [], []
+    for z, t in zip(pts, pars):
+        if not keep_p or z != keep_p[-1]:
+            keep_p.append(z)
+            keep_t.append(t)
+    while len(keep_p) > 1 and keep_p[-1] == keep_p[0]:
+        keep_p.pop()
+        keep_t.pop()
+    if len(keep_p) < 8:
+        raise ValueError("a sampled curve needs at least 8 distinct samples")
+    return keep_p, keep_t
+
+
+def test_curve_trimming_matches_the_scalar_loop():
+    # runs of repeats, repeats that are not consecutive, -0.0 beside 0.0,
+    # closing runs equal to the first sample, and too few distinct samples
+    pool = [0j, complex(-0.0, 0.0), 1 + 0j, 1j, -1 - 2j, 0.5 - 0.5j, 3 + 0j,
+            -2j, 2 + 2j, -1 + 0j, 1e-300 + 0j, complex(0.0, -0.0)]
+    rng = np.random.default_rng(43)
+    errors = 0
+    for trial in range(600):
+        picks = rng.integers(0, len(pool), int(rng.integers(1, 16)))
+        pts = [pool[i] for i in picks for _ in range(int(rng.integers(1, 4)))]
+        pts += [pts[0]] * int(rng.integers(0, 4))
+        params = None if trial % 3 == 0 else np.sort(rng.uniform(0.0, 1.0, len(pts))).tolist()
+        try:
+            want_p, want_t = scalar_curve(pts, params)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                SampledCurve(tuple(pts), params=params)
+            errors += 1
+            continue
+        c = SampledCurve(tuple(pts), params=params)
+        assert [repr(z) for z in c.points] == [repr(z) for z in want_p]
+        assert [repr(t) for t in c.params] == [repr(t) for t in want_t]
+        assert c.point_array.tolist() == list(c.points)
+        assert c.param_array.tolist() == list(c.params)
+    assert 100 < errors < 500
+    with pytest.raises(ValueError, match="params must match"):
+        SampledCurve(tuple(pool), params=(0.0, 0.5))
+
+
+@pytest.mark.parametrize("center,radius,samples", [
+    (0j, 1.0, 64), (0.5 + 0.5j, 1.2, 64), (-3.25 + 1e-7j, 1e-6, 128),
+    (complex(-0.0, -0.0), 3e4, 8), (0, 0.1, 256), (1.5, 2, 1000), (1e8 - 2j, 0.05, 128),
+])
+def test_circle_samples_are_the_scalar_samples(center, radius, samples):
+    ts = [i / samples for i in range(samples)]
+    want = [center + radius * cmath.exp(2j * math.pi * t) for t in ts]
+    for chart in Chart:
+        c = circle(center, radius, samples, chart)
+        assert c.chart is chart
+        assert [repr(z) for z in c.points] == [repr(z) for z in want]
+        assert c.params == tuple(ts)
+        assert [repr(c.param_fn(t)) for t in ts] == [repr(z) for z in want]
