@@ -188,7 +188,7 @@ def dedup_many(values: np.ndarray, north: np.ndarray, radius: float) -> np.ndarr
     return np.flatnonzero(keep)
 
 
-def point_arrays(points) -> tuple[np.ndarray, np.ndarray]:
+def sphere_arrays(points) -> tuple[np.ndarray, np.ndarray]:
     """A sequence of ``SpherePoint``s as (values, north)."""
     return (np.array([p.value for p in points], dtype=complex),
             np.array([p.chart is Chart.NORTH for p in points], dtype=bool))
@@ -197,7 +197,7 @@ def point_arrays(points) -> tuple[np.ndarray, np.ndarray]:
 def dedup_points(points, radius: float) -> list[SpherePoint]:
     """``dedup_many`` on a sequence of ``SpherePoint``s: the kept ones."""
     points = list(points)
-    kept = dedup_many(*point_arrays(points), radius)
+    kept = dedup_many(*sphere_arrays(points), radius)
     return [points[i] for i in kept.tolist()]
 
 
@@ -974,16 +974,15 @@ def _product_many(spec: ProductMap, v: np.ndarray, north: np.ndarray):
 
 
 def curve_image(spec: MapSpec, curve,
-                target: Chart) -> tuple[np.ndarray, Callable[[float], complex]]:
-    """The image of a sampled curve in the target chart: one ``evaluate_many``
-    batch of its ``point_array`` (read in its ``chart``), and the scalar image
-    at a curve parameter, through ``point_at``, for refinement."""
+                target: Chart) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The image of a sampled curve in the target chart, and its image at an
+    array of curve parameters, for refinement: each one ``evaluate_many``
+    batch of the points (read in the curve's ``chart``)."""
 
-    def image_at(t: float) -> complex:
-        return chart_value(evaluate(spec, SpherePoint(curve.point_at(t), curve.chart)), target)
+    def image_of(points: np.ndarray) -> np.ndarray:
+        return chart_values(*evaluate_many(spec, points, curve.chart is Chart.NORTH), target)
 
-    values, north = evaluate_many(spec, curve.point_array, curve.chart is Chart.NORTH)
-    return chart_values(values, north, target), image_at
+    return image_of(curve.points), lambda ts: image_of(curve.point_at(ts))
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def cmd_index(args) -> int:
         curve = load_curve_csv(Path(args.curve).read_text())
     except (OSError, ValueError) as exc:
         raise ParseError(f"curve {args.curve!r}: {exc}") from exc
-    for z in curve.points:
+    for z in curve.points.tolist():
         if abs(z) > CHART_OVERFLOW:
             raise ParseError(f"curve {args.curve!r}: row {z.real:.12g},{z.imag:.12g} "
                              f"is past the chart cap |z| <= {CHART_OVERFLOW:g}")
@@ -164,7 +164,7 @@ def cmd_check_h(args) -> int:
     _json_out({
         "status": "fail",
         "witness_image_winding": report.witness_image_winding,
-        "witness": [[_round12(z.real), _round12(z.imag)] for z in report.witness.points],
+        "witness": [[_round12(z.real), _round12(z.imag)] for z in report.witness.points.tolist()],
     })
     if args.witness_out:
         Path(args.witness_out).write_text(dump_curve_csv(report.witness))

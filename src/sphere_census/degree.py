@@ -32,8 +32,8 @@ from .charts import (
     from_latlon,
     from_pairs,
     iterate_base,
-    point_arrays,
     solve_profile_level,
+    sphere_arrays,
     wrap_angle,
 )
 from .winding import (
@@ -198,7 +198,7 @@ def local_degree(spec: MapSpec, x: SpherePoint, y: SpherePoint, radius: float) -
     probe = circle(x.value, radius, samples=128, chart=x.chart)
     image = image_curve(spec, probe, y.chart)
     # scale-free: near a pole the probe circle, and so its image, is small
-    gaps = np.abs(image.point_array - y_val)
+    gaps = np.abs(image.points - y_val)
     if gaps.min() <= 1e-9 * gaps.max():
         raise RadiusTooLarge("image circle passes through the target value")
     return winding_number(image, y_val)
@@ -206,9 +206,9 @@ def local_degree(spec: MapSpec, x: SpherePoint, y: SpherePoint, radius: float) -
 
 def image_curve(spec: MapSpec, curve: SampledCurve, target: Chart) -> SampledCurve:
     """The image of a sampled curve in the target chart, as ``curve_image``
-    maps it: refinement maps parameter midpoints one at a time."""
+    maps it: each refinement round maps its parameter midpoints in one batch."""
     points, image_at = curve_image(spec, curve, target)
-    return SampledCurve(points, target, param_fn=image_at, params=curve.param_array)
+    return SampledCurve(points, target, param_fn=image_at, params=curve.params)
 
 
 def global_degree(
@@ -279,8 +279,8 @@ def witness_radius(preimages, clear=()) -> float:
     against itself.  Each block of at most ``PAIR_BLOCK`` separations is one
     ``chordal_many`` batch of witnesses against every point.
     """
-    values, north = point_arrays(preimages)
-    others = point_arrays([charts.S_POLE, charts.N_POLE, *clear])
+    values, north = sphere_arrays(preimages)
+    others = sphere_arrays([charts.S_POLE, charts.N_POLE, *clear])
     cols = [np.concatenate(pair) for pair in zip((values, north), others)]
     n = values.size
     tight = least = 2.0
@@ -316,7 +316,7 @@ def annular_degree(spec: MapSpec, core: SampledCurve) -> int:
     near = np.flatnonzero(~((1e-6 < mag) & (mag < 1e6)))
     if near.size:
         raise ImageHitsPole(f"core image at parameter {core.params[near[0]]:.4f} is near a pole")
-    return winding_about_zero(image, image_at, core.param_array, 1e-9)
+    return winding_about_zero(image, image_at, core.params, 1e-9)
 
 
 # ---------------------------------------------------------------------------

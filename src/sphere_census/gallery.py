@@ -206,13 +206,13 @@ def check_property_suites() -> tuple[bool, str]:
     for trial in range(100):
         curve = _random_loop(rng, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
         p = _query_point(rng, curve)
-        dist = min(abs(z - p) for z in curve.points)
+        dist = float(np.abs(curve.points - p).min())
         w0 = winding_number(curve, p)
         jitter = [
             z + 0.007 * dist * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            for z in curve.points
+            for z in curve.points.tolist()
         ]
-        if winding_number(SampledCurve(tuple(jitter)), p) != w0:
+        if winding_number(SampledCurve(jitter), p) != w0:
             violations.append(f"stability trial {trial}")
 
     fixed_failures = 0
@@ -261,13 +261,13 @@ def _random_loop(rng, base: complex) -> SampledCurve:
         ang = 2 * math.pi * i / n
         r = radius * (1 + wobble * math.sin(3 * ang + float(rng.uniform(0, 6))))
         pts.append(center + r * complex(math.cos(ang), math.sin(ang)))
-    return SampledCurve(tuple(pts))
+    return SampledCurve(pts)
 
 
 def _query_point(rng, curve) -> complex:
     for _ in range(100):
         p = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
-        if min(abs(z - p) for z in curve.points) > 0.05:
+        if np.abs(curve.points - p).min() > 0.05:
             return p
     raise RuntimeError("could not place a query point")
 

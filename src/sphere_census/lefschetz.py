@@ -4,8 +4,9 @@ The index of a map f along gamma is the winding number of the displacement
 field x -> f(gamma(x)) - gamma(x) about the origin; when it is nonzero a
 fixed point exists in the region the curve bounds (a field constant on the
 sample grid goes through the alias probe of ``winding_about_zero``).  A map
-spec's samples are mapped in one ``charts.curve_image`` batch, the image
-routine ``degree`` winds too; a plane function is called per sample.  The
+spec's samples, and each refinement round's midpoints, are mapped in one
+``charts.curve_image`` batch, the image routine ``degree`` winds too; a plane
+function is called per point.  The
 four canonical boundary-behavior patterns on an axis-aligned rectangle
 certify the index (+1 for fully expanding or fully contracting sides, -1
 for the two mixed saddle patterns), and the numeric integrator is checked
@@ -42,24 +43,27 @@ def lefschetz_index(f: Union[MapSpec, PlaneMap], curve: SampledCurve) -> int:
     A field constant on the sample grid has index 0, unless it winds between
     the samples: then ValueError asks for a denser curve."""
     if callable(f):
-        images = [f(z) for z in curve.points]
-        return _index_of_images(images, lambda t: f(curve.point_at(t)), curve)
+        return _index_of_images(_plane_images(f, curve.points),
+                                lambda t: _plane_images(f, curve.point_at(t)), curve)
     return _index_of_images(*curve_image(f, curve, curve.chart), curve)
 
 
-def _index_of_images(images, image_at, curve: SampledCurve) -> int:
-    """``lefschetz_index`` from the sample images and the image at a parameter."""
+def _plane_images(f: PlaneMap, zs: np.ndarray) -> np.ndarray:
+    """A plane function at each point, called once per point on Python complexes."""
+    return np.array([f(z) for z in zs.tolist()], dtype=complex)
 
-    def disp_at(t: float) -> complex:
-        return image_at(t) - curve.point_at(t)
 
-    diam = curve_diameter(curve.point_array)
-    disp = np.asarray(images, dtype=complex) - curve.point_array
+def _index_of_images(images: np.ndarray, image_at, curve: SampledCurve) -> int:
+    """``lefschetz_index`` from the sample images and the images at an array
+    of parameters."""
+    diam = curve_diameter(curve.points)
+    disp = images - curve.points
     low = np.abs(disp).min()
     if low <= 1e-7 * diam:
         raise FixedPointOnCurve(f"min displacement {low:.3g} on a curve of size {diam:.3g}")
     try:
-        return winding_about_zero(disp, disp_at, curve.param_array, 1e-12)
+        return winding_about_zero(disp, lambda t: image_at(t) - curve.point_at(t),
+                                  curve.params, 1e-12)
     except PointOnCurve as exc:
         raise FixedPointOnCurve(str(exc)) from exc
 
@@ -92,30 +96,22 @@ class Rect:
 
 
 def boundary_curve(rect: Rect, samples_per_side: int = 64) -> SampledCurve:
-    """Positively oriented (counterclockwise) rectangle boundary, its samples
-    built as arrays with the rounding of the scalar ``param_fn``."""
-    corners = [
-        complex(rect.x0, rect.y0),
-        complex(rect.x1, rect.y0),
-        complex(rect.x1, rect.y1),
-        complex(rect.x0, rect.y1),
-    ]
+    """Positively oriented (counterclockwise) rectangle boundary: at t in
+    [0, 1) the point ``frac`` along side ``leg``, where (leg, frac) is
+    divmod(4t, 1), rounded as the scalar Python arithmetic rounds."""
+    corners = np.array([complex(rect.x0, rect.y0), complex(rect.x1, rect.y0),
+                        complex(rect.x1, rect.y1), complex(rect.x0, rect.y1)])
 
-    def at(t: float) -> complex:
-        t = t % 1.0
-        leg, frac = divmod(t * 4.0, 1.0)
-        a = corners[int(leg) % 4]
-        b = corners[(int(leg) + 1) % 4]
-        return a + frac * (b - a)
+    def at(ts: np.ndarray) -> np.ndarray:
+        # divmod of 4t in [0, 4] by 1: fmod is its exact remainder
+        frac = np.fmod(ts * 4.0, 1.0)
+        leg = (ts * 4.0 - frac).astype(int)
+        a, b = corners[leg % 4], corners[(leg + 1) % 4]
+        return a + _cmul(frac, b - a)
 
     n = 4 * samples_per_side
     ts = np.arange(n) / n
-    # divmod of 4t in [0, 4) by 1: fmod is its exact remainder
-    frac = np.fmod(ts * 4.0, 1.0)
-    leg = (ts * 4.0 - frac).astype(int)
-    ends = np.array(corners + corners[:1])
-    a, b = ends[leg], ends[leg + 1]
-    return SampledCurve(a + _cmul(frac, b - a), param_fn=at, params=ts)
+    return SampledCurve(at(ts), param_fn=at, params=ts)
 
 
 class RectCertificate(Enum):
@@ -158,8 +154,8 @@ def rectangle_certificate(fn: PlaneMap, rect: Rect) -> RectCertificate:
     """
     m = 64  # samples per side
     curve = boundary_curve(rect, m)
-    images = [fn(z) for z in curve.points]
-    closed = np.array(images + images[:1], dtype=complex)
+    images = _plane_images(fn, curve.points)
+    closed = np.append(images, images[0])
     bottom, right, top, left = (closed[k * m:(k + 1) * m + 1] for k in range(4))
 
     dir_top = _side_direction(top.imag, rect.y1, outward_positive=True)
@@ -180,7 +176,7 @@ def rectangle_certificate(fn: PlaneMap, rect: Rect) -> RectCertificate:
     else:
         return RectCertificate.NO_CERTIFICATE
 
-    idx = _index_of_images(images, lambda t: fn(curve.point_at(t)), curve)
+    idx = _index_of_images(images, lambda t: _plane_images(fn, curve.point_at(t)), curve)
     if idx != cert.certified_index:
         raise CertificateIndexMismatch(
             f"{cert.value} rectangle certified {cert.certified_index} "

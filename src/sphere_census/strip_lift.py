@@ -186,12 +186,10 @@ def verify_index(F: StripMap) -> VerifyResult:
     m = math.floor(width) + 1
     beta = build_beta(F, m)
 
-    def image_at(t: float) -> complex:  # refinement midpoints, one at a time
-        z = beta.point_at(t)
-        return complex(*F(z.real, z.imag))
+    def image_of(zs: np.ndarray) -> np.ndarray:
+        return _pack(*F.many(zs.real, zs.imag))
 
-    images = _pack(*F.many(beta.point_array.real, beta.point_array.imag))
-    idx = _index_of_images(images, image_at, beta)
+    idx = _index_of_images(image_of(beta.points), lambda t: image_of(beta.point_at(t)), beta)
     if idx != expected:
         raise IndexMismatch(f"loop index {idx} != certified {expected} for degree {d}")
     return VerifyResult(index=idx, m_used=m)

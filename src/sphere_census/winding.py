@@ -4,8 +4,9 @@ The winding number about p is the total continuous argument change of
 gamma(t) - p over one traversal, divided by 2*pi.  Per-edge principal
 argument increments are summed after adaptive resampling has driven every
 increment below pi/2, so the rounded sum is provably the true integer.
-Sample arrays are built, trimmed and wound with numpy, rounded as the scalar
-Python arithmetic rounds; only refinement midpoints are mapped one at a time.
+A curve's samples and its parameterization are numpy arrays, built, trimmed
+and wound as the scalar Python arithmetic rounds; each refinement round maps
+its parameter midpoints in one batch.
 ``winding_about_zero`` is the one probe, shared by the Lefschetz index and
 the annular degree, that tells a curve constant on its sample grid from one
 that winds between its samples.
@@ -16,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -45,26 +46,26 @@ class InnOut(Enum):
     OUT = "out"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledCurve:
     """Closed polyline in a fixed chart; optionally carries its parameterization.
 
-    When ``param_fn`` is present, adaptive refinement inserts parameter
-    midpoints and re-evaluates the underlying curve; otherwise refinement
-    bisects chords, which leaves the polyline geometry unchanged.  The kept
-    samples are also read-only arrays, ``point_array`` and ``param_array``,
-    which the winding, Lefschetz and degree layers compute on.
+    The kept samples are held once, as the read-only arrays ``points`` and
+    ``params``.  ``param_fn`` maps an array of parameters in [0, 1) to the
+    curve's points there; adaptive refinement reads parameter midpoints
+    through ``point_at``, which without a ``param_fn`` interpolates along
+    the polyline's chords.
     """
 
-    points: tuple[complex, ...]
+    points: np.ndarray
     chart: Chart = Chart.NORTH
-    param_fn: Callable[[float], complex] | None = None
-    params: tuple[float, ...] | None = None
+    param_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    params: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=complex)
+        pts = np.asarray(self.points, dtype=complex)
         pars = (np.arange(pts.size) / pts.size if self.params is None
-                else np.array(self.params, dtype=float))
+                else np.asarray(self.params, dtype=float))
         if pars.size != pts.size:
             raise ValueError("params must match points")
         # the first of each run of equal consecutive samples, and no last
@@ -78,44 +79,44 @@ class SampledCurve:
         if pts.size < 8:
             raise ValueError("a sampled curve needs at least 8 distinct samples")
         pts.flags.writeable = pars.flags.writeable = False
-        object.__setattr__(self, "points", tuple(pts.tolist()))
-        object.__setattr__(self, "params", tuple(pars.tolist()))
-        object.__setattr__(self, "point_array", pts)
-        object.__setattr__(self, "param_array", pars)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "params", pars)
 
-    def point_at(self, t: float) -> complex:
-        """Curve position at parameter t (mod 1)."""
+    def point_at(self, t: np.ndarray) -> np.ndarray:
+        """Curve positions at the parameters t (mod 1)."""
+        t = np.asarray(t, dtype=float) % 1.0
         if self.param_fn is not None:
-            return self.param_fn(t % 1.0)
-        ts = self.params + (self.params[0] + 1.0,)
-        zs = self.points + (self.points[0],)
-        t = t % 1.0
-        if t < ts[0]:
-            t += 1.0
-        for i in range(len(zs) - 1):
-            if ts[i] <= t <= ts[i + 1]:
-                span = ts[i + 1] - ts[i]
-                lam = 0.0 if span == 0 else (t - ts[i]) / span
-                return zs[i] + lam * (zs[i + 1] - zs[i])
-        return zs[0]
+            return self.param_fn(t)
+        ts = np.append(self.params, self.params[0] + 1.0)
+        zs = np.append(self.points, self.points[0])
+        t = np.where(t < ts[0], t + 1.0, t)
+        # the first chord whose end reaches t
+        i = np.minimum(np.searchsorted(ts[1:], t), ts.size - 2)
+        a, b = ts[i], ts[i + 1]
+        span = b - a
+        lam = np.divide(t - a, span, out=np.zeros_like(t), where=span != 0)
+        on = zs[i] + _cmul(lam, zs[i + 1] - zs[i])
+        return np.where((a <= t) & (t <= b), on, zs[0])
 
     def reversed(self) -> "SampledCurve":
-        return SampledCurve(tuple(reversed(self.points)), self.chart)
+        return SampledCurve(self.points[::-1], self.chart)
 
 
 def circle(center: complex, radius: float, samples: int = 64,
            chart: Chart = Chart.NORTH) -> SampledCurve:
-    """``samples`` points center + radius*exp(2*pi*i*t) at t = k/samples,
-    built as arrays with the scalar ``param_fn``'s rounding: cmath.exp of
-    the imaginary 2*pi*t is (cos, sin) through libm, and the complex
-    product is CPython's."""
+    """``samples`` points center + radius*exp(2*pi*i*t) at t = k/samples.
+    The parameterization rounds as the scalar ``cmath.exp`` does: (cos, sin)
+    of 2*pi*t through libm, and CPython's complex product."""
     if radius <= 0:
         raise ValueError("radius must be positive")
+
+    def at(ts: np.ndarray) -> np.ndarray:
+        angle = 2 * math.pi * ts
+        turn = _pack(_libm(math.cos, angle), _libm(math.sin, angle))
+        return center + _cmul(complex(radius), turn)
+
     ts = np.arange(samples) / samples
-    fn = lambda t: center + radius * cmath.exp(2j * math.pi * t)
-    angle = 2 * math.pi * ts
-    turn = _pack(_libm(math.cos, angle), _libm(math.sin, angle))
-    return SampledCurve(center + _cmul(complex(radius), turn), chart, param_fn=fn, params=ts)
+    return SampledCurve(at(ts), chart, param_fn=at, params=ts)
 
 
 def latitude_circle(s: float, samples: int = 256) -> SampledCurve:
@@ -126,17 +127,15 @@ def latitude_circle(s: float, samples: int = 256) -> SampledCurve:
 def concatenate(a: SampledCurve, b: SampledCurve) -> SampledCurve:
     if a.chart is not b.chart:
         raise ValueError("curves live in different charts")
-    return SampledCurve(a.points + b.points, a.chart)
+    return SampledCurve(np.concatenate((a.points, b.points)), a.chart)
 
 
-def curve_diameter(points: Sequence[complex]) -> float:
-    zs = np.asarray(points, dtype=complex)
-    center = zs.mean()
-    return 2.0 * float(np.abs(zs - center).max())
+def curve_diameter(points: np.ndarray) -> float:
+    return 2.0 * float(np.abs(points - points.mean()).max())
 
 
-def winding_about_zero(values: Sequence[complex], value_at: Callable[[float], complex],
-                       params: Sequence[float], rtol: float) -> int:
+def winding_about_zero(values: np.ndarray, value_at: Callable[[np.ndarray], np.ndarray],
+                       params: np.ndarray, rtol: float) -> int:
     """Winding about 0 of the closed curve ``value_at``, sampled as ``values``
     at ``params``.  Samples all within ``rtol * max(1, |first|)`` of the first
     are a constant curve, winding 0, when three off-grid values agree, and
@@ -145,7 +144,7 @@ def winding_about_zero(values: Sequence[complex], value_at: Callable[[float], co
     first = complex(values[0])
     tol = rtol * max(1.0, abs(first))
     if np.abs(values - first).max() < tol:
-        if all(abs(value_at(t) - first) < tol for t in (0.1137, 0.4711, 0.7893)):
+        if (np.abs(value_at(np.array([0.1137, 0.4711, 0.7893])) - first) < tol).all():
             return 0
         raise ValueError("the sample grid aliases the winding; resample denser")
     return winding_number(SampledCurve(values, param_fn=value_at, params=params), 0j)
@@ -153,13 +152,12 @@ def winding_about_zero(values: Sequence[complex], value_at: Callable[[float], co
 
 def winding_number(curve: SampledCurve, p: complex) -> int:
     """Integer winding number of the closed curve about p."""
-    z = np.append(curve.point_array, curve.point_array[0])
-    t = np.append(curve.param_array, curve.param_array[0] + 1.0)
-    diam = curve_diameter(curve.point_array)
+    z = np.append(curve.points, curve.points[0])
+    t = np.append(curve.params, curve.params[0] + 1.0)
+    diam = curve_diameter(curve.points)
     min_ok = 1e-9 * diam
     if np.abs(z - p).min() <= min_ok:
         raise PointOnCurve(f"query point within {min_ok:.3g} of a sample")
-    fn = curve.param_fn
     rounds = 0
     while True:
         rel = z - p
@@ -177,11 +175,8 @@ def winding_number(curve: SampledCurve, p: complex) -> int:
                 f"rounds ({z.size} samples)"
             )
         tm = 0.5 * (t[idx] + t[idx + 1])
-        if fn is not None:
-            zm = np.array([fn(x % 1.0) for x in tm], dtype=complex)
-        else:
-            zm = 0.5 * (z[idx] + z[idx + 1])
-        if np.abs(zm - p).size and np.abs(zm - p).min() <= min_ok:
+        zm = curve.point_at(tm)
+        if np.abs(zm - p).min() <= min_ok:
             raise PointOnCurve("refinement landed on the query point")
         z = np.insert(z, idx + 1, zm)
         t = np.insert(t, idx + 1, tm)
@@ -215,7 +210,7 @@ def is_essential(curve: SampledCurve) -> bool:
 
 def dump_curve_csv(curve: SampledCurve) -> str:
     lines = [f"# chart={curve.chart.value}"]
-    lines += [f"{z.real:.12g},{z.imag:.12g}" for z in curve.points]
+    lines += [f"{z.real:.12g},{z.imag:.12g}" for z in curve.points.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -242,4 +237,4 @@ def load_curve_csv(text: str) -> SampledCurve:
         if not cmath.isfinite(z):
             raise ValueError(f"curve row {line!r} is not finite")
         pts.append(z)
-    return SampledCurve(tuple(pts), chart)
+    return SampledCurve(pts, chart)

@@ -281,7 +281,7 @@ def test_hypothesis_fails_for_quadratics_with_witness(c):
     assert winding_number(report.witness, z_s) == 0
     images = tuple(
         to_chart(evaluate(spec, SpherePoint(z)), Chart.NORTH).value
-        for z in report.witness.points
+        for z in report.witness.points.tolist()
     )
     from sphere_census.winding import SampledCurve
 

@@ -292,13 +292,16 @@ curves = st.one_of(
 def test_curve_image_matches_the_scalar_image(spec, curve, target):
     """One batch gives each sample's scalar image bit for bit, or the error
     the first failing scalar image raises; on a parameterized curve the
-    refinement closure agrees with the batch on the sample grid."""
+    refinement closure agrees with the batch on the sample grid, and on any
+    curve with the scalar image of each curve point off it: seeded
+    parameters in [0, 2), one on the closing edge and one below the first
+    sample's."""
 
     def scalar(z):
         return chart_value(evaluate(spec, SpherePoint(z, curve.chart)), target)
 
     try:
-        want = [scalar(z) for z in curve.points]
+        want = [scalar(z) for z in curve.points.tolist()]
     except Exception as exc:
         with pytest.raises(Exception) as info:
             curve_image(spec, curve, target)
@@ -308,7 +311,18 @@ def test_curve_image_matches_the_scalar_image(spec, curve, target):
     got = got.tolist()
     assert [repr(w) for w in want] == [repr(g) for g in got]
     if curve.param_fn is not None:
-        assert [repr(image_at(t)) for t in curve.params] == [repr(g) for g in got]
+        assert [repr(w) for w in image_at(curve.params).tolist()] == [repr(g) for g in got]
+    ts = np.concatenate([np.random.default_rng(len(got)).uniform(0.0, 2.0, 16),
+                         [0.5 * (curve.params[-1] + curve.params[0] + 1.0),
+                          0.5 * curve.params[0]]])
+    try:
+        want = [scalar(z) for z in curve.point_at(ts).tolist()]
+    except Exception as exc:
+        with pytest.raises(Exception) as info:
+            image_at(ts)
+        assert type(info.value) is type(exc)
+        return
+    assert [repr(w) for w in image_at(ts).tolist()] == [repr(w) for w in want]
 
 
 def test_horner_matches_numpy_polyval():

@@ -96,7 +96,7 @@ def test_local_degree_refines_a_fast_winding_image():
     # the image of the 128-sample probe about 0 winds 40 times, 1.96 rad per
     # edge, past the pi/2 edge cap: the winding refines before it settles
     image = image_curve(Power(40), circle(0j, 0.1, 128), Chart.NORTH)
-    assert np.abs(np.angle(image.point_array / np.roll(image.point_array, 1))).min() > EDGE_CAP
+    assert np.abs(np.angle(image.points / np.roll(image.points, 1))).min() > EDGE_CAP
     assert local_degree(Power(40), SpherePoint(0j), SpherePoint(0j), 0.1) == 40
 
 

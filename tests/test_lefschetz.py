@@ -59,18 +59,25 @@ def test_a_polygon_is_refined_along_its_chords(monkeypatch):
     point_at = SampledCurve.point_at
 
     def recorded(curve, t):
-        read.append((t, point_at(curve, t)))
-        return read[-1][1]
+        z = point_at(curve, t)
+        if curve is gon:
+            read.append((np.asarray(t), z))
+        return z
 
     with monkeypatch.context() as patch:
         patch.setattr(SampledCurve, "point_at", recorded)
         assert lefschetz_index(Power(6), gon) == 1
     assert lefschetz_index(Power(6), circle(0j, 0.9, 256)) == 1
-    assert len(read) == 4
-    for t, z in read:
-        k, lam = int(8 * t), 8 * t % 1.0
-        start, end = gon.points[k], gon.points[(k + 1) % 8]
-        assert abs(z - (start + lam * (end - start))) < 1e-15
+    # one refinement round: its two midpoints read in one batch for the
+    # image and in one for the displacement
+    assert len(read) == 2
+    vertices = gon.points.tolist()
+    for ts, zs in read:
+        assert ts.shape == zs.shape and ts.size == 2
+        for t, z in zip(ts.tolist(), zs.tolist()):
+            k, lam = int(8 * t), 8 * t % 1.0
+            start, end = vertices[k], vertices[(k + 1) % 8]
+            assert abs(z - (start + lam * (end - start))) < 1e-15
 
 
 def test_translation_has_zero_index():
@@ -150,7 +157,7 @@ def test_certificate_sides_are_read_off_the_boundary_curve():
 
     assert rectangle_certificate(doubling, rect) is RectCertificate.EXPANDING
     # the sides sample the index curve, so every side point is a curve point
-    assert set(calls[:256]) == set(boundary_curve(rect, 64).points)
+    assert set(calls[:256]) == set(boundary_curve(rect, 64).points.tolist())
 
 
 def test_certificate_maps_its_boundary_once():
@@ -303,6 +310,11 @@ def test_boundary_samples_are_the_scalar_samples(rect, per_side):
     n = 4 * per_side
     ts = [i / n for i in range(n)]
     curve = boundary_curve(rect, per_side)
-    assert [repr(z) for z in curve.points] == [repr(at(t)) for t in ts]
-    assert curve.params == tuple(ts)
-    assert [repr(curve.param_fn(t)) for t in ts] == [repr(at(t)) for t in ts]
+    assert [repr(z) for z in curve.points.tolist()] == [repr(at(t)) for t in ts]
+    assert curve.params.tolist() == ts
+    # refinement reads the same parameterization off the grid, on the
+    # closing side and just below t = 0 (where t % 1.0 rounds to 1.0)
+    rng = np.random.default_rng(per_side)
+    refine = np.concatenate([ts, rng.uniform(0.0, 2.0, 64), [1 - 0.5 / n, -1e-20]])
+    assert [repr(z) for z in curve.point_at(refine).tolist()] == [
+        repr(at(t)) for t in refine.tolist()]

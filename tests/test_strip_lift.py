@@ -352,13 +352,49 @@ def test_a_width_past_the_cap_is_refused_after_one_pass(monkeypatch):
 
 
 def test_verify_index_maps_its_loop_in_one_pass(monkeypatch):
-    # the reach and the loop are one batch each; the scalar lift maps only
-    # the midpoints that refinement asks for, and this loop needs none
+    # the reach and the loop are one batch each; each refinement round would
+    # map its midpoints in one more, and this loop needs none
     spec = repel(3)
     F = StripMap(spec, component(spec), lift_offset=1)
     calls = count_passes(monkeypatch)
     assert verify_index(F).index == 1
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "product:q=affine(2,0);d=3", "product:q=affine(2.3,0.1);d=-3",
+    "product:q=affine(2,0);d=-1;h=affine(0.5,0.2)",
+])
+def test_verify_index_refines_through_the_scalar_lift(text, monkeypatch):
+    # the image refinement reads at a loop parameter is the scalar lift of
+    # the scalar boundary point there: on the sample grid, at seeded
+    # parameters in [0, 2), on the closing side and just below t = 0
+    seen = []
+    index_of = strip_lift._index_of_images
+
+    def capture(images, image_at, curve):
+        seen.append((images, image_at, curve))
+        return index_of(images, image_at, curve)
+
+    monkeypatch.setattr(strip_lift, "_index_of_images", capture)
+    spec = parse_map(text)
+    F = lift(spec, component(spec), k=1)
+    m = verify_index(F).m_used
+    (images, image_at, beta), = seen
+    x0, x1 = -float(m), float(m)
+    corners = [complex(x0, 0.25), complex(x1, 0.25), complex(x1, 0.75), complex(x0, 0.75)]
+
+    def scalar(t):
+        leg, frac = divmod(t % 1.0 * 4.0, 1.0)
+        a, b = corners[int(leg) % 4], corners[(int(leg) + 1) % 4]
+        z = a + frac * (b - a)
+        return complex(*F(z.real, z.imag))
+
+    grid = beta.params.tolist()
+    assert [repr(w) for w in images.tolist()] == [repr(scalar(t)) for t in grid]
+    rng = np.random.default_rng(m)
+    ts = np.concatenate([grid, rng.uniform(0.0, 2.0, 64), [1 - 0.1 / len(grid), -1e-20]])
+    assert [repr(w) for w in image_at(ts).tolist()] == [repr(scalar(t)) for t in ts.tolist()]
 
 
 # one view per kind of radial and twist profile the lift reads

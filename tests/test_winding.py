@@ -81,12 +81,11 @@ def test_point_on_curve_raises():
 def test_non_integral_winding_raises_on_discontinuous_parameterization():
     # the curve teleports between two far circles; seen from a point between
     # them, the jump edge never refines below the per-edge cap
-    def jump(t):
-        base = cmath.exp(2j * math.pi * t)
-        return base + (25.0 if t >= 0.5 else 0.0)
+    def jump(ts):
+        return np.exp(2j * np.pi * ts) + np.where(ts >= 0.5, 25.0, 0.0)
 
-    ts = tuple(i / 64 for i in range(64))
-    curve = SampledCurve(tuple(jump(t) for t in ts), param_fn=jump, params=ts)
+    ts = np.arange(64) / 64
+    curve = SampledCurve(jump(ts), param_fn=jump, params=ts)
     with pytest.raises(NonIntegralWinding):
         winding_number(curve, 12.0 + 0j)
 
@@ -94,9 +93,9 @@ def test_non_integral_winding_raises_on_discontinuous_parameterization():
 def test_adaptive_refinement_handles_sparse_circle():
     # 8 samples of a circle about a point near the boundary: per-edge
     # increments start above pi/2 and must be refined away
-    fn = lambda t: cmath.exp(2j * math.pi * t)
-    ts = tuple(i / 8 for i in range(8))
-    sparse = SampledCurve(tuple(fn(t) for t in ts), param_fn=fn, params=ts)
+    fn = lambda ts: np.exp(2j * np.pi * ts)
+    ts = np.arange(8) / 8
+    sparse = SampledCurve(fn(ts), param_fn=fn, params=ts)
     assert winding_number(sparse, 0.8 + 0j) == 1
     assert winding_number(sparse, 1.2 + 0j) == 0
 
@@ -136,14 +135,14 @@ def test_perturbation_stability(seed):
     rng = np.random.default_rng(seed)
     c = circle(0j, 1.0, 32)
     p = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-    dist = min(_segment_distance(p, a, b)
-               for a, b in zip(c.points, c.points[1:] + c.points[:1]))
+    pts = c.points.tolist()
+    dist = min(_segment_distance(p, a, b) for a, b in zip(pts, pts[1:] + pts[:1]))
     if dist < 1e-3:
         return
     w0 = winding_number(SampledCurve(c.points), p)
     jittered = tuple(
         z + 0.007 * dist * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        for z in c.points
+        for z in pts
     )
     assert winding_number(SampledCurve(jittered), p) == w0
 
@@ -151,7 +150,7 @@ def test_perturbation_stability(seed):
 def test_sign_flips_under_chart_swap():
     # the same sphere circle seen from the other pole winds the other way
     north = circle(0j, 2.0, 64)
-    south_pts = tuple(1.0 / z for z in north.points)
+    south_pts = tuple(1.0 / z for z in north.points.tolist())
     south = SampledCurve(south_pts, Chart.SOUTH)
     assert winding_number(north, 0j) == -winding_number(south, 0j)
 
@@ -204,9 +203,34 @@ def scalar_curve(points, params=None):
     return keep_p, keep_t
 
 
+def scalar_point_at(points, params, t):
+    """The polyline position at t that ``SampledCurve.point_at`` computed
+    one parameter at a time: linear along the first chord that holds t."""
+    ts = list(params) + [params[0] + 1.0]
+    zs = list(points) + [points[0]]
+    t = t % 1.0
+    if t < ts[0]:
+        t += 1.0
+    for i in range(len(zs) - 1):
+        if ts[i] <= t <= ts[i + 1]:
+            span = ts[i + 1] - ts[i]
+            lam = 0.0 if span == 0 else (t - ts[i]) / span
+            return zs[i] + lam * (zs[i + 1] - zs[i])
+    return zs[0]
+
+
+def off_grid(params, rng, count=16):
+    """The sample parameters, seeded parameters in [0, 2), one on the
+    closing edge and one below the first sample's parameter."""
+    params = np.asarray(params)
+    return np.concatenate([params, rng.uniform(0.0, 2.0, count),
+                           [0.5 * (params[-1] + params[0] + 1.0), 0.5 * params[0]]])
+
+
 def test_curve_trimming_matches_the_scalar_loop():
     # runs of repeats, repeats that are not consecutive, -0.0 beside 0.0,
-    # closing runs equal to the first sample, and too few distinct samples
+    # closing runs equal to the first sample, and too few distinct samples;
+    # the polyline between the kept samples is the scalar interpolation
     pool = [0j, complex(-0.0, 0.0), 1 + 0j, 1j, -1 - 2j, 0.5 - 0.5j, 3 + 0j,
             -2j, 2 + 2j, -1 + 0j, 1e-300 + 0j, complex(0.0, -0.0)]
     rng = np.random.default_rng(43)
@@ -224,10 +248,12 @@ def test_curve_trimming_matches_the_scalar_loop():
             errors += 1
             continue
         c = SampledCurve(tuple(pts), params=params)
-        assert [repr(z) for z in c.points] == [repr(z) for z in want_p]
-        assert [repr(t) for t in c.params] == [repr(t) for t in want_t]
-        assert c.point_array.tolist() == list(c.points)
-        assert c.param_array.tolist() == list(c.params)
+        assert [repr(z) for z in c.points.tolist()] == [repr(z) for z in want_p]
+        assert [repr(t) for t in c.params.tolist()] == [repr(t) for t in want_t]
+        assert not (c.points.flags.writeable or c.params.flags.writeable)
+        ts = off_grid(want_t, rng)
+        assert [repr(z) for z in c.point_at(ts).tolist()] == [
+            repr(scalar_point_at(want_p, want_t, t)) for t in ts.tolist()]
     assert 100 < errors < 500
     with pytest.raises(ValueError, match="params must match"):
         SampledCurve(tuple(pool), params=(0.0, 0.5))
@@ -238,11 +264,16 @@ def test_curve_trimming_matches_the_scalar_loop():
     (complex(-0.0, -0.0), 3e4, 8), (0, 0.1, 256), (1.5, 2, 1000), (1e8 - 2j, 0.05, 128),
 ])
 def test_circle_samples_are_the_scalar_samples(center, radius, samples):
+    def scalar(t):
+        return center + radius * cmath.exp(2j * math.pi * (t % 1.0))
+
     ts = [i / samples for i in range(samples)]
-    want = [center + radius * cmath.exp(2j * math.pi * t) for t in ts]
+    want = [scalar(t) for t in ts]
+    refine = off_grid(ts, np.random.default_rng(samples))
     for chart in Chart:
         c = circle(center, radius, samples, chart)
         assert c.chart is chart
-        assert [repr(z) for z in c.points] == [repr(z) for z in want]
-        assert c.params == tuple(ts)
-        assert [repr(c.param_fn(t)) for t in ts] == [repr(z) for z in want]
+        assert [repr(z) for z in c.points.tolist()] == [repr(z) for z in want]
+        assert c.params.tolist() == ts
+        assert [repr(z) for z in c.point_at(refine).tolist()] == [
+            repr(scalar(t)) for t in refine.tolist()]
