@@ -48,6 +48,10 @@ class ParseError(ValueError):
     """Malformed map-spec or profile string."""
 
 
+class AnchorNotAttracting(ValueError):
+    """A quadratic has no attracting finite fixed point to anchor S at."""
+
+
 class Chart(Enum):
     NORTH = "north"
     SOUTH = "south"
@@ -138,25 +142,26 @@ def chordal(p: SpherePoint, q: SpherePoint) -> float:
     a1, b1 = (p.value, 1.0) if p.chart is Chart.NORTH else (1.0, p.value)
     a2, b2 = (q.value, 1.0) if q.chart is Chart.NORTH else (1.0, q.value)
     num = 2.0 * abs(a1 * b2 - a2 * b1)
-    den = math.hypot(abs(a1), abs(b1)) * math.hypot(abs(a2), abs(b2))
+    # abs of a complex is C hypot, the function np.hypot calls
+    den = abs(complex(abs(a1), abs(b1))) * abs(complex(abs(a2), abs(b2)))
     return num / den
 
 
 def chordal_many(v1, north1, v2, north2) -> np.ndarray:
-    """``chordal`` of each pair of points, bit for bit; the (values, north)
-    arguments broadcast."""
+    """``chordal`` of each pair of points, in numpy's complex arithmetic; the
+    (values, north) arguments broadcast."""
     a1, b1, norm1 = _projective(v1, north1)
     a2, b2, norm2 = _projective(v2, north2)
-    cross = _cmul(a1, b2) - _cmul(a2, b1)
+    cross = a1 * b2 - a2 * b1
     return 2.0 * np.hypot(cross.real, cross.imag) / (norm1 * norm2)
 
 
 def _projective(values, north):
     """The pair (a, b) with z = a/b that ``chordal`` forms, north (z, 1) and
-    south (1, w), and its norm: ``abs`` is C hypot, as numpy's is, but
-    ``math.hypot`` rounds apart from both, so the norm goes through libm."""
+    south (1, w), and its norm, each modulus through C hypot as ``chordal``
+    takes it (numpy's ``abs`` of a complex array may round apart)."""
     a, b = np.where(north, values, 1.0), np.where(north, 1.0, values)
-    return a, b, _libm(math.hypot, np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))
+    return a, b, np.hypot(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))
 
 
 # Chordal distance is at least the difference of sphere heights tanh(s); the
@@ -171,7 +176,7 @@ def dedup_many(values: np.ndarray, north: np.ndarray, radius: float) -> np.ndarr
     only against the later ones in its height window, the t-th later one of
     every point in one batch; each close pair then drops its later point,
     in input order, where the earlier one is kept."""
-    heights = _libm(math.tanh, latitudes(values, north))
+    heights = np.tanh(latitudes(values, north))
     order = np.argsort(heights)
     reach = np.searchsorted(heights[order], heights[order] + (radius + _HEIGHT_SLACK),
                             side="right") - np.arange(values.size)
@@ -255,11 +260,15 @@ class PolyProfile:
         if math.isinf(s):
             lo, hi = self.end_limits()
             return lo if s < 0 else hi
-        return float(npoly.polyval(s, self.coeffs))
+        # a value past the float range is +-inf (or nan), silently, as
+        # Python float arithmetic gives it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(npoly.polyval(s, self.coeffs))
 
     def many(self, s: np.ndarray) -> np.ndarray:
         """``__call__`` on an array of latitudes."""
-        return _on_finite(self, s, lambda x: npoly.polyval(x, self.coeffs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _on_finite(self, s, lambda x: npoly.polyval(x, self.coeffs))
 
     def end_limits(self) -> tuple[float, float]:
         deg = len(self.coeffs) - 1
@@ -346,11 +355,11 @@ class PiecewiseLinearProfile:
     @staticmethod
     def _segment_params(s: np.ndarray, s0: float, s1: float) -> np.ndarray:
         if s0 == -INF and s1 == INF:
-            return 0.5 * (1.0 + _libm(math.tanh, 0.5 * s))
+            return 0.5 * (1.0 + np.tanh(0.5 * s))
         if s0 == -INF:
-            return _libm(math.exp, s - s1)
+            return np.exp(s - s1)
         if s1 == INF:
-            return 1.0 - _libm(math.exp, s0 - s)
+            return 1.0 - np.exp(s0 - s)
         return (s - s0) / (s1 - s0)
 
     @staticmethod
@@ -405,25 +414,13 @@ def _ramp_many(t: np.ndarray, v0: float, v1: float) -> np.ndarray:
     if math.isfinite(v0) and math.isfinite(v1):
         return v0 + t * (v1 - v0)
     if math.isfinite(v0):
-        tail = _libm(math.log1p, -t)
+        tail = np.log1p(-t)
         return v0 - tail if v1 > 0 else v0 + tail
     if math.isfinite(v1):
-        tail = _libm(math.log, t)
+        tail = np.log(t)
         return v1 - tail if v0 > 0 else v1 + tail
-    core = _libm(math.log, t / (1.0 - t))
+    core = np.log(t / (1.0 - t))
     return core if v1 > 0 else -core
-
-
-def _libm(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
-    """A ``math`` function applied elementwise to arrays of one shape.
-
-    numpy's vectorised log, exp, tanh, log1p and arctan2 differ from libm
-    in the last bit on some inputs; a latitude one ulp off can flip a
-    repelling or level-set test, so the batch calls libm like the scalar
-    path does.
-    """
-    return np.fromiter(map(fn, *(a.ravel().tolist() for a in args)), dtype=float,
-                       count=args[0].size).reshape(args[0].shape)
 
 
 def _on_finite(profile, s: np.ndarray, fn) -> np.ndarray:
@@ -603,7 +600,7 @@ class Quadratic:
         for z in ((1 - disc) / 2, (1 + disc) / 2):
             if abs(2 * z) < 1:
                 return z
-        raise ValueError(f"z^2+{self.c} has no attracting finite fixed point")
+        raise AnchorNotAttracting(f"z^2+{self.c} has no attracting finite fixed point")
 
 
 @dataclass(frozen=True)
@@ -747,8 +744,9 @@ def _eval_rational(p_coeffs, q_coeffs, p: SpherePoint) -> SpherePoint:
     return SpherePoint(a / b, Chart.NORTH)
 
 
-def _horner(coeffs, x: complex) -> complex:
-    """Ascending coefficients at one point, in numpy ``polyval``'s order."""
+def _horner(coeffs, x):
+    """Ascending coefficients at one point or an array of points, in numpy
+    ``polyval``'s order."""
     acc = coeffs[-1] + x * 0
     for c in coeffs[-2::-1]:
         acc = c + acc * x
@@ -770,11 +768,12 @@ def _eval_product(spec: ProductMap, p: SpherePoint) -> SpherePoint:
 # ---------------------------------------------------------------------------
 #
 # A batch is a complex array of chart coordinates plus a boolean array that
-# is True where the coordinate is in the north chart.  Every step repeats the
-# scalar arithmetic elementwise and gives the same bits: complex products and
-# quotients are spelled out on real parts in CPython's order (numpy's complex
-# loops may fuse a multiply-add), and transcendental functions go through
-# ``_libm``.
+# is True where the coordinate is in the north chart.  Every step is numpy's
+# own elementwise arithmetic: its complex products and quotients, and its
+# ufuncs for the transcendental functions.  The scalar ``evaluate`` stays as
+# a reference; the two agree to rounding, not bit for bit, since numpy's
+# complex loops may fuse a multiply-add and its log, exp and tanh may round
+# apart from libm in the last bit.
 
 
 def evaluate_many(spec: MapSpec, values, north) -> tuple[np.ndarray, np.ndarray]:
@@ -782,13 +781,13 @@ def evaluate_many(spec: MapSpec, values, north) -> tuple[np.ndarray, np.ndarray]
 
     ``values`` is a 1-D array of chart coordinates and ``north`` is True
     where a coordinate is in the north chart (one flag, or one per point).
-    Each image equals ``evaluate`` of that point, coordinate and chart.
+    Each image is ``evaluate`` of that point up to rounding.
     """
     v = np.array(values, dtype=complex).ravel()
     nor = np.broadcast_to(np.asarray(north, dtype=bool), v.shape).copy()
     _check_coordinates(v)
-    # Python float arithmetic overflows to inf and yields nan silently;
-    # _check_coordinates then raises as the scalar SpherePoint does
+    # an overflow to inf or a nan is not warned about; _check_coordinates
+    # then raises as the scalar SpherePoint does
     with np.errstate(over="ignore", invalid="ignore"):
         return _apply_many(spec, v, nor)
 
@@ -806,7 +805,7 @@ def chart_values(values: np.ndarray, north: np.ndarray, target: Chart) -> np.nda
             )
         # a value within ~1e-308 of 0 gives inf, silently as in chart_value
         with np.errstate(over="ignore", invalid="ignore"):
-            out[flip] = _cdiv(1.0, out[flip])
+            out[flip] = 1.0 / out[flip]
     return out
 
 
@@ -815,7 +814,7 @@ def latitudes(values: np.ndarray, north: np.ndarray) -> np.ndarray:
     mag = np.hypot(values.real, values.imag)
     out = np.where(north, -INF, INF)
     off = mag != 0
-    lat = _libm(math.log, mag[off])
+    lat = np.log(mag[off])
     out[off] = np.where(north[off], lat, -lat)
     return out
 
@@ -824,7 +823,7 @@ def _angles(values: np.ndarray, north: np.ndarray) -> np.ndarray:
     """``SpherePoint.angle`` of each point."""
     out = np.zeros(values.shape)
     off = values != 0
-    a = _libm(math.atan2, values.imag[off], values.real[off])
+    a = np.arctan2(values.imag[off], values.real[off])
     out[off] = np.where(north[off], a, -a)
     return out
 
@@ -862,73 +861,15 @@ def _normalized_many(v: np.ndarray, north: np.ndarray):
     big = np.hypot(v.real, v.imag) > 1.0
     if big.any():
         v = v.copy()
-        v[big] = _cdiv(1.0, v[big])
+        v[big] = 1.0 / v[big]
         north = north ^ big
     return v, north
-
-
-def _pack(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
-
-
-def _cmul(a, b) -> np.ndarray:
-    """a * b with CPython's rounding: two products, then one add per part."""
-    return _pack(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
-
-
-def _cdiv(a, b: np.ndarray) -> np.ndarray:
-    """a / b with CPython's rounding (divide by the larger part of b)."""
-    a = np.broadcast_to(np.asarray(a, dtype=complex), b.shape)
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    if ((br == 0) & (bi == 0)).any():
-        raise ZeroDivisionError("complex division by zero")
-    re = np.empty(b.shape)
-    im = np.empty(b.shape)
-    m = np.abs(br) >= np.abs(bi)
-    ratio = bi[m] / br[m]
-    denom = br[m] + bi[m] * ratio
-    re[m] = (ar[m] + ai[m] * ratio) / denom
-    im[m] = (ai[m] - ar[m] * ratio) / denom
-    m = ~m
-    ratio = br[m] / bi[m]
-    denom = br[m] * ratio + bi[m]
-    re[m] = (ar[m] * ratio + ai[m]) / denom
-    im[m] = (ai[m] * ratio - ar[m]) / denom
-    return _pack(re, im)
-
-
-def _cpow(v: np.ndarray, n: int) -> np.ndarray:
-    """v ** n for an integer n >= 1, as CPython computes it."""
-    if n > 100:  # CPython switches to its polar formula here
-        return np.array([z ** n for z in v.tolist()], dtype=complex)
-    out = np.ones_like(v)
-    mask = 1
-    while True:
-        if n & mask:
-            out = _cmul(out, v)
-        mask <<= 1
-        if mask > n:
-            return out
-        v = _cmul(v, v)
 
 
 def _power_many(d: int, v: np.ndarray, north: np.ndarray):
     if d == 0:
         return np.ones_like(v), north
-    return _cpow(v, abs(d)), north if d > 0 else ~north
-
-
-def _cpolyval(x: np.ndarray, coeffs) -> np.ndarray:
-    """``_horner`` at each point, bit for bit (``_cmul`` rounds as CPython)."""
-    c = np.array(coeffs, dtype=complex)
-    zero = _pack(x.real * 0.0 - x.imag * 0.0, x.real * 0.0 + x.imag * 0.0)
-    acc = c[-1] + zero
-    for coeff in c[-2::-1]:
-        acc = coeff + _cmul(acc, x)
-    return acc
+    return v ** abs(d), north if d > 0 else ~north
 
 
 def _rational_many(p_coeffs, q_coeffs, v: np.ndarray, north: np.ndarray):
@@ -936,10 +877,10 @@ def _rational_many(p_coeffs, q_coeffs, v: np.ndarray, north: np.ndarray):
     a = np.empty_like(v)
     b = np.empty_like(v)
     south = ~north
-    a[north] = _cpolyval(v[north], p_coeffs)
-    b[north] = _cpolyval(v[north], q_coeffs)
-    a[south] = _cpolyval(v[south], rev_p)
-    b[south] = _cpolyval(v[south], rev_q)
+    a[north] = _horner(p_coeffs, v[north])
+    b[north] = _horner(q_coeffs, v[north])
+    a[south] = _horner(rev_p, v[south])
+    b[south] = _horner(rev_q, v[south])
     if ((a == 0) & (b == 0)).any():
         raise OverflowAtChartBoundary("0/0 in rational evaluation")
     return from_pairs(a, b)
@@ -949,7 +890,10 @@ def from_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The chart point of each projective pair (a : b), as (values, north):
     a/b in the north chart unless |a| > |b|, else b/a in the south chart."""
     north = ~(np.hypot(a.real, a.imag) > np.hypot(b.real, b.imag))
-    return _cdiv(np.where(north, a, b), np.where(north, b, a)), north
+    den = np.where(north, b, a)
+    if (den == 0).any():
+        raise ZeroDivisionError("complex division by zero")
+    return np.where(north, a, b) / den, north
 
 
 def from_latlon_many(s: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -959,8 +903,8 @@ def from_latlon_many(s: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.n
     out = np.zeros(s.shape, dtype=complex)
     m = ~np.isinf(s)
     x, y = np.where(north, s, -s)[m], np.where(north, theta, -theta)[m]
-    mag = _libm(math.exp, x)  # cmath.exp(x + iy) = exp(x) (cos y + i sin y), x <= 0
-    out[m] = _pack(mag * _libm(math.cos, y), mag * _libm(math.sin, y))
+    mag = np.exp(x)  # exp(x + iy) = exp(x) (cos y + i sin y), x <= 0
+    out.real[m], out.imag[m] = mag * np.cos(y), mag * np.sin(y)
     return out, north
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .charts import MapSpec, _cmul, curve_image
+from .charts import MapSpec, curve_image
 from .winding import PointOnCurve, SampledCurve, curve_diameter, winding_about_zero
 
 PlaneMap = Callable[[complex], complex]
@@ -107,7 +107,7 @@ def boundary_curve(rect: Rect, samples_per_side: int = 64) -> SampledCurve:
         frac = np.fmod(ts * 4.0, 1.0)
         leg = (ts * 4.0 - frac).astype(int)
         a, b = corners[leg % 4], corners[(leg + 1) % 4]
-        return a + _cmul(frac, b - a)
+        return a + frac * (b - a)
 
     n = 4 * samples_per_side
     ts = np.arange(n) / n

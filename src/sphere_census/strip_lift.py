@@ -23,7 +23,6 @@ from .charts import (
     DegreeCapExceeded,
     MapSpec,
     SpherePoint,
-    _pack,
     _shifted,
     chordal,
     chordal_many,
@@ -94,8 +93,8 @@ class StripMap:
         return (x_out + self.lift_offset, self.y_of_s(view.radial(s)))
 
     def many(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``__call__`` at each (x, y), bit for bit: the profiles' ``many``
-        twins and the same float arithmetic on arrays."""
+        """``__call__`` at each (x, y), through the profiles' ``many`` twins:
+        the same formula on arrays."""
         s = self.s_of_y(np.asarray(y, dtype=float))
         view = self._view
         x = np.asarray(x, dtype=float)
@@ -187,7 +186,10 @@ def verify_index(F: StripMap) -> VerifyResult:
     beta = build_beta(F, m)
 
     def image_of(zs: np.ndarray) -> np.ndarray:
-        return _pack(*F.many(zs.real, zs.imag))
+        x, y = F.many(zs.real, zs.imag)
+        z = x.astype(complex)
+        z.imag = y  # an infinite height stays infinite: x + 1j*y would give nan
+        return z
 
     idx = _index_of_images(image_of(beta.points), lambda t: image_of(beta.point_at(t)), beta)
     if idx != expected:

@@ -5,8 +5,8 @@ gamma(t) - p over one traversal, divided by 2*pi.  Per-edge principal
 argument increments are summed after adaptive resampling has driven every
 increment below pi/2, so the rounded sum is provably the true integer.
 A curve's samples and its parameterization are numpy arrays, built, trimmed
-and wound as the scalar Python arithmetic rounds; each refinement round maps
-its parameter midpoints in one batch.
+and wound in numpy's arithmetic; each refinement round maps its parameter
+midpoints in one batch.
 ``winding_about_zero`` is the one probe, shared by the Lefschetz index and
 the annular degree, that tells a curve constant on its sample grid from one
 that winds between its samples.
@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import Chart, _cmul, _libm, _pack
+from .charts import Chart
 
 MAX_SAMPLES = 2 ** 20
 MAX_REFINE_ROUNDS = 64
@@ -39,6 +39,10 @@ class PointOnCurve(CurveError):
 
 class NonIntegralWinding(CurveError):
     """Argument sum refused to settle on an integer within the sample cap."""
+
+
+class NonFiniteSamples(CurveError):
+    """A sample of the curve is infinite or NaN: it has no winding."""
 
 
 class InnOut(Enum):
@@ -95,7 +99,7 @@ class SampledCurve:
         a, b = ts[i], ts[i + 1]
         span = b - a
         lam = np.divide(t - a, span, out=np.zeros_like(t), where=span != 0)
-        on = zs[i] + _cmul(lam, zs[i + 1] - zs[i])
+        on = zs[i] + lam * (zs[i + 1] - zs[i])
         return np.where((a <= t) & (t <= b), on, zs[0])
 
     def reversed(self) -> "SampledCurve":
@@ -104,16 +108,14 @@ class SampledCurve:
 
 def circle(center: complex, radius: float, samples: int = 64,
            chart: Chart = Chart.NORTH) -> SampledCurve:
-    """``samples`` points center + radius*exp(2*pi*i*t) at t = k/samples.
-    The parameterization rounds as the scalar ``cmath.exp`` does: (cos, sin)
-    of 2*pi*t through libm, and CPython's complex product."""
+    """``samples`` points center + radius*exp(2*pi*i*t) at t = k/samples,
+    through one array parameterization: numpy's cos and sin of 2*pi*t."""
     if radius <= 0:
         raise ValueError("radius must be positive")
 
     def at(ts: np.ndarray) -> np.ndarray:
         angle = 2 * math.pi * ts
-        turn = _pack(_libm(math.cos, angle), _libm(math.sin, angle))
-        return center + _cmul(complex(radius), turn)
+        return center + radius * (np.cos(angle) + 1j * np.sin(angle))
 
     ts = np.arange(samples) / samples
     return SampledCurve(at(ts), chart, param_fn=at, params=ts)
@@ -140,7 +142,7 @@ def winding_about_zero(values: np.ndarray, value_at: Callable[[np.ndarray], np.n
     at ``params``.  Samples all within ``rtol * max(1, |first|)`` of the first
     are a constant curve, winding 0, when three off-grid values agree, and
     otherwise a grid that aliases the winding: ValueError."""
-    values = np.asarray(values, dtype=complex)
+    values = _finite(np.asarray(values, dtype=complex))
     first = complex(values[0])
     tol = rtol * max(1.0, abs(first))
     if np.abs(values - first).max() < tol:
@@ -151,8 +153,10 @@ def winding_about_zero(values: np.ndarray, value_at: Callable[[np.ndarray], np.n
 
 
 def winding_number(curve: SampledCurve, p: complex) -> int:
-    """Integer winding number of the closed curve about p."""
-    z = np.append(curve.points, curve.points[0])
+    """Integer winding number of the closed curve about p; non-finite
+    samples, on the curve or among its refinement midpoints, are refused
+    with ``NonFiniteSamples``."""
+    z = np.append(_finite(curve.points), curve.points[0])
     t = np.append(curve.params, curve.params[0] + 1.0)
     diam = curve_diameter(curve.points)
     min_ok = 1e-9 * diam
@@ -175,7 +179,7 @@ def winding_number(curve: SampledCurve, p: complex) -> int:
                 f"rounds ({z.size} samples)"
             )
         tm = 0.5 * (t[idx] + t[idx + 1])
-        zm = curve.point_at(tm)
+        zm = _finite(curve.point_at(tm))
         if np.abs(zm - p).min() <= min_ok:
             raise PointOnCurve("refinement landed on the query point")
         z = np.insert(z, idx + 1, zm)
@@ -185,6 +189,14 @@ def winding_number(curve: SampledCurve, p: complex) -> int:
     if abs(total - nearest) > SNAP_TOL:
         raise NonIntegralWinding(f"argument sum {total:.6f} is not near an integer")
     return int(nearest)
+
+
+def _finite(points: np.ndarray) -> np.ndarray:
+    """The samples, unless one is infinite or NaN: ``NonFiniteSamples``."""
+    bad = np.count_nonzero(~np.isfinite(points))
+    if bad:
+        raise NonFiniteSamples(f"{bad} of {points.size} curve samples are not finite")
+    return points
 
 
 def classify(curve: SampledCurve, p: complex) -> InnOut:

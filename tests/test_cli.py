@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,47 @@ def test_check_h_reports_a_quadratic_without_attractor(capsys):
     payload = json.loads(out)
     assert payload["status"] == "scope_unavailable"
     assert "no attracting finite fixed point" in payload["detail"]
+
+
+def test_iterated_poly_census_prints_no_overflow_warning(capsys):
+    # q∘q overflows past |s| ~ 1e102; the profile evaluates that as +-inf
+    # silently, so the census prints its rows and nothing on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "census", "--map",
+                             "iter:n=2(product:q=poly(0,3,0,-0.5);d=2)", "--n-max", "3")
+    assert (code, err) == (0, "")
+    assert out == ("n,count,rate,bound_dn,theorem3_sum\n"
+                   "1,29,3.36729582999,4,0\n"
+                   "2,1097,3.50016723014,16,0\n"
+                   "3,30809,3.44518737802,64,0\n")
+
+
+def test_strip_index_refuses_a_loop_through_a_pole_by_name(capsys):
+    # two repelling components of q∘q have a window edge that q∘q sends onto
+    # a pole, so their comparison loops have infinite heights
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "strip-index", "--map",
+                             "iter:n=2(product:q=pwl(-inf:-inf,-1:inf,1:-inf,inf:inf);d=2)")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "NonFiniteSamples"
+
+
+@pytest.mark.parametrize("text", ["quad:c=-0.75+0i", "quad:c=0.25+0i",
+                                  "iter:n=2(quad:c=0.25+0i)"])
+def test_quadratics_without_an_attracting_anchor_name_their_scope(capsys, text):
+    # a parabolic fixed point (|2z| = 1) does not anchor the annulus either
+    for command in ("annuli", "strip-index"):
+        code, out, err = run(capsys, command, "--map", text)
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "AnchorNotAttracting"
+        assert "no attracting finite fixed point" in payload["message"]
+    code, out, err = run(capsys, "check-h", "--map", text)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["status"] == "scope_unavailable"
 
 
 def test_parse_error_exits_2(capsys, tmp_path):

@@ -515,5 +515,6 @@ def test_witness_radius_matches_the_scalar_pairs(block, monkeypatch):
                 witness_radius(pre, clear)
             tight += 1
             continue
-        assert repr(witness_radius(pre, clear)) == repr(want)
+        # within a twentieth of the 1e-14 that chordal_many keeps to chordal
+        assert abs(witness_radius(pre, clear) - want) <= 1e-14 / 20
     assert 5 < tight < 100

@@ -410,16 +410,23 @@ MANY_SPECS = {
 
 @pytest.mark.parametrize("text", MANY_SPECS.values(), ids=MANY_SPECS.keys())
 def test_many_matches_the_scalar_lift_bit_for_bit(text):
+    """``StripMap.many`` against the scalar lift: the same infinities, and
+    finite coordinates within 1e-12 relative to max(1, |value|), since the
+    profiles' ``many`` twins use numpy's exp, log, log1p and tanh (the test
+    keeps its name; the two agree to rounding, not bit for bit)."""
     spec = parse_map(text)
     rng = np.random.default_rng(31)
     x = np.concatenate([rng.uniform(-5.0, 5.0, 200), [0.0, -0.0, 1.0, -2.0, 0.5]])
     y = np.concatenate([rng.uniform(-0.2, 1.2, 200), [0.25, 0.75, 0.5, 0.0, 1.0]])
     for k in (0, 3):
         F = StripMap(spec, component(repel(2)), lift_offset=k)
-        xo, yo = F.many(x, y)
-        want = [F(a, b) for a, b in zip(x.tolist(), y.tolist())]
-        assert [repr(v) for v in xo.tolist()] == [repr(w[0]) for w in want]
-        assert [repr(v) for v in yo.tolist()] == [repr(w[1]) for w in want]
+        want = np.array([F(a, b) for a, b in zip(x.tolist(), y.tolist())])
+        for got, coord in zip(F.many(x, y), want.T):
+            finite = np.isfinite(coord)
+            assert (np.isfinite(got) == finite).all()
+            assert (got[~finite] == coord[~finite]).all()
+            err = np.abs(got[finite] - coord[finite])
+            assert (err <= 1e-12 * np.maximum(1.0, np.abs(coord[finite]))).all()
 
 
 def test_lift_names_the_first_point_that_does_not_commute(monkeypatch):

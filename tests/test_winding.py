@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from sphere_census.charts import Chart
 from sphere_census.winding import (
+    CurveError,
     InnOut,
+    NonFiniteSamples,
     NonIntegralWinding,
     PointOnCurve,
     SampledCurve,
@@ -145,6 +148,24 @@ def test_perturbation_stability(seed):
         for z in pts
     )
     assert winding_number(SampledCurve(jittered), p) == w0
+
+
+@pytest.mark.parametrize("bad", [math.inf, complex(0, -math.inf), math.nan])
+def test_non_finite_samples_are_refused_before_any_arithmetic(bad):
+    pts = circle(0j, 1.0, 16).points.copy()
+    pts[5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSamples, match="1 of 16 curve samples"):
+            winding_number(SampledCurve(pts), 0.3j)
+        # three turns on 8 samples take refinement, whose midpoints are not
+        # finite here: they are refused the same way
+        ts = np.arange(8) / 8
+        fast = SampledCurve(np.exp(6j * np.pi * ts), params=ts,
+                            param_fn=lambda t: np.full(t.shape, bad, dtype=complex))
+        with pytest.raises(NonFiniteSamples):
+            winding_number(fast, 0j)
+    assert issubclass(NonFiniteSamples, CurveError)
 
 
 def test_sign_flips_under_chart_swap():
