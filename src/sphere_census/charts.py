@@ -199,13 +199,6 @@ def sphere_arrays(points) -> tuple[np.ndarray, np.ndarray]:
             np.array([p.chart is Chart.NORTH for p in points], dtype=bool))
 
 
-def dedup_points(points, radius: float) -> list[SpherePoint]:
-    """``dedup_many`` on a sequence of ``SpherePoint``s: the kept ones."""
-    points = list(points)
-    kept = dedup_many(*sphere_arrays(points), radius)
-    return [points[i] for i in kept.tolist()]
-
-
 def wrap_angle(a):
     """Angle (scalar or array) wrapped to [-pi, pi)."""
     return (a + math.pi) % (2 * math.pi) - math.pi

@@ -22,13 +22,14 @@ from .charts import (
     SpherePoint,
     as_product_view,
     as_rational,
-    chart_value,
+    chart_values,
     check_degree_cap,
     chordal,
     chordal_many,
     curve_image,
-    dedup_points,
+    dedup_many,
     evaluate,
+    evaluate_many,
     from_latlon,
     from_pairs,
     iterate_base,
@@ -39,12 +40,17 @@ from .charts import (
 from .winding import (
     SampledCurve,
     circle,
+    curve_diameter,
     is_essential,
+    ring,
+    settle,
     winding_about_zero,
     winding_number,
 )
 
 PREIMAGE_DEDUP = 1e-7
+# samples of each probe circle of ``local_degree``
+PROBE_SAMPLES = 128
 # separations measured by one ``chordal_many`` call of ``witness_radius``
 PAIR_BLOCK = 1 << 16
 
@@ -86,38 +92,49 @@ class DegreeReport:
 
 
 def find_preimages(spec: MapSpec, y: SpherePoint) -> list[SpherePoint]:
-    """All preimages of y, sorted by ``_north_order`` and deduplicated once.
+    """All preimages of y, sorted by ``_north_order``.
 
     A spec with a product view reduces to a latitude level-set solve plus
     the angular congruence: a power's preimages are its closed-form d-th
-    roots.  Any other spec is f^n of a quadratic or rational f, solved level
-    by level in the north chart: n calls of ``_preimages`` on 1, D, D^2, ...
-    targets (a : b), f^n never expanded, close pairs kept to the last level;
-    a root lost to infinity is N = (1 : 0) exactly.
+    roots.  These are distinct by construction, |d| angles on each of the
+    distinct level latitudes, so they are not deduplicated.  Any other spec
+    is f^n of a quadratic or rational f, solved level by level in the north
+    chart: n calls of ``_preimages`` on 1, D, D^2, ... targets (a : b), f^n
+    never expanded, close pairs kept to the last level; a root lost to
+    infinity is N = (1 : 0) exactly.  The last level is deduplicated once,
+    in ``_north_order``, by ``dedup_many``.
     """
     view = as_product_view(spec)
     if view is not None:
-        level = _product_preimages(view, y)
-    else:
-        base, n = iterate_base(spec)
-        forms = _coefficient_rows(*as_rational(base))
-        pair = (y.value, 1.0) if y.chart is Chart.NORTH else (1.0, y.value)
-        a, b = np.array([pair], dtype=complex).T
-        for _ in range(n):
-            w = _preimages(forms, a, b)
-            finite = np.isfinite(w)
-            a, b = np.where(finite, w, 1.0), finite.astype(complex)
-        level = [SpherePoint(v, Chart.NORTH if north else Chart.SOUTH)
-                 for v, north in zip(*from_pairs(a, b))]
-    return dedup_points(sorted(level, key=_north_order), PREIMAGE_DEDUP)
+        return sorted(_product_preimages(view, y), key=_north_order)
+    base, n = iterate_base(spec)
+    forms = _coefficient_rows(*as_rational(base))
+    pair = (y.value, 1.0) if y.chart is Chart.NORTH else (1.0, y.value)
+    a, b = np.array([pair], dtype=complex).T
+    for _ in range(n):
+        w = _preimages(forms, a, b)
+        finite = np.isfinite(w)
+        a, b = np.where(finite, w, 1.0), finite.astype(complex)
+    values, north = from_pairs(a, b)
+    keys = [_north_key(v, up) for v, up in zip(values.tolist(), north.tolist())]
+    order = sorted(range(values.size), key=keys.__getitem__)
+    values, north = values[order], north[order]
+    kept = dedup_many(values, north, PREIMAGE_DEDUP)
+    return [SpherePoint(v, Chart.NORTH if up else Chart.SOUTH)
+            for v, up in zip(values[kept].tolist(), north[kept].tolist())]
 
 
 def _north_order(p: SpherePoint) -> tuple:
     """The order of ``find_preimages``: north-chart value rounded to 9
     places, N last."""
-    if p == charts.N_POLE:
+    return _north_key(p.value, p.chart is Chart.NORTH)
+
+
+def _north_key(value: complex, north: bool) -> tuple:
+    """``_north_order`` of the chart point (value, north)."""
+    if not north and value == 0:
         return (1,)
-    z = chart_value(p, Chart.NORTH)
+    z = value if north else 1.0 / value
     return (0, round(z.real, 9), round(z.imag, 9))
 
 
@@ -188,14 +205,51 @@ def _product_preimages(view, y: SpherePoint) -> list[SpherePoint]:
 # ---------------------------------------------------------------------------
 
 
-def local_degree(spec: MapSpec, x: SpherePoint, y: SpherePoint, radius: float) -> int:
-    """Winding of the image of the radius-circle about x around y."""
-    x = x.normalized()
+def local_degree(spec: MapSpec, xs, y: SpherePoint, radius: float) -> tuple[int, ...]:
+    """Winding of the image of the radius-circle about each x around y.
+
+    One ``evaluate_many`` batch maps the witnesses, for the check that each
+    maps to y, and all their 128-sample probe circles; each image is wound
+    as one row of an array by ``settle``.  A row that does not settle there
+    (a witness off y, an image through y, a repeated sample, an edge at or
+    past ``EDGE_CAP``, or any fault) is wound alone, as ``_local_degree_at``
+    winds one witness, so it refines or raises exactly as a lone witness
+    does, and the first such witness names the error.  A point of the batch
+    that fails to map raises the chart error its lone witness raises.
+    """
     y = y.normalized()
+    xs = [x.normalized() for x in xs]
+    values, north = sphere_arrays(xs)
+    probes = values[:, None] + ring(radius, np.arange(PROBE_SAMPLES) / PROBE_SAMPLES)
+    image, image_north = evaluate_many(
+        spec, np.concatenate((values, probes.ravel())),
+        np.concatenate((north, np.repeat(north, PROBE_SAMPLES))))
+    rows = chart_values(image[values.size:], image_north[values.size:],
+                        y.chart).reshape(probes.shape)
+    maps_to_y = chordal_many(image[:values.size], image_north[:values.size],
+                             y.value, y.chart is Chart.NORTH) <= 1e-9
+    gaps = np.abs(rows - y.value)
+    off_y = gaps.min(axis=1) > 1e-9 * gaps.max(axis=1)
+    # a repeated sample is trimmed by ``SampledCurve``: such a row is wound alone
+    repeats = ((probes == np.roll(probes, -1, axis=1)).any(axis=1)
+               | (rows == np.roll(rows, -1, axis=1)).any(axis=1))
+    closed = np.concatenate((rows, rows[:, :1]), axis=1)
+    # the diameter of a row with an infinite sample is nan, with no warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        clear, bad, total, integral = settle(closed, y.value, 1e-9 * curve_diameter(rows))
+    settled = maps_to_y & off_y & ~repeats & clear & ~bad.any(axis=1) & integral
+    turns = np.where(settled, np.rint(total), 0).astype(int).tolist()
+    return tuple(turns[i] if ok else _local_degree_at(spec, x, y, radius)
+                 for i, (x, ok) in enumerate(zip(xs, settled.tolist())))
+
+
+def _local_degree_at(spec: MapSpec, x: SpherePoint, y: SpherePoint, radius: float) -> int:
+    """``local_degree`` of one normalized witness x over normalized y: the
+    winding of the ``image_curve`` of its own probe circle."""
     if chordal(evaluate(spec, x), y) > 1e-9:
         raise ValueError("x does not map to y")
     y_val = y.value
-    probe = circle(x.value, radius, samples=128, chart=x.chart)
+    probe = circle(x.value, radius, samples=PROBE_SAMPLES, chart=x.chart)
     image = image_curve(spec, probe, y.chart)
     # scale-free: near a pole the probe circle, and so its image, is small
     gaps = np.abs(image.points - y_val)
@@ -265,7 +319,7 @@ def _degree_at(spec: MapSpec, y: SpherePoint, screen=None) -> DegreeReport:
         screen(pre)
     infinity = charts.N_POLE if y.normalized().chart is Chart.NORTH else charts.S_POLE
     radius = witness_radius(pre, find_preimages(spec, infinity))
-    witnesses = tuple((x, local_degree(spec, x, y, radius)) for x in pre)
+    witnesses = tuple(zip(pre, local_degree(spec, pre, y, radius)))
     total = sum(d for _, d in witnesses)
     return DegreeReport(total, witnesses, y)
 

@@ -114,11 +114,17 @@ def circle(center: complex, radius: float, samples: int = 64,
         raise ValueError("radius must be positive")
 
     def at(ts: np.ndarray) -> np.ndarray:
-        angle = 2 * math.pi * ts
-        return center + radius * (np.cos(angle) + 1j * np.sin(angle))
+        return center + ring(radius, ts)
 
     ts = np.arange(samples) / samples
     return SampledCurve(at(ts), chart, param_fn=at, params=ts)
+
+
+def ring(radius: float, ts: np.ndarray) -> np.ndarray:
+    """radius*exp(2*pi*i*t) at each t, through numpy's cos and sin: the
+    offsets of ``circle``'s samples from its center."""
+    angle = 2 * math.pi * ts
+    return radius * (np.cos(angle) + 1j * np.sin(angle))
 
 
 def latitude_circle(s: float, samples: int = 256) -> SampledCurve:
@@ -132,8 +138,10 @@ def concatenate(a: SampledCurve, b: SampledCurve) -> SampledCurve:
     return SampledCurve(np.concatenate((a.points, b.points)), a.chart)
 
 
-def curve_diameter(points: np.ndarray) -> float:
-    return 2.0 * float(np.abs(points - points.mean()).max())
+def curve_diameter(points: np.ndarray):
+    """Twice the largest distance of a sample from the samples' mean, for
+    each row of the last axis."""
+    return 2.0 * np.abs(points - points.mean(axis=-1)[..., None]).max(axis=-1)
 
 
 def winding_about_zero(values: np.ndarray, value_at: Callable[[np.ndarray], np.ndarray],
@@ -158,17 +166,12 @@ def winding_number(curve: SampledCurve, p: complex) -> int:
     with ``NonFiniteSamples``."""
     z = np.append(_finite(curve.points), curve.points[0])
     t = np.append(curve.params, curve.params[0] + 1.0)
-    diam = curve_diameter(curve.points)
-    min_ok = 1e-9 * diam
-    if np.abs(z - p).min() <= min_ok:
+    min_ok = 1e-9 * curve_diameter(curve.points)
+    clear, bad, total, integral = settle(z, p, min_ok)
+    if not clear:
         raise PointOnCurve(f"query point within {min_ok:.3g} of a sample")
     rounds = 0
-    while True:
-        rel = z - p
-        inc = np.angle(rel[1:] / rel[:-1])
-        bad = np.abs(inc) >= EDGE_CAP
-        if not bad.any():
-            break
+    while bad.any():
         rounds += 1
         idx = np.nonzero(bad)[0]
         if z.size + idx.size > MAX_SAMPLES or rounds > MAX_REFINE_ROUNDS:
@@ -184,11 +187,29 @@ def winding_number(curve: SampledCurve, p: complex) -> int:
             raise PointOnCurve("refinement landed on the query point")
         z = np.insert(z, idx + 1, zm)
         t = np.insert(t, idx + 1, tm)
-    total = float(inc.sum()) / (2.0 * math.pi)
-    nearest = round(total)
-    if abs(total - nearest) > SNAP_TOL:
+        clear, bad, total, integral = settle(z, p, min_ok)
+    if not integral:
         raise NonIntegralWinding(f"argument sum {total:.6f} is not near an integer")
-    return int(nearest)
+    return round(float(total))
+
+
+def settle(z: np.ndarray, p: complex, min_ok):
+    """The checks of ``winding_number`` on each row of closed samples z
+    (last axis, the first sample repeated last) about p, without refinement.
+
+    Returns, per row: ``clear``, every sample finite and farther than
+    ``min_ok`` from p; the edges whose principal increment reaches
+    ``EDGE_CAP``, which refinement must split; the sum of the increments in
+    turns; and ``integral``, that sum within ``SNAP_TOL`` of an integer.  A
+    row with an infinite sample, or one through p, gives no numpy warning.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rel = z - p
+        inc = np.angle(rel[..., 1:] / rel[..., :-1])
+        clear = np.isfinite(z).all(axis=-1) & (np.abs(rel).min(axis=-1) > min_ok)
+    bad = np.abs(inc) >= EDGE_CAP
+    total = inc.sum(axis=-1) / (2.0 * math.pi)
+    return clear, bad, total, np.abs(total - np.rint(total)) <= SNAP_TOL
 
 
 def _finite(points: np.ndarray) -> np.ndarray:

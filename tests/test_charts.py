@@ -37,7 +37,7 @@ from sphere_census.charts import (
     chordal,
     chordal_many,
     curve_image,
-    dedup_points,
+    dedup_many,
     evaluate,
     evaluate_many,
     format_map,
@@ -492,7 +492,8 @@ ring_points = st.builds(
 @given(points=st.one_of(clustered_points, ring_points),
        radius=st.sampled_from([1e-7, 1e-6, 1e-4, 0.3]))
 def test_dedup_sweep_matches_all_pairs(points, radius):
-    assert dedup_points(points, radius) == dedup_all_pairs(points, radius)
+    kept = dedup_many(*sphere_arrays(points), radius)
+    assert [points[i] for i in kept.tolist()] == dedup_all_pairs(points, radius)
 
 
 # ---------------------------------------------------------------------------

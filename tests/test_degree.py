@@ -43,7 +43,14 @@ from sphere_census.degree import (
     local_degree,
     witness_radius,
 )
-from sphere_census.winding import EDGE_CAP, circle, latitude_circle
+from sphere_census.gallery import GALLERY
+from sphere_census.winding import (
+    EDGE_CAP,
+    PointOnCurve,
+    circle,
+    latitude_circle,
+    winding_number,
+)
 
 INF = math.inf
 
@@ -63,7 +70,7 @@ def test_local_degree_cubing_at_origin():
     ts = np.linspace(0, 1, 4096)
     oracle = round(unwrap_turns([(0.1 * cmath.exp(2j * math.pi * t)) ** 3 for t in ts]))
     assert oracle == 3
-    assert local_degree(Power(3), SpherePoint(0j), SpherePoint(0j), 0.1) == 3
+    assert local_degree(Power(3), [SpherePoint(0j)], SpherePoint(0j), 0.1) == (3,)
 
 
 def test_local_degree_regular_point_of_squaring():
@@ -75,13 +82,13 @@ def test_local_degree_regular_point_of_squaring():
     det = fx.real * fy.imag - fx.imag * fy.real
     assert det > 0
     one = SpherePoint(1 + 0j)
-    assert local_degree(Power(2), one, one, 0.05) == 1
+    assert local_degree(Power(2), [one], one, 0.05) == (1,)
 
 
 def test_local_degree_at_north_pole():
     # w -> w^2/(1 + c w^2) has a double point at w = 0
-    assert local_degree(Quadratic(0j), N_POLE, N_POLE, 0.1) == 2
-    assert local_degree(Quadratic(0.1 + 0j), N_POLE, N_POLE, 0.1) == 2
+    assert local_degree(Quadratic(0j), [N_POLE], N_POLE, 0.1) == (2,)
+    assert local_degree(Quadratic(0.1 + 0j), [N_POLE], N_POLE, 0.1) == (2,)
 
 
 def test_local_degree_orientation_reversal():
@@ -89,7 +96,7 @@ def test_local_degree_orientation_reversal():
     spec = ProductMap(AffineProfile(-1.0, 0.0), 1)
     x = from_latlon(0.3, 0.4)
     y = evaluate(spec, x)
-    assert local_degree(spec, x, y, 0.02) == -1
+    assert local_degree(spec, [x], y, 0.02) == (-1,)
 
 
 def test_local_degree_refines_a_fast_winding_image():
@@ -97,14 +104,98 @@ def test_local_degree_refines_a_fast_winding_image():
     # edge, past the pi/2 edge cap: the winding refines before it settles
     image = image_curve(Power(40), circle(0j, 0.1, 128), Chart.NORTH)
     assert np.abs(np.angle(image.points / np.roll(image.points, 1))).min() > EDGE_CAP
-    assert local_degree(Power(40), SpherePoint(0j), SpherePoint(0j), 0.1) == 40
+    assert local_degree(Power(40), [SpherePoint(0j)], SpherePoint(0j), 0.1) == (40,)
 
 
 def test_radius_too_large():
     one = SpherePoint(1 + 0j)
     with pytest.raises(RadiusTooLarge):
         # the circle of radius 2 about 1 passes through -1, whose image is y
-        local_degree(Power(2), one, one, 2.0)
+        local_degree(Power(2), [one], one, 2.0)
+
+
+def test_the_first_failing_witness_names_the_error():
+    # witnesses are checked in order, as one by one: the probe about 1 passes
+    # through a preimage of y, and 0.5 does not map to y at all
+    one, half = SpherePoint(1 + 0j), SpherePoint(0.5 + 0j)
+    with pytest.raises(RadiusTooLarge):
+        local_degree(Power(2), [one, half], one, 2.0)
+    with pytest.raises(ValueError, match="x does not map to y"):
+        local_degree(Power(2), [half, one], one, 2.0)
+
+
+def test_a_squashed_image_through_the_value_is_refused():
+    # (s, theta) -> (1.5e-9 s, theta) flattens the probe circle's image to a
+    # sliver about y, 1.5e-9 of its length thick: it passes the gap test,
+    # but y lies within the winding's PointOnCurve distance of it
+    spec = ProductMap(AffineProfile(1.5e-9, 0.0), 1)
+    x = from_latlon(0.3, 0.4)
+    with pytest.raises(PointOnCurve):
+        local_degree(spec, [x], evaluate(spec, x), 0.01)
+
+
+def lone_degrees(spec, xs, y, radius):
+    """``winding_number`` of each witness's own ``image_curve``, one by one."""
+    y = y.normalized()
+    return tuple(
+        winding_number(image_curve(spec, circle(x.value, radius, 128, chart=x.chart), y.chart),
+                       y.value)
+        for x in (x.normalized() for x in xs))
+
+
+CERTIFY_MAPS = [
+    "product:q=affine(1.53,0.1542);d=-3", "product:q=affine(2.0549,0.2662);d=-2",
+    "product:q=affine(2.4925,-0.1698);d=-1", "power:d=-2", "product:q=affine(2.4431,0);d=3",
+    "quad:c=0.161024-0.041100i", "quad:c=-1.071666+0.073510i", "rational:P=0,2,0,1;Q=1,0,3",
+    "product:q=affine(2.6587,0.2932);d=-2", "product:q=affine(2.6841,0.0589);d=3",
+    "power:d=2", "product:q=affine(2.2249,-0.0842);d=2", "quad:c=0.189601+0.135450i",
+    "quad:c=-0.904994-0.060067i",
+]
+
+
+@pytest.mark.parametrize("spec", [
+    *GALLERY.values(), *(Iterate(spec, 2) for spec in GALLERY.values()),
+    *map(parse_map, CERTIFY_MAPS),
+], ids=format_map)
+def test_batched_local_degrees_match_the_lone_windings(spec):
+    # the witnesses of eight values, wound as rows of one batch and each on
+    # its own image curve; the values spread over |s| < 2.5, so that even the
+    # dilations have witnesses in both charts
+    rng = np.random.default_rng(27)
+    charts = set()
+    for _ in range(8):
+        y = from_latlon(rng.uniform(-2.5, 2.5), rng.uniform(0.0, 2 * math.pi))
+        infinity = N_POLE if y.chart is Chart.NORTH else S_POLE
+        try:
+            pre = find_preimages(spec, y)
+            radius = witness_radius(pre, find_preimages(spec, infinity))
+            batch = local_degree(spec, pre, y, radius)
+        except (PreimageClusterTooTight, RadiusTooLarge):
+            continue
+        assert batch == lone_degrees(spec, pre, y, radius)
+        charts |= {x.normalized().chart for x in pre}
+    assert charts == {Chart.NORTH, Chart.SOUTH} or spec.declared_degree == 0
+
+
+def test_only_rows_that_need_refinement_reach_winding_number(monkeypatch):
+    # z^40 (z - 1) sends 0, a zero of order 40, and 1 to 0: the image of the
+    # probe about 0 winds 40 times past the edge cap and is refined alone,
+    # the one about 1 settles in the batch
+    calls = []
+    wind = degree.winding_number
+    monkeypatch.setattr(degree, "winding_number",
+                        lambda curve, p: calls.append(p) or wind(curve, p))
+    assert local_degree(Power(40), [S_POLE], S_POLE, 0.1) == (40,)
+    assert len(calls) == 1
+    calls.clear()
+    spec = RationalPair((0,) * 40 + (-1, 1), (1,))
+    assert local_degree(spec, [S_POLE, SpherePoint(1 + 0j)], S_POLE, 0.05) == (40, 1)
+    assert len(calls) == 1
+    calls.clear()
+    y = SpherePoint(0.3 + 0.4j)
+    pre = find_preimages(Power(40), y)
+    assert local_degree(Power(40), pre, y, witness_radius(pre)) == (1,) * 40
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +260,20 @@ def test_preimage_routes_level_loop_and_product_view(monkeypatch):
     assert all(min(abs(z - w) for z in zs) < 1e-12 for w in want)
     assert as_rational(Iterate(Power(2), 3)) is None
     assert as_rational(Power(2)) is None
+
+
+def test_power_preimages_skip_the_dedup(monkeypatch):
+    # the 4096 closed-form roots are distinct by construction: one sort, and
+    # no pairwise comparison of 4096 points of one height
+    def forbidden(*args, **kwargs):
+        raise AssertionError("deduplicated a product view's preimages")
+
+    monkeypatch.setattr(degree, "dedup_many", forbidden)
+    y = SpherePoint(0.3 - 0.2j)
+    pre = find_preimages(Power(4096), y)
+    assert len(pre) == 4096
+    assert pre == sorted(pre, key=degree._north_order)
+    assert witness_radius(pre) > 0
 
 
 def test_preimages_lost_to_infinity_are_n_exactly():
@@ -473,7 +578,7 @@ def test_probe_circles_keep_clear_of_the_preimages_of_the_chart_pole():
     witnesses = [x for x, _ in report.witnesses]
     bare = witness_radius(witnesses)
     assert witness_radius(witnesses, find_preimages(spec, S_POLE)) < bare
-    assert [local_degree(spec, x, report.regular_value, bare) for x in witnesses] == [0, 1, 1, 0]
+    assert [local_degree(spec, [x], report.regular_value, bare) for x in witnesses] == [(0,), (1,), (1,), (0,)]
 
 
 def scalar_witness_radius(preimages, clear=()):
