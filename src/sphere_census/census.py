@@ -27,6 +27,7 @@ import numpy as np
 
 from . import annuli, degree as degree_mod
 from .charts import (  # DEGREE_CAP and DegreeCapExceeded are census API too
+    AnchorNotAttracting,
     Chart,
     DEGREE_CAP,
     DegreeCapExceeded,
@@ -58,6 +59,7 @@ from .charts import (  # DEGREE_CAP and DegreeCapExceeded are census API too
     solve_profile_level,
     wrap_angle,
 )
+from .winding import PointOnCurve
 
 INF = math.inf
 
@@ -116,18 +118,9 @@ class FixedPointSet:
         return INF if self.is_continuum else float(self.values.size)
 
 
-@dataclass
-class _Census:
-    """The census in progress: its last order, and each fixed-point set it
-    has solved, keyed by (spec, n)."""
-
-    n_max: int
-    solved: dict = field(default_factory=dict)
-
-
-# The census of the ``census_csv`` call in progress; None outside it, so no
-# set outlives the census that solved it.
-_SOLVED: contextvars.ContextVar[_Census | None] = contextvars.ContextVar(
+# The fixed-point sets of the ``census_csv`` call in progress, keyed by
+# (spec, n); None outside it, so no set outlives the census that solved it.
+_SOLVED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "census_solved", default=None)
 
 
@@ -138,35 +131,33 @@ def fixed_points(spec: MapSpec, n: int = 1) -> FixedPointSet:
     or rational map by Aberth-Ehrlich.  Raises ``CensusIncomplete`` rather
     than return a point that fails the residual filter, or fewer fixed
     points of a rational iterate than the multiplicity sum certifies.
-    Inside ``census_csv`` each order is solved once and its set read again;
-    the first Aberth order asked for is solved with every order after it up
-    to the census's last, and the lowest of them that fails raises its error.
+    Inside ``census_csv`` every order was solved before either report, and
+    its set is read from that table.
     """
-    census = _SOLVED.get()
-    if census is None:
+    solved = _SOLVED.get()
+    if solved is None or (spec, n) not in solved:
         return _solve(spec, n, n)[n]
-    if (spec, n) not in census.solved:
-        census.solved.update(((spec, k), got) for k, got in
-                             _solve(spec, n, max(n, census.n_max)).items())
-    return census.solved[spec, n]
+    return solved[spec, n]
 
 
 def _solve(spec: MapSpec, first: int, last: int) -> dict:
-    """Keyed by n: the fixed points of f^first from its product view, or
-    those of f^n for every n in first..last by Aberth-Ehrlich.  The lowest
-    order that fails raises its error."""
+    """Keyed by n: the fixed points of f^n for every n in first..last, each
+    order from its product view in turn, or all by Aberth-Ehrlich in one
+    batch.  The degree cap is checked at ``last``, and the lowest order that
+    fails raises its error."""
     if first < 1:
         raise ValueError("iterate order must be >= 1")
-    check_degree_cap(spec, first)
+    check_degree_cap(spec, last)
     base, order = iterate_base(spec)
-    k = order * first
-    if isinstance(base, Power):  # one power: one evaluation and one view, not n
-        flat = Power(base.d ** k)
-    else:
-        flat = base if k == 1 else Iterate(base, k)
-    view = as_product_view(flat)
-    if view is not None:
-        return {first: _product_fixed_points(flat, view)}
+    if as_product_view(base) is not None:
+        found = {}
+        for n in range(first, last + 1):
+            k = order * n
+            # one power: one evaluation and one view, not n
+            flat = (Power(base.d ** k) if isinstance(base, Power)
+                    else base if k == 1 else Iterate(base, k))
+            found[n] = _product_fixed_points(flat, as_product_view(flat))
+        return found
     orders = [order * n for n in range(first, last + 1)]
     try:
         found = _rational_fixed_points(base, orders)
@@ -715,18 +706,20 @@ def poles_attracting(spec: MapSpec) -> bool:
 def theorem_a_crosscheck(spec: MapSpec, n_max: int) -> CrosscheckReport:
     """Per-iterate check that sum |delta_i - 1| <= #Fix(f^n) and d^n <= #Fix(f^n).
 
-    Scope failures (broken loop hypothesis, non-attracting poles) are
-    reported, not raised; the count columns are still produced.
+    Scope failures (broken loop hypothesis, non-attracting poles, a loop
+    probe that cannot be placed) are reported, not raised; the count
+    columns are still produced.
     """
     check_degree_cap(spec, n_max)
     map_id = format_map(spec)
     status, detail, witness = "ok", "", None
     try:
-        anchor_poles(spec)
-    except ValueError as exc:  # a quadratic without an attracting finite fixed point
+        hyp = annuli.check_hypothesis_h(spec)
+    except (AnchorNotAttracting, annuli.UnsupportedSpec, PointOnCurve) as exc:
+        # a quadratic without an attracting finite fixed point, or a probe
+        # circle the pole preimages leave no room for (z^2 + c near c = 0)
         status, detail = "scope_unavailable", str(exc)
     else:
-        hyp = annuli.check_hypothesis_h(spec)
         if not hyp.passed:
             status = "hypothesis_failed"
             detail = (
@@ -759,12 +752,14 @@ def theorem_a_crosscheck(spec: MapSpec, n_max: int) -> CrosscheckReport:
 def census_csv(spec: MapSpec, n_max: int) -> str:
     """CSV rows ``n,count,rate,bound_dn,theorem3_sum`` for n = 1 .. n_max.
 
-    The growth report solves each order once; the cross-check reads the
-    same fixed-point sets, which are dropped when the call returns or raises.
-    Aberth orders are solved in one batch sharing one orbit walk per step;
-    the report still stops at the first order that fails, with its message.
+    Orders 1..n_max are solved once, in one ``_solve`` call, before either
+    report: the product view order by order, Aberth orders in one batch
+    sharing one orbit walk per step.  The reports read those sets, which are
+    dropped when the call returns or raises; the census stops at the first
+    order that fails, with its message.
     """
-    token = _SOLVED.set(_Census(n_max))
+    solved = _solve(spec, 1, n_max)
+    token = _SOLVED.set({(spec, n): fps for n, fps in solved.items()})
     try:
         report = growth_report(spec, n_max)
         cross = theorem_a_crosscheck(spec, n_max)

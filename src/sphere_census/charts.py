@@ -937,10 +937,18 @@ def iterate_base(spec: MapSpec) -> tuple[MapSpec, int]:
 
 def check_degree_cap(spec: MapSpec, n: int) -> None:
     """Refuse f^n of a power, quadratic or rational f of degree over the cap:
-    every f but a product map (a power's view gives |d|^n points to wind)."""
-    base, _ = iterate_base(spec)
-    if not isinstance(base, ProductMap) and abs(spec.declared_degree) ** n > DEGREE_CAP:
-        raise DegreeCapExceeded(f"degree {spec.declared_degree}^{n} exceeds {DEGREE_CAP}")
+    every f but a product map (a power's view gives |d|^n points to wind).
+    With spec = g^m of base degree D, the degree D^(m n) is multiplied out
+    only until it passes the cap, so a huge order is refused at once."""
+    base, order = iterate_base(spec)
+    if isinstance(base, ProductMap):
+        return
+    d, k = base.declared_degree, order * n
+    size = 1
+    for _ in range(k if d >= 2 else 0):  # at most 13 steps
+        size *= d
+        if size > DEGREE_CAP:
+            raise DegreeCapExceeded(f"degree {d}^{k} exceeds {DEGREE_CAP}")
 
 
 def as_rational(spec: MapSpec) -> tuple[tuple[complex, ...], tuple[complex, ...]] | None:

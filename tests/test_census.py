@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from sphere_census import census, charts, degree
@@ -259,9 +261,20 @@ def test_census_refuses_the_degree_cap_before_any_solve(monkeypatch):
         raise AssertionError("solved an order below a doomed n_max")
 
     monkeypatch.setattr(census, "_rational_fixed_points", forbidden)
-    for report in (census_csv, growth_report, theorem_a_crosscheck):
-        with pytest.raises(DegreeCapExceeded, match="3\\^8"):
-            report(CUBIC, 8)
+    monkeypatch.setattr(census, "_product_fixed_points", forbidden)
+    for spec, n_max, message in [
+        (CUBIC, 8, "3\\^8"),
+        # orders whose degree no integer should be formed for: these raised
+        # a bare ValueError or ran on, multiplying D^n out
+        (Iterate(Quadratic(0.1), 1000000), 1, "2\\^1000000"),
+        (Power(2), 10 ** 12, "2\\^1000000000000"),
+        (Iterate(Power(3), 10 ** 8), 1, "3\\^100000000"),
+    ]:
+        for report in (census_csv, growth_report, theorem_a_crosscheck):
+            t0 = time.perf_counter()
+            with pytest.raises(DegreeCapExceeded, match=f"degree {message} exceeds 4096"):
+                report(spec, n_max)
+            assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("text", [
@@ -693,6 +706,8 @@ def test_poles_attracting():
     "rational:P=0,2;Q=1", "rational:P=0,0,0.5;Q=1",
     "iter:n=2(product:q=affine(-2,0.1);d=2)",
     "iter:n=2(product:q=pwl(-inf:-inf,-1:inf,1:-inf,inf:inf);d=2)",
+    # a constant map: its composed twist reads the finite end limits
+    "iter:n=2(product:q=affine(0,1);d=0)",
 ])
 def test_poles_attracting_reads_the_product_view(monkeypatch, text):
     spec = charts.parse_map(text)
@@ -740,6 +755,18 @@ def test_crosscheck_reports_quadratic_without_attractor():
     assert "no attracting finite fixed point" in report.detail
     assert [r.count for r in report.rows] == [3.0, 5.0, 9.0]
     assert all(r.theorem3_sum is None for r in report.rows)
+
+
+@pytest.mark.parametrize("c", [1e-7, 1e-6, 3e-5, 1e-10])
+def test_crosscheck_reports_a_loop_probe_with_no_room(c):
+    # near c = 0 the pole preimages crowd the anchor: the probe circle ran
+    # through S (PointOnCurve at 1e-7 and 3e-5) or around it (UnsupportedSpec
+    # at 1e-6 and 1e-10), and the census raised
+    report = theorem_a_crosscheck(Quadratic(c), 2)
+    assert report.status == "scope_unavailable"
+    assert [r.count for r in report.rows] == [3.0, 5.0]
+    assert census_csv(Quadratic(c), 2).splitlines()[1:] == [
+        "1,3,1.09861228867,2,", "2,5,0.804718956217,4,"]
 
 
 def test_crosscheck_keeps_rows_when_core_image_hits_pole():
@@ -794,6 +821,64 @@ def test_census_solves_each_order_once(monkeypatch, spec, solver):
     assert sorted(n for orders in calls for n in orders) == [1, 2, 3, 4, 5]
     # the Aberth orders are solved in one batch, the product orders one by one
     assert len(calls) == (1 if solver == "_rational_fixed_points" else 5)
+
+
+def test_a_constant_iterate_has_one_fixed_point():
+    # f, and so f^2, sends the whole sphere to the point of latitude 1, angle 0
+    text = census_csv(charts.parse_map("iter:n=2(product:q=affine(0,1);d=0)"), 3)
+    assert [row.split(",")[1] for row in text.splitlines()[1:]] == ["1", "1", "1"]
+
+
+@pytest.mark.parametrize("spec", [
+    Power(2), ProductMap(AffineProfile(2.0, 0.0), 3), Quadratic(0.1),
+])
+def test_census_makes_one_solve_call(monkeypatch, spec):
+    # every order is solved before either report, which only read the sets
+    calls = []
+    solve = census._solve
+
+    def record(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(census, "_solve", record)
+    census_csv(spec, 5)
+    assert calls == [(spec, 1, 5)]
+
+
+def test_a_lone_order_raises_its_own_error(monkeypatch):
+    # one order has no other to fall back on: the solver's error is raised
+    def broken(*args):
+        raise RuntimeError("preimage level failed")
+
+    monkeypatch.setattr(degree, "_preimages", broken)
+    with pytest.raises(RuntimeError, match="preimage level failed"):
+        fixed_points(Quadratic(0.1), 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mu=st.builds(cmath.rect, st.floats(0.0, 0.8), st.floats(-math.pi, math.pi)))
+def test_cardioid_census_counts_every_fixed_point(mu):
+    # c = mu/2 (1 - mu/2) has an attracting fixed point of multiplier mu
+    # (the main cardioid), so every fixed point of f^n is simple: 2^n + 1
+    spec = Quadratic(mu / 2 * (1 - mu / 2))
+    tables = []
+    solve = census._solve
+
+    def record(*args):
+        tables.append(solve(*args))
+        return tables[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census, "_solve", record)
+        text = census_csv(spec, 6)
+    assert [row.split(",")[1] for row in text.splitlines()[1:]] == [
+        str(2 ** n + 1) for n in range(1, 7)]
+    assert len(tables) == 1
+    for n, fps in tables[0].items():
+        alone = fixed_points(spec, n)
+        assert fps.values.tobytes() == alone.values.tobytes(), n
+        assert fps.north.tobytes() == alone.north.tobytes(), n
 
 
 def test_no_fixed_point_set_outlives_its_census(monkeypatch):

@@ -383,6 +383,8 @@ def test_angular_degree_0_circle_preimage_is_refused():
 @pytest.mark.parametrize("spec", [
     Power(100000), Power(-5000), Iterate(Quadratic(0.1), 13),
     Iterate(RationalPair((0, 2, 0, 1), (1, 0, 3)), 8),
+    # iterates whose degree D^n no integer should be formed for
+    Iterate(Quadratic(0.1), 1000000), Iterate(Power(3), 10 ** 8),
 ])
 def test_global_degree_refuses_the_degree_cap_before_any_solve(monkeypatch, spec):
     def forbidden(*args, **kwargs):
