@@ -18,6 +18,7 @@ from enum import Enum
 
 from . import charts, degree as degree_mod
 from .charts import (
+    AnchorNotAttracting,
     Chart,
     MapSpec,
     SpherePoint,
@@ -27,7 +28,7 @@ from .charts import (
     chordal,
     to_chart,
 )
-from .winding import SampledCurve, circle, winding_number
+from .winding import PointOnCurve, SampledCurve, circle, winding_number
 
 INF = math.inf
 
@@ -223,6 +224,12 @@ class HypothesisReport:
 
     def __bool__(self) -> bool:
         return self.passed
+
+
+# what ``check_hypothesis_h`` raises when no probe can be placed: a quadratic
+# with no attracting finite fixed point has no S anchor, and near c = 0 the
+# pole preimages crowd the anchor, so the probe runs through S or around it
+PROBE_OUT_OF_SCOPE = (AnchorNotAttracting, UnsupportedSpec, PointOnCurve)
 
 
 def check_hypothesis_h(spec: MapSpec) -> HypothesisReport:

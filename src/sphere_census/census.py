@@ -27,7 +27,6 @@ import numpy as np
 
 from . import annuli, degree as degree_mod
 from .charts import (  # DEGREE_CAP and DegreeCapExceeded are census API too
-    AnchorNotAttracting,
     Chart,
     DEGREE_CAP,
     DegreeCapExceeded,
@@ -59,7 +58,6 @@ from .charts import (  # DEGREE_CAP and DegreeCapExceeded are census API too
     solve_profile_level,
     wrap_angle,
 )
-from .winding import PointOnCurve
 
 INF = math.inf
 
@@ -715,9 +713,7 @@ def theorem_a_crosscheck(spec: MapSpec, n_max: int) -> CrosscheckReport:
     status, detail, witness = "ok", "", None
     try:
         hyp = annuli.check_hypothesis_h(spec)
-    except (AnchorNotAttracting, annuli.UnsupportedSpec, PointOnCurve) as exc:
-        # a quadratic without an attracting finite fixed point, or a probe
-        # circle the pole preimages leave no room for (z^2 + c near c = 0)
+    except annuli.PROBE_OUT_OF_SCOPE as exc:
         status, detail = "scope_unavailable", str(exc)
     else:
         if not hyp.passed:

@@ -19,8 +19,7 @@ import sys
 from pathlib import Path
 
 from . import annuli, census, degree as degree_mod, gallery, strip_lift
-from .charts import (CHART_OVERFLOW, Chart, ParseError, SpherePoint, anchor_poles,
-                     format_map, parse_map)
+from .charts import CHART_OVERFLOW, Chart, ParseError, SpherePoint, format_map, parse_map
 from .lefschetz import lefschetz_index
 from .winding import dump_curve_csv, load_curve_csv
 
@@ -153,11 +152,10 @@ def cmd_strip_index(args) -> int:
 def cmd_check_h(args) -> int:
     spec = parse_map(args.map)
     try:
-        anchor_poles(spec)
-    except ValueError as exc:  # a quadratic without an attracting finite fixed point
+        report = annuli.check_hypothesis_h(spec)
+    except annuli.PROBE_OUT_OF_SCOPE as exc:
         _json_out({"status": "scope_unavailable", "detail": str(exc)})
         return 1
-    report = annuli.check_hypothesis_h(spec)
     if report.passed:
         _json_out({"status": "pass", "probes": report.probes})
         return 0

@@ -24,11 +24,10 @@ from .charts import (
     as_rational,
     chart_values,
     check_degree_cap,
-    chordal,
     chordal_many,
     curve_image,
     dedup_many,
-    evaluate,
+    evaluate,  # unused: perfbench's tracer patches degree.evaluate
     evaluate_many,
     from_latlon,
     from_pairs,
@@ -208,14 +207,14 @@ def _product_preimages(view, y: SpherePoint) -> list[SpherePoint]:
 def local_degree(spec: MapSpec, xs, y: SpherePoint, radius: float) -> tuple[int, ...]:
     """Winding of the image of the radius-circle about each x around y.
 
-    One ``evaluate_many`` batch maps the witnesses, for the check that each
-    maps to y, and all their 128-sample probe circles; each image is wound
-    as one row of an array by ``settle``.  A row that does not settle there
-    (a witness off y, an image through y, a repeated sample, an edge at or
-    past ``EDGE_CAP``, or any fault) is wound alone, as ``_local_degree_at``
-    winds one witness, so it refines or raises exactly as a lone witness
-    does, and the first such witness names the error.  A point of the batch
-    that fails to map raises the chart error its lone witness raises.
+    One ``evaluate_many`` batch maps the witnesses and all their 128-sample
+    probe circles; each image is wound as one row of an array by ``settle``.
+    The witnesses are then read in order, so the first failing one names
+    the error: one off y raises ValueError, one whose image passes through
+    y raises ``RadiusTooLarge``, and a row that does not settle in the
+    batch (a repeated sample, an edge at or past ``EDGE_CAP``, or any
+    fault) is wound alone by ``winding_number``, which refines or raises.
+    A point of the batch that fails to map raises its chart error.
     """
     y = y.normalized()
     xs = [x.normalized() for x in xs]
@@ -226,10 +225,11 @@ def local_degree(spec: MapSpec, xs, y: SpherePoint, radius: float) -> tuple[int,
         np.concatenate((north, np.repeat(north, PROBE_SAMPLES))))
     rows = chart_values(image[values.size:], image_north[values.size:],
                         y.chart).reshape(probes.shape)
-    maps_to_y = chordal_many(image[:values.size], image_north[:values.size],
-                             y.value, y.chart is Chart.NORTH) <= 1e-9
+    misses = chordal_many(image[:values.size], image_north[:values.size],
+                          y.value, y.chart is Chart.NORTH) > 1e-9
+    # scale-free: near a pole the probe circle, and so its image, is small
     gaps = np.abs(rows - y.value)
-    off_y = gaps.min(axis=1) > 1e-9 * gaps.max(axis=1)
+    through = gaps.min(axis=1) <= 1e-9 * gaps.max(axis=1)
     # a repeated sample is trimmed by ``SampledCurve``: such a row is wound alone
     repeats = ((probes == np.roll(probes, -1, axis=1)).any(axis=1)
                | (rows == np.roll(rows, -1, axis=1)).any(axis=1))
@@ -237,25 +237,19 @@ def local_degree(spec: MapSpec, xs, y: SpherePoint, radius: float) -> tuple[int,
     # the diameter of a row with an infinite sample is nan, with no warning
     with np.errstate(invalid="ignore", over="ignore"):
         clear, bad, total, integral = settle(closed, y.value, 1e-9 * curve_diameter(rows))
-    settled = maps_to_y & off_y & ~repeats & clear & ~bad.any(axis=1) & integral
-    turns = np.where(settled, np.rint(total), 0).astype(int).tolist()
-    return tuple(turns[i] if ok else _local_degree_at(spec, x, y, radius)
-                 for i, (x, ok) in enumerate(zip(xs, settled.tolist())))
-
-
-def _local_degree_at(spec: MapSpec, x: SpherePoint, y: SpherePoint, radius: float) -> int:
-    """``local_degree`` of one normalized witness x over normalized y: the
-    winding of the ``image_curve`` of its own probe circle."""
-    if chordal(evaluate(spec, x), y) > 1e-9:
-        raise ValueError("x does not map to y")
-    y_val = y.value
-    probe = circle(x.value, radius, samples=PROBE_SAMPLES, chart=x.chart)
-    image = image_curve(spec, probe, y.chart)
-    # scale-free: near a pole the probe circle, and so its image, is small
-    gaps = np.abs(image.points - y_val)
-    if gaps.min() <= 1e-9 * gaps.max():
-        raise RadiusTooLarge("image circle passes through the target value")
-    return winding_number(image, y_val)
+    settled = ~repeats & clear & ~bad.any(axis=1) & integral
+    out = []
+    for i, x in enumerate(xs):
+        if misses[i]:
+            raise ValueError("x does not map to y")
+        if through[i]:
+            raise RadiusTooLarge("image circle passes through the target value")
+        if settled[i]:
+            out.append(int(np.rint(total[i])))
+        else:
+            probe = circle(x.value, radius, samples=PROBE_SAMPLES, chart=x.chart)
+            out.append(winding_number(image_curve(spec, probe, y.chart), y.value))
+    return tuple(out)
 
 
 def image_curve(spec: MapSpec, curve: SampledCurve, target: Chart) -> SampledCurve:

@@ -879,6 +879,22 @@ def test_cardioid_census_counts_every_fixed_point(mu):
         alone = fixed_points(spec, n)
         assert fps.values.tobytes() == alone.values.tobytes(), n
         assert fps.north.tobytes() == alone.north.tobytes(), n
+    assert_divisor_inclusion(tables[0])
+
+
+def assert_divisor_inclusion(table):
+    """Fix(f^k) lies in Fix(f^n) for each k | n of a census table keyed by
+    n: every point of order k within chordal 1e-12 of one of order n."""
+    for n, big in table.items():
+        for k in (k for k in table if n % k == 0 and k < n):
+            small = table[k]
+            gaps = charts.chordal_many(small.values[:, None], small.north[:, None],
+                                       big.values[None, :], big.north[None, :])
+            assert gaps.min(axis=1).max() <= 1e-12, (k, n)
+
+
+def test_the_cubic_census_nests_the_fixed_points_of_divisor_orders():
+    assert_divisor_inclusion(census._solve(CUBIC, 1, 6))
 
 
 def test_no_fixed_point_set_outlives_its_census(monkeypatch):

@@ -214,6 +214,15 @@ def test_check_h_reports_a_quadratic_without_attractor(capsys):
     assert "no attracting finite fixed point" in payload["detail"]
 
 
+@pytest.mark.parametrize("c", ["1e-7", "1e-6", "3e-5", "1e-10"])
+def test_check_h_reports_a_loop_probe_with_no_room(capsys, c):
+    # near c = 0 the pole preimages crowd the anchor: the probe circle runs
+    # through S or around it, and check-h reports that as the census does
+    code, out, err = run(capsys, "check-h", "--map", f"quad:c={c}+0i")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["status"] == "scope_unavailable"
+
+
 def test_iterated_poly_census_prints_no_overflow_warning(capsys):
     # q∘q overflows past |s| ~ 1e102; the profile evaluates that as +-inf
     # silently, so the census prints its rows and nothing on stderr

@@ -99,11 +99,20 @@ def test_local_degree_orientation_reversal():
     assert local_degree(spec, [x], y, 0.02) == (-1,)
 
 
-def test_local_degree_refines_a_fast_winding_image():
+def forbid_scalar_evaluate(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scalar evaluate in local_degree")
+
+    monkeypatch.setattr(degree, "evaluate", forbidden)
+
+
+def test_local_degree_refines_a_fast_winding_image(monkeypatch):
     # the image of the 128-sample probe about 0 winds 40 times, 1.96 rad per
-    # edge, past the pi/2 edge cap: the winding refines before it settles
+    # edge, past the pi/2 edge cap: the winding refines before it settles,
+    # with no call of the scalar evaluator
     image = image_curve(Power(40), circle(0j, 0.1, 128), Chart.NORTH)
     assert np.abs(np.angle(image.points / np.roll(image.points, 1))).min() > EDGE_CAP
+    forbid_scalar_evaluate(monkeypatch)
     assert local_degree(Power(40), [SpherePoint(0j)], SpherePoint(0j), 0.1) == (40,)
 
 
@@ -114,9 +123,11 @@ def test_radius_too_large():
         local_degree(Power(2), [one], one, 2.0)
 
 
-def test_the_first_failing_witness_names_the_error():
+def test_the_first_failing_witness_names_the_error(monkeypatch):
     # witnesses are checked in order, as one by one: the probe about 1 passes
-    # through a preimage of y, and 0.5 does not map to y at all
+    # through a preimage of y, and 0.5 does not map to y at all; both errors
+    # are read off the probe batch, with no call of the scalar evaluator
+    forbid_scalar_evaluate(monkeypatch)
     one, half = SpherePoint(1 + 0j), SpherePoint(0.5 + 0j)
     with pytest.raises(RadiusTooLarge):
         local_degree(Power(2), [one, half], one, 2.0)
