@@ -38,6 +38,7 @@ from .charts import (  # DEGREE_CAP and DegreeCapExceeded are census API too
     S_POLE,
     SpherePoint,
     _angles,
+    _companion_roots,
     _shifted,
     anchor_poles,
     as_product_view,
@@ -203,7 +204,7 @@ def _rational_fixed_points(base: MapSpec, orders: list[int]) -> dict:
     Aberth run and one residual walk serve every order; the orders are then
     checked in ascending order, and the first left unconverged, failing the
     residual filter or merging raises its ``CensusIncomplete``."""
-    p, q = as_rational(base)
+    coeffs = as_rational(base)
     deg = base.declared_degree
     continua = {}
     if deg == 1:
@@ -211,7 +212,7 @@ def _rational_fixed_points(base: MapSpec, orders: list[int]) -> dict:
         # eigenvectors of its matrix), and f^n itself may be too expanding
         # for the residual filter
         continua = {n: FixedPointSet(continuum_latitudes=(0.0,))
-                    for n in orders if _mobius_identity(p, q, n)}
+                    for n in orders if _mobius_identity(coeffs, n)}
     solve = sorted({1 if deg == 1 else n for n in orders if n not in continua})
     poles = {n: [] for n in solve}
     for pole in (S_POLE, N_POLE):
@@ -220,7 +221,7 @@ def _rational_fixed_points(base: MapSpec, orders: list[int]) -> dict:
             image = evaluate(base, image)
             if n in poles and image == pole:
                 poles[n].append(pole)
-    approx, left = _aberth_fixed_points(p, q, deg, poles)
+    approx, left = _aberth_fixed_points(coeffs, deg, poles)
     failed = _residual_failures(base, {n: got[:2] for n, got in approx.items()})
     found = {}
     for n in solve:
@@ -262,12 +263,11 @@ def _merged(iterate: MapSpec, values, north, multipliers, poles, total: int) -> 
     return _sorted_set(values[kept], north[kept])
 
 
-def _mobius_identity(p, q, n: int) -> bool:
-    """Whether the n-th iterate of (p1 z + p0)/(q1 z + q0) is the identity,
-    i.e. the n-th power of its matrix is scalar up to rounding."""
-    p0, p1 = (tuple(p) + (0j,))[:2]
-    q0, q1 = (tuple(q) + (0j,))[:2]
-    m = np.array([[p1, p0], [q1, q0]])
+def _mobius_identity(coeffs, n: int) -> bool:
+    """Whether the n-th iterate of (p1 z + p0)/(q1 z + q0), with rows
+    ``coeffs`` = ((p0, p1), (q0, q1)), is the identity, i.e. the n-th power
+    of its matrix ((p1, p0), (q1, q0)) is scalar up to rounding."""
+    m = coeffs[:, ::-1]
     # a loxodromic power may overflow: not scalar
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.linalg.matrix_power(m / np.sqrt(np.linalg.det(m)), n)
@@ -275,11 +275,12 @@ def _mobius_identity(p, q, n: int) -> bool:
         return bool(np.isfinite(m).all() and off <= 1e-12 * abs(m).max())
 
 
-def _aberth_fixed_points(p, q, deg: int, poles: dict) -> tuple[dict, dict]:
+def _aberth_fixed_points(coeffs, deg: int, poles: dict) -> tuple[dict, dict]:
     """Keyed by n, for each order n of ``poles``: the D^n + 1 - len(poles[n])
-    fixed points of f^n other than poles[n], as (values, north, multipliers)
-    with the multiplier of f^n at each, for the orders whose approximations
-    all converged; and the number each order left unconverged.
+    fixed points of f^n other than poles[n], f with the rows ``coeffs`` of
+    ``as_rational``, as (values, north, multipliers) with the multiplier of
+    f^n at each, for the orders whose approximations all converged; and the
+    number each order left unconverged.
 
     Aberth-Ehrlich on G(w) = y1 - w y2, where (y1 : y2) is f^n at w after a
     fixed unitary change of coordinates U, so no root sits at w = infinity.
@@ -293,7 +294,7 @@ def _aberth_fixed_points(p, q, deg: int, poles: dict) -> tuple[dict, dict]:
     """
     if not poles:
         return {}, {}
-    coeffs, u = _frame(p, q)
+    u = _frame()
     # (w : 1) = U^H (z : 1): S = (0 : 1) and N = (1 : 0)
     fixed = {n: np.array([u[1, 0].conjugate() / u[1, 1].conjugate() if pole == S_POLE
                           else u[0, 0].conjugate() / u[0, 1].conjugate() for pole in ps],
@@ -320,12 +321,10 @@ def _aberth_fixed_points(p, q, deg: int, poles: dict) -> tuple[dict, dict]:
     return found, left
 
 
-def _frame(p, q):
-    """The coefficient rows of F = (p, q) (``degree._coefficient_rows``)
-    and the seeded unitary change of coordinates U of the w chart."""
+def _frame() -> np.ndarray:
+    """The seeded unitary change of coordinates U of the w chart."""
     rng = np.random.default_rng(ABERTH_SEED)
-    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    return degree_mod._coefficient_rows(p, q), u
+    return np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
 
 
 def _aberth(coeffs, deg: int, u, w: np.ndarray, blocks) -> list[int]:
@@ -435,7 +434,7 @@ def _base_fixed_points(coeffs, deg: int, u, forms: np.ndarray) -> np.ndarray:
     eigensolve, polished by Aberth-Ehrlich at order 1.  If G drops degree
     its roots at infinity go, and the caller pads from the spiral."""
     poly = np.convolve(forms[0], u[1, ::-1]) - np.convolve(forms[1], u[0, ::-1])
-    roots = degree_mod._companion_roots(poly[None, :])
+    roots = _companion_roots(poly[None, :])
     roots = roots[np.isfinite(roots)]
     _aberth(coeffs, deg, u, roots, [(1, roots.size, roots.size)])
     return roots

@@ -18,7 +18,6 @@ from enum import Enum
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 INF = math.inf
 
@@ -224,7 +223,9 @@ class AffineProfile:
 
     def many(self, s: np.ndarray) -> np.ndarray:
         """``__call__`` on an array of latitudes."""
-        return _on_finite(self, s, lambda x: self.a * x + self.b)
+        # an infinite slope gives +-inf, or nan at s = 0, silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _on_finite(self, s, lambda x: self.a * x + self.b)
 
     def end_limits(self) -> tuple[float, float]:
         if self.a > 0:
@@ -256,12 +257,12 @@ class PolyProfile:
         # a value past the float range is +-inf (or nan), silently, as
         # Python float arithmetic gives it
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(npoly.polyval(s, self.coeffs))
+            return float(_horner(self.coeffs, s))
 
     def many(self, s: np.ndarray) -> np.ndarray:
         """``__call__`` on an array of latitudes."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return _on_finite(self, s, lambda x: npoly.polyval(x, self.coeffs))
+            return _on_finite(self, s, lambda x: _horner(self.coeffs, x))
 
     def end_limits(self) -> tuple[float, float]:
         deg = len(self.coeffs) - 1
@@ -611,13 +612,10 @@ class RationalPair:
         if p == (0j,) and len(q) > 1:
             raise ValueError("zero numerator over a non-constant denominator; "
                              "the constant map 0 is P=0;Q=1")
-        if p != (0j,) and len(p) > 1 and len(q) > 1:
-            rp = npoly.polyroots(np.array(p))
-            rq = npoly.polyroots(np.array(q))
-            if rp.size and rq.size:
-                sep = np.abs(rp[:, None] - rq[None, :]).min()
-                if sep < 1e-10:
-                    raise ValueError("P and Q share a root; reduce the fraction")
+        if len(p) > 1 and len(q) > 1:
+            rp, rq = (_companion_roots(np.array([cs], dtype=complex)) for cs in (p, q))
+            if np.abs(rp[:, None] - rq[None, :]).min() < 1e-10:
+                raise ValueError("P and Q share a root; reduce the fraction")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
@@ -704,10 +702,10 @@ def evaluate(spec: MapSpec, p: SpherePoint) -> SpherePoint:
         for _ in range(spec.n):
             out = evaluate(spec.inner, out)
         return out
-    pq = as_rational(spec)
-    if pq is None:
+    rows = as_rational(spec)
+    if rows is None:
         raise TypeError(f"not a map spec: {spec!r}")
-    return _eval_rational(*pq, p)
+    return _eval_rational(rows, p)
 
 
 def _eval_power(d: int, p: SpherePoint) -> SpherePoint:
@@ -719,15 +717,10 @@ def _eval_power(d: int, p: SpherePoint) -> SpherePoint:
     return SpherePoint(v ** d, Chart.SOUTH) if d > 0 else SpherePoint(v ** (-d), Chart.NORTH)
 
 
-def _south_coeffs(p_coeffs, q_coeffs) -> list[tuple[complex, ...]]:
-    """z = 1/w: w^D P(1/w) and w^D Q(1/w), reversed after padding to degree D."""
-    d_max = max(len(p_coeffs), len(q_coeffs))
-    return [tuple(reversed(tuple(cs) + (0j,) * (d_max - len(cs)))) for cs in (p_coeffs, q_coeffs)]
-
-
-def _eval_rational(p_coeffs, q_coeffs, p: SpherePoint) -> SpherePoint:
-    if p.chart is Chart.SOUTH:
-        p_coeffs, q_coeffs = _south_coeffs(p_coeffs, q_coeffs)
+def _eval_rational(rows: np.ndarray, p: SpherePoint) -> SpherePoint:
+    """f = P/Q at p on Python complexes; in the south chart z = 1/w, and
+    w^D P(1/w), w^D Q(1/w) are the rows reversed."""
+    p_coeffs, q_coeffs = (rows if p.chart is Chart.NORTH else rows[:, ::-1]).tolist()
     a = _horner(p_coeffs, p.value)
     b = _horner(q_coeffs, p.value)
     if a == 0 and b == 0:
@@ -744,6 +737,28 @@ def _horner(coeffs, x):
     for c in coeffs[-2::-1]:
         acc = c + acc * x
     return acc
+
+
+def _companion_roots(poly: np.ndarray) -> np.ndarray:
+    """The roots of each row of ascending coefficients, row by row, as one
+    batch of companion eigenvalues: a row whose leading coefficient
+    vanishes gives the roots of the row trimmed of it, and inf for each
+    root lost to infinity."""
+    deg = poly.shape[1] - 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        last = -poly[:, :deg] / poly[:, deg:]
+    full = np.isfinite(last).all(axis=1)
+    companion = np.zeros((np.count_nonzero(full), deg, deg), dtype=complex)
+    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    companion[:, :, -1] = last[full]
+    roots = np.linalg.eigvals(companion)
+    if full.all():
+        return roots.ravel()
+    out = np.full((full.size, deg), complex(math.inf))
+    out[full] = roots
+    if deg > 1:
+        out[~full, :-1] = _companion_roots(poly[~full, :-1]).reshape(-1, deg - 1)
+    return out.ravel()
 
 
 def _eval_product(spec: ProductMap, p: SpherePoint) -> SpherePoint:
@@ -832,10 +847,10 @@ def _apply_many(spec: MapSpec, v: np.ndarray, north: np.ndarray):
     elif isinstance(spec, ProductMap):
         v, north = _product_many(spec, v, north)
     else:
-        pq = as_rational(spec)
-        if pq is None:
+        rows = as_rational(spec)
+        if rows is None:
             raise TypeError(f"not a map spec: {spec!r}")
-        v, north = _rational_many(*pq, v, north)
+        v, north = _rational_many(rows, v, north)
     _check_coordinates(v)
     return v, north
 
@@ -865,15 +880,12 @@ def _power_many(d: int, v: np.ndarray, north: np.ndarray):
     return v ** abs(d), north if d > 0 else ~north
 
 
-def _rational_many(p_coeffs, q_coeffs, v: np.ndarray, north: np.ndarray):
-    rev_p, rev_q = _south_coeffs(p_coeffs, q_coeffs)
-    a = np.empty_like(v)
-    b = np.empty_like(v)
+def _rational_many(rows: np.ndarray, v: np.ndarray, north: np.ndarray):
+    a, b = np.empty((2, v.size), dtype=complex)
     south = ~north
-    a[north] = _horner(p_coeffs, v[north])
-    b[north] = _horner(q_coeffs, v[north])
-    a[south] = _horner(rev_p, v[south])
-    b[south] = _horner(rev_q, v[south])
+    for row, out in zip(rows, (a, b)):
+        out[north] = _horner(row, v[north])
+        out[south] = _horner(row[::-1], v[south])
     if ((a == 0) & (b == 0)).any():
         raise OverflowAtChartBoundary("0/0 in rational evaluation")
     return from_pairs(a, b)
@@ -951,15 +963,20 @@ def check_degree_cap(spec: MapSpec, n: int) -> None:
             raise DegreeCapExceeded(f"degree {d}^{k} exceeds {DEGREE_CAP}")
 
 
-def as_rational(spec: MapSpec) -> tuple[tuple[complex, ...], tuple[complex, ...]] | None:
-    """Ascending (P, Q) with f = P/Q for a quadratic or rational pair; None
-    for powers and product maps (solved on their product views) and for
-    every iterate (never expanded: its callers walk the base n times)."""
+def as_rational(spec: MapSpec) -> np.ndarray | None:
+    """F = (P, Q) with f = P/Q for a quadratic or rational pair, as one
+    (2, D + 1) array of ascending rows padded to degree D; None for powers
+    and product maps (solved on their product views) and for every iterate
+    (never expanded: its callers walk the base n times)."""
     if isinstance(spec, Quadratic):
-        return ((spec.c, 0j, 1 + 0j), (1 + 0j,))
-    if isinstance(spec, RationalPair):
-        return (spec.p, spec.q)
-    return None
+        p, q = (spec.c, 0j, 1 + 0j), (1 + 0j,)
+    elif isinstance(spec, RationalPair):
+        p, q = spec.p, spec.q
+    else:
+        return None
+    rows = np.zeros((2, max(len(p), len(q))), dtype=complex)
+    rows[0, :len(p)], rows[1, :len(q)] = p, q
+    return rows
 
 
 @dataclass(frozen=True)
@@ -998,9 +1015,9 @@ def as_product_view(spec: MapSpec) -> ProductMap | None:
         for _ in range(spec.n - 1):
             view = _compose_views(base, view)
         return view
-    pq = as_rational(spec)
-    if pq is not None:
-        terms = [[(i, a) for i, a in enumerate(cs) if a != 0] for cs in pq]
+    rows = as_rational(spec)
+    if rows is not None:
+        terms = [[(i, a) for i, a in enumerate(cs) if a != 0] for cs in rows.tolist()]
         if all(len(t) == 1 for t in terms):
             # c*z**k: (s, theta) -> (k*s + log|c|, k*theta + arg c)
             (i, a), (j, b) = terms[0][0], terms[1][0]
@@ -1016,7 +1033,10 @@ def _compose_views(outer: ProductMap, inner: ProductMap) -> ProductMap:
         radial = AffineProfile(q_out.a * q_in.a, q_out.a * q_in.b + q_out.b)
     else:
         radial = _ComposedRadial(outer.radial, inner.radial)
-    twist = _ComposedTwist(outer.angular_degree, inner.twist, inner.radial, outer.twist)
+    # two zero twists compose to +0.0 everywhere: kept flat, a long untwisted
+    # iterate does not nest one twist per level
+    twist = (ZERO_PROFILE if outer.twist == inner.twist == ZERO_PROFILE else
+             _ComposedTwist(outer.angular_degree, inner.twist, inner.radial, outer.twist))
     return ProductMap(radial, outer.angular_degree * inner.angular_degree, twist)
 
 

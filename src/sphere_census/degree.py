@@ -20,6 +20,7 @@ from .charts import (
     MapSpec,
     PoleHasNoCoordinate,
     SpherePoint,
+    _companion_roots,
     as_product_view,
     as_rational,
     chart_values,
@@ -107,7 +108,7 @@ def find_preimages(spec: MapSpec, y: SpherePoint) -> list[SpherePoint]:
     if view is not None:
         return sorted(_product_preimages(view, y), key=_north_order)
     base, n = iterate_base(spec)
-    forms = _coefficient_rows(*as_rational(base))
+    forms = as_rational(base)
     pair = (y.value, 1.0) if y.chart is Chart.NORTH else (1.0, y.value)
     a, b = np.array([pair], dtype=complex).T
     for _ in range(n):
@@ -137,13 +138,6 @@ def _north_key(value: complex, north: bool) -> tuple:
     return (0, round(z.real, 9), round(z.imag, 9))
 
 
-def _coefficient_rows(p, q) -> np.ndarray:
-    """F = (P, Q) as two rows of ascending coefficients, padded to degree D."""
-    rows = np.zeros((2, max(len(p), len(q))), dtype=complex)
-    rows[0, :len(p)], rows[1, :len(q)] = p, q
-    return rows
-
-
 def _preimages(forms: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The D preimages under f of each target (a : b), target by target:
     the roots w of b F1(w, 1) - a F2(w, 1), with ``forms`` holding the
@@ -152,28 +146,6 @@ def _preimages(forms: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     target."""
     scale = 1.0 / np.maximum(np.abs(a), np.abs(b))
     return _companion_roots(np.outer(b * scale, forms[0]) - np.outer(a * scale, forms[1]))
-
-
-def _companion_roots(poly: np.ndarray) -> np.ndarray:
-    """The roots of each row of ascending coefficients, row by row, as one
-    batch of companion eigenvalues: a row whose leading coefficient
-    vanishes gives the roots of the row trimmed of it, and inf for each
-    root lost to infinity."""
-    deg = poly.shape[1] - 1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        last = -poly[:, :deg] / poly[:, deg:]
-    full = np.isfinite(last).all(axis=1)
-    companion = np.zeros((np.count_nonzero(full), deg, deg), dtype=complex)
-    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-    companion[:, :, -1] = last[full]
-    roots = np.linalg.eigvals(companion)
-    if full.all():
-        return roots.ravel()
-    out = np.full((full.size, deg), complex(math.inf))
-    out[full] = roots
-    if deg > 1:
-        out[~full, :-1] = _companion_roots(poly[~full, :-1]).reshape(-1, deg - 1)
-    return out.ravel()
 
 
 def _product_preimages(view, y: SpherePoint) -> list[SpherePoint]:

@@ -361,6 +361,20 @@ def test_horner_matches_numpy_polyval():
         for x in (rng.normal(size=50) + 1j * rng.normal(size=50)).tolist() + [0j, -0.0 - 0.0j, 2.0]:
             want = complex(npoly.polyval(x, np.array(coeffs)))
             assert repr(_horner(coeffs, x)) == repr(want)
+    # real profiles, scalar and batch, at latitudes whose values overflow to
+    # +-inf, or to nan through an infinite coefficient, with no warning
+    s = np.concatenate([rng.normal(scale=4.0, size=50), [0.0, -0.0, 1e200, -1e200, -1e103]])
+    seen = set()
+    for coeffs in ((0.0, 3.0, 0.0, -0.5), (1.5,), (-2.0, 0.25), (1.0, math.inf),
+                   (-math.inf, 0.0, 1.0), tuple(rng.normal(size=6).tolist())):
+        profile = PolyProfile(coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [repr(float(npoly.polyval(x, np.array(coeffs)))) for x in s.tolist()]
+        assert [repr(profile(x)) for x in s.tolist()] == want
+        assert [repr(profile(x)) for x in s] == want   # numpy float64 latitudes
+        assert list(map(repr, profile.many(s).tolist())) == want
+        seen.update(want)
+    assert {"inf", "-inf", "nan"} <= seen
 
 
 profiles = st.one_of(
@@ -679,6 +693,8 @@ def test_grammar_examples():
     assert spec.p == (1 + 0j,) and spec.q == (0j, 0j, 1 + 0j)
     spec = parse_map("iter:n=3(power:d=2)")
     assert spec == Iterate(Power(2), 3)
+    # roots 1 and 1.000001: far outside the 1e-10 of a shared root
+    assert parse_map("rational:P=-1,1;Q=-1.000001,1").q == (-1.000001, 1)
 
 
 @pytest.mark.parametrize(
@@ -691,6 +707,8 @@ def test_grammar_examples():
         "product:q=affine(2,0)",  # missing d
         "rational:P=1,0",         # missing Q
         "iter:n=0(power:d=2)",    # parses but n must be >= 1
+        "rational:P=-1,0,1;Q=1,1",   # (z^2 - 1)/(z + 1): the shared root -1
+        "rational:P=1,1;Q=-1,0,1",   # its reciprocal: P of the lower degree
     ],
 )
 def test_grammar_rejects(bad):

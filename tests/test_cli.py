@@ -9,7 +9,6 @@ import warnings
 from pathlib import Path
 
 import pytest
-from numpy.polynomial import polynomial as npoly
 
 import sphere_census
 from sphere_census import census, cli, degree, strip_lift
@@ -298,6 +297,7 @@ def test_parse_error_exits_2(capsys, tmp_path):
         ("degree", "--map", "rational:P=0;Q=0"),
         ("degree", "--map", "rational:P=0;Q=1,0,1"),
         ("census", "--map", "rational:P=0;Q=1,0,1", "--n-max", "2"),
+        ("degree", "--map", "rational:P=-1,0,1;Q=1,1"),    # P and Q share a root
         ("degree", "--map", "product:q=pwl(-inf:-inf,1:1,0:0,inf:inf);d=2"),
         ("degree", "--map", "product:q=poly(0);d=2"),
         # bad input outside the map spec
@@ -335,7 +335,7 @@ def test_degree_refuses_the_degree_cap_before_any_solve(capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("solved a map over the degree cap")
 
-    monkeypatch.setattr(npoly, "polyroots", forbidden)
+    monkeypatch.setattr(degree, "find_preimages", forbidden)
     code, out, err = run(capsys, "degree", "--map", "power:d=100000")
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "DegreeCapExceeded",
@@ -360,6 +360,30 @@ def _fresh_process(argv):
     proc = subprocess.run([sys.executable, "-m", "sphere_census.cli", *argv],
                           capture_output=True, text=True, env=env, check=False)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_the_package_does_not_import_numpy_polynomial():
+    # a process of its own: the tests import numpy.polynomial as a reference
+    src = str(Path(sphere_census.__file__).resolve().parents[1])
+    code = ("import sys; from sphere_census import charts, cli; "
+            "charts.parse_map('rational:P=0,2,0,1;Q=1,0,3'); "
+            "charts.parse_map('product:q=poly(0,3,0,-0.5);d=2'); "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_long_untwisted_iterates_do_not_nest(capsys):
+    # each level of an iterate's view nested one more twist, to the
+    # recursion limit; the slope 2^2000 overflows to inf, silently
+    code, out, err = run(capsys, "census", "--map", "iter:n=2000(product:q=affine(2,0);d=1)",
+                         "--n-max", "1")
+    assert (code, out.splitlines()[-1], err) == (0, "1,inf,,1,", "")
+    code, out, err = run(capsys, "degree", "--map", "iter:n=2000(power:d=1)")
+    assert (code, json.loads(out)["global"], err) == (0, 1, "")
+    code, out, err = run(capsys, "degree", "--map", "iter:n=2000(product:q=affine(2,0);d=1)")
+    assert (code, out, json.loads(err)["error"]) == (1, "", "PoleHasNoCoordinate")
 
 
 def test_one_process_runs_many_queries_as_fresh_ones(capsys):

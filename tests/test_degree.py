@@ -6,7 +6,6 @@ import re
 
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as npoly
 
 from sphere_census import annuli, degree
 from sphere_census.charts import (
@@ -401,7 +400,7 @@ def test_global_degree_refuses_the_degree_cap_before_any_solve(monkeypatch, spec
     def forbidden(*args, **kwargs):
         raise AssertionError("solved a map over the degree cap")
 
-    monkeypatch.setattr(npoly, "polyroots", forbidden)
+    monkeypatch.setattr(degree, "find_preimages", forbidden)
     with pytest.raises(DegreeCapExceeded, match="exceeds 4096"):
         global_degree(spec)
 
