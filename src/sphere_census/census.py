@@ -34,9 +34,9 @@ from .charts import (  # DEGREE_CAP and DegreeCapExceeded are census API too
     LEVEL_S_CAP,
     MapSpec,
     N_POLE,
-    Power,
     S_POLE,
     SpherePoint,
+    _Iterated,
     _angles,
     _companion_roots,
     _shifted,
@@ -149,14 +149,21 @@ def _solve(spec: MapSpec, first: int, last: int) -> dict:
     check_degree_cap(spec, last)
     base, order = iterate_base(spec)
     if as_product_view(base) is not None:
-        found = {}
-        for n in range(first, last + 1):
-            k = order * n
-            # one power: one evaluation and one view, not n
-            flat = (Power(base.d ** k) if isinstance(base, Power)
-                    else base if k == 1 else Iterate(base, k))
-            found[n] = _product_fixed_points(flat, as_product_view(flat))
-        return found
+        iterates = {order * n: base if order * n == 1 else Iterate(base, order * n)
+                    for n in range(first, last + 1)}
+        found, error = {}, None
+        for k, iterate in iterates.items():
+            try:
+                found[k] = _product_fixed_points(iterate)
+            except Exception as exc:  # raised once the orders below it pass
+                error = exc
+                break
+        failed = _residual_failures(base, {k: (fps.values, fps.north) for k, fps in found.items()})
+        for k, fps in found.items():
+            _check_residuals(iterates[k], failed[k], fps.values.size)
+        if error is not None:
+            raise error
+        return {k // order: fps for k, fps in found.items()}
     orders = [order * n for n in range(first, last + 1)]
     try:
         found = _rational_fixed_points(base, orders)
@@ -527,10 +534,12 @@ def _pair_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _product_fixed_points(spec: MapSpec, view) -> FixedPointSet:
-    """Fixed points of (s, theta) -> (q(s), d*theta + h(s)): the poles the
-    radial ends fix, and on each fixed latitude s* the |d - 1| points
-    theta = (2 pi k - h(s*)) / (d - 1), distinct by construction."""
+def _product_fixed_points(spec: MapSpec) -> FixedPointSet:
+    """Fixed points of the spec's product view (s, theta) -> (q(s),
+    d*theta + h(s)): the poles the radial ends fix, and on each fixed
+    latitude s* the |d - 1| points theta = (2 pi k - h(s*)) / (d - 1),
+    distinct by construction.  The caller checks their residuals."""
+    view = as_product_view(spec)
     d = view.angular_degree
     lo, hi = view.radial.end_limits()
     # the latitude and angle of every point, the poles the radial ends fix first
@@ -543,25 +552,25 @@ def _product_fixed_points(spec: MapSpec, view) -> FixedPointSet:
         # circles (d = 1, vanishing twist) or meridian-type curves (d != 1)
         if d == 1:
             # the wrapped twist also changes sign where it jumps from pi to
-            # -pi: those roots are not fixed circles
-            continua = [
-                s for s in solve_profile_level(_mod_twist(view.twist), 0.0)
-                if abs(wrap_angle(view.twist(s))) <= math.pi / 2
-            ] or ([0.0] if abs(wrap_angle(view.twist(0.0))) < 1e-9 else [])
+            # -pi: those roots, told apart in one batch, are not fixed circles
+            roots = np.array(solve_profile_level(_mod_twist(view.twist), 0.0))
+            continua = (roots[np.abs(wrap_angle(view.twist.many(roots))) <= math.pi / 2].tolist()
+                        or ([0.0] if abs(wrap_angle(view.twist(0.0))) < 1e-9 else []))
         else:
             continua = [0.0]
         return _sorted_set(*from_latlon_many(lats[0], angles[0]), continua)
     for s in solve_profile_level(shifted, 0.0, grid=10000):
         h = view.twist(s)
+        if not math.isfinite(h):  # a deep iterate's orbit of s left the float range
+            raise CensusIncomplete(f"{format_map(spec)}: the twist at s* = {s:.6g} is not finite")
         if d == 1:
             if abs(wrap_angle(h)) < 1e-9:
                 continua.append(s)
             continue
         lats.append(np.full(abs(d - 1), s))
         angles.append((2 * math.pi * np.arange(abs(d - 1)) - h) / (d - 1))
-    values, north = from_latlon_many(np.concatenate(lats), np.concatenate(angles))
-    _check_residuals(spec, _residual_failures(spec, {1: (values, north)})[1], values.size)
-    return _sorted_set(values, north, continua)
+    return _sorted_set(*from_latlon_many(np.concatenate(lats), np.concatenate(angles)),
+                       continua)
 
 
 def _is_plateau(shifted) -> bool:
@@ -673,19 +682,16 @@ def poles_attracting(spec: MapSpec) -> bool:
 
     With a product view the distance to S or N depends on the latitude alone,
     which the view moves by its radial profile: one orbit of s = ln 0.05 (S)
-    or -ln 0.05 (N) decides.  Other specs send 20 random points per pole
-    through f^100.
+    or -ln 0.05 (N) under the radial profile of f^100, read by its loop,
+    decides.  Other specs send 20 random points per pole through f^100.
     """
     view = as_product_view(spec)
     if view is not None:
         start = math.log(0.05)
         for pole in anchor_poles(spec):
-            s = start if pole.chart is Chart.NORTH else -start
             # a polynomial profile overflows to an infinite latitude, which
             # is a pole
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(100):
-                    s = view.radial(s)
+            s = _Iterated(view, 100)(start if pole.chart is Chart.NORTH else -start)
             if math.isnan(s) or chordal(from_latlon(s, 0.0), pole) > 1e-3:
                 return False
         return True

@@ -13,7 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence, Union
 
@@ -298,11 +299,9 @@ class PiecewiseLinearProfile:
         ss = [s for s, _ in nodes]
         if ss[0] != -INF or ss[-1] != INF:
             raise ValueError("first node must be at s=-inf and last at s=+inf")
+        # so every interior node latitude is finite
         if any(not (ss[i] < ss[i + 1]) for i in range(len(ss) - 1)):
             raise ValueError("node latitudes must be strictly increasing")
-        for i, (s, v) in enumerate(nodes[1:-1], start=1):
-            if math.isinf(s):
-                raise ValueError("interior nodes need finite latitude")
         for (s0, v0), (s1, v1) in zip(nodes, nodes[1:]):
             if math.isinf(v0) and math.isinf(v1) and v0 == v1:
                 raise ValueError("segment pinned at the same pole on both ends")
@@ -433,42 +432,16 @@ ZERO_PROFILE = AffineProfile(0.0, 0.0)
 RadialProfile = Union[AffineProfile, PolyProfile, PiecewiseLinearProfile]
 
 
-@dataclass(frozen=True)
-class _ComposedRadial:
-    """outer(inner(s)); internal carrier for iterated product maps."""
-
-    outer: object
-    inner: object
-
-    def __call__(self, s: float) -> float:
-        return self.outer(self.inner(s))
-
-    def many(self, s: np.ndarray) -> np.ndarray:
-        return self.outer.many(self.inner.many(s))
-
-    def end_limits(self) -> tuple[float, float]:
-        return (self(-INF), self(INF))
-
-    def pole_crossings(self) -> tuple[tuple[float, int], ...]:
-        # an inner crossing goes on to the outer end limit: a pole if infinite
-        ends = [(s, self.outer(sign * INF)) for s, sign in self.inner.pole_crossings()]
-        out = [(s, 1 if v > 0 else -1) for s, v in ends if math.isinf(v)]
-        for c, sign in self.outer.pole_crossings():
-            for s in solve_profile_level(self.inner, c):
-                out.append((s, sign))
-        return tuple(sorted(set(out)))
-
-
 def is_identity_profile(profile) -> bool:
     """Whether the profile is s -> s exactly: the affine identity, a
-    piecewise-linear profile with every node on the diagonal, or a
-    composition of such."""
+    piecewise-linear profile with every node on the diagonal, or an
+    iterate's radial profile whose base one is such."""
     if isinstance(profile, AffineProfile):
         return profile.a == 1.0 and profile.b == 0.0
     if isinstance(profile, PiecewiseLinearProfile):
         return all(s == v for s, v in profile.nodes)
-    if isinstance(profile, _ComposedRadial):
-        return is_identity_profile(profile.outer) and is_identity_profile(profile.inner)
+    if isinstance(profile, _Iterated):
+        return not profile.angle and is_identity_profile(profile.base.radial)
     return False
 
 
@@ -640,14 +613,10 @@ class ProductMap:
     twist: RadialProfile = ZERO_PROFILE
 
     def __post_init__(self):
-        lo, hi = self.radial.end_limits()
-        for end, lim in ((-1, lo), (1, hi)):
-            if math.isinf(lim):
-                continue
+        for lim, tw in zip(self.radial.end_limits(), self.twist.end_limits()):
             # a finite end limit leaves the pole image angle-dependent
             # unless the angular action collapses
-            tw = self.twist.end_limits()[0 if end < 0 else 1]
-            if self.angular_degree != 0 or math.isinf(tw):
+            if not math.isinf(lim) and (self.angular_degree != 0 or math.isinf(tw)):
                 raise ValueError(
                     "radial profile must send each end to a pole "
                     "(finite end limits only allowed for angular degree 0)"
@@ -655,13 +624,8 @@ class ProductMap:
 
     @property
     def declared_degree(self) -> int:
-        lo, hi = self.radial.end_limits()
-        if lo == -INF and hi == INF:
-            sign = 1
-        elif lo == INF and hi == -INF:
-            sign = -1
-        else:
-            sign = 0
+        # +1 where the radial profile keeps the poles, -1 where it swaps them
+        sign = {(-INF, INF): 1, (INF, -INF): -1}.get(self.radial.end_limits(), 0)
         return self.angular_degree * sign
 
 
@@ -948,19 +912,22 @@ def iterate_base(spec: MapSpec) -> tuple[MapSpec, int]:
 
 
 def check_degree_cap(spec: MapSpec, n: int) -> None:
-    """Refuse f^n of a power, quadratic or rational f of degree over the cap:
-    every f but a product map (a power's view gives |d|^n points to wind).
-    With spec = g^m of base degree D, the degree D^(m n) is multiplied out
-    only until it passes the cap, so a huge order is refused at once."""
+    """Refuse f^n over budget before any view or array of it exists.  With
+    spec = g^m and g of degree d (a product map's angular degree, negative
+    where its radial profile reverses), |d|^(m n) is multiplied out only
+    until it passes ``DEGREE_CAP``; at |d| <= 1 the order m n is held to it."""
     base, order = iterate_base(spec)
-    if isinstance(base, ProductMap):
-        return
-    d, k = base.declared_degree, order * n
+    k, product = order * n, isinstance(base, ProductMap)
+    name = "angular degree" if product else "degree"
+    d = base.angular_degree if product else base.declared_degree
+    if abs(d) <= 1 and k > DEGREE_CAP:
+        raise DegreeCapExceeded(f"order {k} of a map of {name} {d} exceeds {DEGREE_CAP}")
     size = 1
-    for _ in range(k if d >= 2 else 0):  # at most 13 steps
-        size *= d
-        if size > DEGREE_CAP:
-            raise DegreeCapExceeded(f"degree {d}^{k} exceeds {DEGREE_CAP}")
+    for _ in range(k if abs(d) > 1 else 0):  # at most 13 steps
+        size *= abs(d)
+        if size > DEGREE_CAP:  # a product map's own angular degree is named bare
+            power = d if k == 1 and product else f"{d}^{k}"
+            raise DegreeCapExceeded(f"{name} {power} exceeds {DEGREE_CAP}")
 
 
 def as_rational(spec: MapSpec) -> np.ndarray | None:
@@ -979,27 +946,6 @@ def as_rational(spec: MapSpec) -> np.ndarray | None:
     return rows
 
 
-@dataclass(frozen=True)
-class _ComposedTwist:
-    """Angle offset of a composed product map: d_out*h_in(s) + h_out(q_in(s))."""
-
-    d_out: int
-    h_in: object
-    q_in: object
-    h_out: object
-
-    def __call__(self, s: float) -> float:
-        return self.d_out * self.h_in(s) + self.h_out(self.q_in(s))
-
-    def many(self, s: np.ndarray) -> np.ndarray:
-        # 0 * inf and inf - inf give nan, silently as in float arithmetic
-        with np.errstate(invalid="ignore"):
-            return self.d_out * self.h_in.many(s) + self.h_out.many(self.q_in.many(s))
-
-    def end_limits(self) -> tuple[float, float]:
-        return (self(-INF), self(INF))
-
-
 def as_product_view(spec: MapSpec) -> ProductMap | None:
     """Product normal form for specs that preserve the latitude foliation:
     product maps, powers, z**2 and the monomials c*z**k, and their iterates."""
@@ -1009,12 +955,7 @@ def as_product_view(spec: MapSpec) -> ProductMap | None:
         return ProductMap(AffineProfile(float(spec.d), 0.0), spec.d)
     if isinstance(spec, Iterate):
         base = as_product_view(spec.inner)
-        if base is None:
-            return None
-        view = base
-        for _ in range(spec.n - 1):
-            view = _compose_views(base, view)
-        return view
+        return base if base is None or spec.n == 1 else _iterated_view(base, spec.n)
     rows = as_rational(spec)
     if rows is not None:
         terms = [[(i, a) for i, a in enumerate(cs) if a != 0] for cs in rows.tolist()]
@@ -1027,17 +968,70 @@ def as_product_view(spec: MapSpec) -> ProductMap | None:
     return None
 
 
-def _compose_views(outer: ProductMap, inner: ProductMap) -> ProductMap:
-    q_out, q_in = _affine_form(outer.radial), _affine_form(inner.radial)
-    if isinstance(q_out, AffineProfile) and isinstance(q_in, AffineProfile):
-        radial = AffineProfile(q_out.a * q_in.a, q_out.a * q_in.b + q_out.b)
-    else:
-        radial = _ComposedRadial(outer.radial, inner.radial)
-    # two zero twists compose to +0.0 everywhere: kept flat, a long untwisted
-    # iterate does not nest one twist per level
-    twist = (ZERO_PROFILE if outer.twist == inner.twist == ZERO_PROFILE else
-             _ComposedTwist(outer.angular_degree, inner.twist, inner.radial, outer.twist))
-    return ProductMap(radial, outer.angular_degree * inner.angular_degree, twist)
+def _iterated_view(base: ProductMap, n: int) -> ProductMap:
+    """The view of f^n from the view ``base`` of f: angular degree d^n, an
+    affine radial folded stage by stage, (a_(k+1), b_(k+1)) = (a a_k, a b_k
+    + b), else read off (base, n) by ``_Iterated`` as a nonzero twist is.
+    Refused: |d|^n past the float range, and a fold to nan or to slope 0."""
+    d = base.angular_degree
+    if abs(d) > 1 and n >= math.log(sys.float_info.max) / math.log(abs(d)):
+        raise DegreeCapExceeded(f"angular degree {d}^{n} of an iterate passes the float range")
+    radial, lin = _Iterated(base, n), _affine_form(base.radial)
+    if isinstance(lin, AffineProfile):
+        a, b = lin.a, lin.b
+        for _ in range(n - 1):
+            a, b = lin.a * a, lin.a * b + lin.b
+        if math.isnan(a) or math.isnan(b) or (a == 0) != (lin.a == 0):
+            raise ChartError(f"the order-{n} fold of {format_profile(lin)} is nan or has slope 0")
+        radial = AffineProfile(a, b)
+    twist = ZERO_PROFILE if base.twist == ZERO_PROFILE else _Iterated(base, n, angle=True)
+    return ProductMap(radial, d ** n, twist)
+
+
+@dataclass(frozen=True)
+class _Iterated:
+    """The radial profile q^n of f^n, f with the view ``base`` (s, theta) ->
+    (q(s), d*theta + h(s)), or with ``angle`` its twist H_n, f^n = (q^n(s),
+    d^n theta + H_n(s)), read by one loop: theta <- d*theta + h(s), then
+    s <- q(s).  ``crossings``, if given, are those of q^n, already solved."""
+
+    base: ProductMap
+    n: int
+    angle: bool = False
+    crossings: tuple | None = field(default=None, compare=False, repr=False)
+
+    def _walk(self, s, read):
+        q, d, h = self.base.radial, self.base.angular_degree, self.base.twist
+        # an orbit past the float range gives inf or nan, silently as floats do
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = read(h, s) if self.angle else None
+            for _ in range(self.n - self.angle):
+                s = read(q, s)
+                if self.angle:
+                    theta = d * theta + read(h, s)
+        return theta if self.angle else s
+
+    def __call__(self, s: float) -> float:
+        return float(self._walk(s, lambda profile, x: profile(x)))
+
+    def many(self, s: np.ndarray) -> np.ndarray:
+        return self._walk(s, lambda profile, x: profile.many(x))
+
+    def end_limits(self) -> tuple[float, float]:
+        return (self(-INF), self(INF))
+
+    def pole_crossings(self) -> tuple[tuple[float, int], ...]:
+        # q^k = q o q^(k-1) crosses where q^(k-1) crosses and q sends that pole
+        # on to a pole, and where q^(k-1) meets a crossing of q: solved once each
+        q = inner = self.base.radial
+        out = q.pole_crossings() if self.crossings is None else self.crossings
+        for k in range(2, self.n + 1) if self.crossings is None and out else ():
+            ends = [(s, q(sign * INF)) for s, sign in out]
+            out = tuple(sorted({(s, 1 if v > 0 else -1) for s, v in ends if math.isinf(v)}
+                               | {(s, sign) for c, sign in q.pole_crossings()
+                                  for s in solve_profile_level(inner, c)}))
+            inner = _Iterated(self.base, k, crossings=out)
+        return out
 
 
 # ---------------------------------------------------------------------------

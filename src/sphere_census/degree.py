@@ -75,6 +75,10 @@ class ImageHitsPole(DegreeError):
     """The image of the core circle comes too close to a pole."""
 
 
+class NotAPreimage(DegreeError, ValueError):
+    """A witness does not map to the value it is wound about."""
+
+
 def default_seed() -> int:
     return int(os.environ.get("SPHERE_CENSUS_SEED", "0"))
 
@@ -160,14 +164,13 @@ def _product_preimages(view, y: SpherePoint) -> list[SpherePoint]:
                                           view.radial.end_limits()) if end == s_y]
     out: list[SpherePoint] = []
     for s in solve_profile_level(view.radial, s_y):
-        if d == 0:
-            # image of this circle is a single point; generic y misses it
-            if abs(wrap_angle(view.twist(s) - theta_y)) < 1e-9:
-                raise PreimageClusterTooTight("angular-degree-0 circle preimage")
-            continue
-        for k in range(abs(d)):
-            theta = (theta_y - view.twist(s) + 2 * math.pi * k) / d
-            out.append(from_latlon(s, theta))
+        h = view.twist(s)
+        if not math.isfinite(h):  # a deep iterate's orbit of s left the float range
+            raise charts.ChartError(f"the twist at level latitude {s:.6g} is not finite")
+        # at d = 0 the image of this circle is a single point; generic y misses it
+        if d == 0 and abs(wrap_angle(h - theta_y)) < 1e-9:
+            raise PreimageClusterTooTight("angular-degree-0 circle preimage")
+        out += [from_latlon(s, (theta_y - h + 2 * math.pi * k) / d) for k in range(abs(d))]
     return out
 
 
@@ -182,7 +185,7 @@ def local_degree(spec: MapSpec, xs, y: SpherePoint, radius: float) -> tuple[int,
     One ``evaluate_many`` batch maps the witnesses and all their 128-sample
     probe circles; each image is wound as one row of an array by ``settle``.
     The witnesses are then read in order, so the first failing one names
-    the error: one off y raises ValueError, one whose image passes through
+    the error: one off y raises ``NotAPreimage``, one whose image passes through
     y raises ``RadiusTooLarge``, and a row that does not settle in the
     batch (a repeated sample, an edge at or past ``EDGE_CAP``, or any
     fault) is wound alone by ``winding_number``, which refines or raises.
@@ -213,7 +216,7 @@ def local_degree(spec: MapSpec, xs, y: SpherePoint, radius: float) -> tuple[int,
     out = []
     for i, x in enumerate(xs):
         if misses[i]:
-            raise ValueError("x does not map to y")
+            raise NotAPreimage("x does not map to y")
         if through[i]:
             raise RadiusTooLarge("image circle passes through the target value")
         if settled[i]:
@@ -241,15 +244,10 @@ def global_degree(
     When y is omitted it is drawn from a seeded pseudo-random sequence,
     rejecting values whose preimages cluster too tightly.  A mismatch with
     the declared degree is fatal.  A power, quadratic or rational map of
-    degree over ``DEGREE_CAP`` is refused before any solve, and so is a
-    product view of angular degree over it: every level solution carries
-    |d| preimages, each wound once.
+    degree over ``DEGREE_CAP`` is refused before any solve, and so are a
+    product map of angular degree over it, and an order over it at |d| <= 1.
     """
     check_degree_cap(spec, 1)
-    view = as_product_view(spec)
-    if view is not None and abs(view.angular_degree) > charts.DEGREE_CAP:
-        raise charts.DegreeCapExceeded(
-            f"angular degree {view.angular_degree} exceeds {charts.DEGREE_CAP}")
     if y is not None:
         report = _degree_at(spec, y)
     else:

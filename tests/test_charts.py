@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphere_census.census import _mod_twist
@@ -25,9 +25,8 @@ from sphere_census.charts import (
     Quadratic,
     RationalPair,
     S_POLE,
-    _ComposedRadial,
-    _ComposedTwist,
     _Shifted,
+    _angles,
     _horner,
     _normalized_many,
     _shifted,
@@ -42,10 +41,13 @@ from sphere_census.charts import (
     evaluate_many,
     format_map,
     from_latlon,
+    from_latlon_many,
+    latitudes,
     parse_map,
     solve_profile_level,
     sphere_arrays,
     to_chart,
+    wrap_angle,
 )
 from sphere_census.gallery import GALLERY
 from sphere_census.winding import SampledCurve, circle
@@ -377,11 +379,15 @@ def test_horner_matches_numpy_polyval():
     assert {"inf", "-inf", "nan"} <= seen
 
 
+# the views of short iterates: an affine radial folded, any other radial and
+# a nonzero twist read off the base view and the order
+iterated_views = st.builds(lambda q, d, h, n: as_product_view(Iterate(ProductMap(q, d, h), n)),
+                           radials, st.integers(-3, 3), twists, st.integers(2, 4))
 profiles = st.one_of(
     radials,
     twists,
-    st.builds(_ComposedRadial, radials, radials),
-    st.builds(_ComposedTwist, st.integers(-3, 3), twists, radials, twists),
+    iterated_views.map(lambda view: view.radial),
+    iterated_views.map(lambda view: view.twist),
     radials.map(_shifted),
     twists.map(_mod_twist),
 )
@@ -662,6 +668,53 @@ def test_product_view_twist_composition():
     # theta -> 4 theta + (2*0.5 + 0.5)
     assert view.angular_degree == 4
     assert view.twist(0.7) == pytest.approx(1.5)
+
+
+# deep iterates whose walk through the charts keeps its rounding: a radial
+# profile of slope 1 off a bounded core (a pwl translation by c, or a pwl
+# map contracting onto s = 0) or an affine q(s) = +-s + b, and d in -1..1, so
+# that the angle is read mod 2 pi; orders to 600 (pwl) and 1000 (a twisted
+# affine map), past the depth Python allows a recursion
+deep_twists = st.one_of(st.just(AffineProfile(0.0, 0.0)),
+                        st.builds(AffineProfile, st.floats(-1e-3, 1e-3), st.floats(-1.0, 1.0)))
+deep_iterates = st.one_of(
+    st.builds(lambda q, d, h, n: (ProductMap(q, d, h), n),
+              st.one_of(st.floats(-0.02, 0.02).map(lambda c: PiecewiseLinearProfile(
+                  ((-INF, -INF), (0.0, c), (INF, INF)))),
+                        st.just(PiecewiseLinearProfile(
+                            ((-INF, -INF), (-1.0, -0.5), (1.0, 0.5), (INF, INF))))),
+              st.integers(-1, 1), deep_twists, st.integers(2, 600)),
+    st.builds(lambda a, b, d, h, n: (ProductMap(AffineProfile(a, b), d, h), n),
+              st.sampled_from([-1.0, 1.0]), st.floats(-0.01, 0.01), st.integers(-1, 1),
+              deep_twists.filter(lambda h: h != AffineProfile(0.0, 0.0)), st.integers(2, 1000)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=deep_iterates, ss=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+       theta=st.floats(-math.pi, math.pi))
+@example(case=(ProductMap(PiecewiseLinearProfile(((-INF, -INF), (0.0, 0.5), (INF, INF))), 1,
+                          AffineProfile(0.0, 0.1)), 600), ss=[-3.0, 0.0, 3.0], theta=1.0)
+@example(case=(ProductMap(AffineProfile(1.0, 0.0), 1, AffineProfile(0.0, 0.1)), 1000),
+         ss=[-3.0, 0.0, 3.0], theta=1.0)
+def test_iterated_view_matches_walking_the_base(case, ss, theta):
+    """The radial profile and twist of an iterate's view, scalar and batch,
+    give the latitude and angle of walking the base n times (``evaluate``
+    and ``evaluate_many`` of the ``Iterate``) within 1e-12 relative to
+    max(1, |value|)."""
+    base, n = case
+    spec, view = Iterate(base, n), as_product_view(Iterate(base, n))
+    ss = np.array(ss)
+    values, north = evaluate_many(spec, *from_latlon_many(ss, np.full(ss.size, theta)))
+    images = [evaluate(spec, from_latlon(s, theta)) for s in ss.tolist()]
+    for radial, twist, lat, ang in (
+            (view.radial.many(ss), view.twist.many(ss), latitudes(values, north),
+             _angles(values, north)),
+            ([view.radial(s) for s in ss.tolist()], [view.twist(s) for s in ss.tolist()],
+             [p.latitude() for p in images], [p.angle() for p in images])):
+        radial, angle = np.array(radial), view.angular_degree * theta + np.array(twist)
+        assert (np.abs(radial - lat) <= 1e-12 * np.maximum(1.0, np.abs(radial))).all()
+        assert (np.abs(wrap_angle(angle - ang)) <= 1e-12 * np.maximum(1.0, np.abs(angle))).all()
 
 
 # ---------------------------------------------------------------------------

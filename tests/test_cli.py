@@ -6,12 +6,16 @@ import subprocess
 import sys
 import time
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sphere_census
-from sphere_census import census, cli, degree, strip_lift
+from sphere_census import annuli, census, charts, cli, degree, lefschetz, strip_lift, winding
 from sphere_census.charts import Chart
 from sphere_census.cli import main
 from sphere_census.winding import circle, dump_curve_csv
@@ -384,6 +388,100 @@ def test_long_untwisted_iterates_do_not_nest(capsys):
     assert (code, json.loads(out)["global"], err) == (0, 1, "")
     code, out, err = run(capsys, "degree", "--map", "iter:n=2000(product:q=affine(2,0);d=1)")
     assert (code, out, json.loads(err)["error"]) == (1, "", "PoleHasNoCoordinate")
+
+
+@pytest.mark.parametrize("spec", [
+    "iter:n=500(product:q=pwl(-inf:-inf,0:0.5,inf:inf);d=1)",
+    "iter:n=500(product:q=pwl(-inf:-inf,0:0.5,inf:inf);d=1;h=affine(0,0.1))",
+    "iter:n=1000(product:q=affine(1,0);d=1;h=affine(0,0.1))",
+    "iter:n=2000(product:q=affine(1,0);d=1;h=affine(0,0.1))",
+])
+def test_deep_product_iterates_are_one_loop(capsys, spec):
+    # orders past the depth Python allows a recursion, read by one loop; q
+    # moves every latitude or h turns every circle, so only S and N are fixed
+    code, out, err = run(capsys, "census", "--map", spec, "--n-max", "1")
+    assert (code, out.splitlines()[-1].split(",")[:2], err) == (0, ["1", "2"], "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--map", "iter:n=20(product:q=affine(2,0);d=3)", "--n-max", "1"),
+    ("census", "--map", "iter:n=5000(product:q=affine(2,0);d=3)", "--n-max", "1"),
+    ("census", "--map", "power:d=1", "--n-max", "1000000000000"),
+    ("degree", "--map", "iter:n=1000000(product:q=affine(2,0);d=3)"),
+    ("check-h", "--map", "iter:n=1000000(power:d=3)"),
+    ("strip-index", "--map", "iter:n=1000000(power:d=3)"),
+], ids=["census-3^20", "census-3^5000", "census-power1-order", "degree-3^1e6",
+        "check-h-float-range", "strip-index-float-range"])
+def test_product_budgets_refuse_before_any_view(capsys, monkeypatch, argv):
+    # the census and degree refuse at the cap before any view or array of
+    # the iterate exists; the other subcommands refuse a view whose angular
+    # degree passes the float range, before its fold
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a view over the budget")
+
+    if argv[0] in ("census", "degree"):
+        monkeypatch.setattr(census, "_product_fixed_points", forbidden)
+        monkeypatch.setattr(charts, "_iterated_view", forbidden)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out, json.loads(err)["error"]) == (1, "", "DegreeCapExceeded")
+
+
+# the exceptions the package names; a bare builtin one is a crash
+LIBRARY_ERRORS = {name for module in (annuli, census, charts, degree, lefschetz, strip_lift,
+                                      winding)
+                  for name, value in vars(module).items()
+                  if isinstance(value, type) and issubclass(value, Exception)
+                  and value.__module__.startswith("sphere_census")}
+# deep orders draw radial profiles monotone on the line, so that q^n has one
+# level solution per level, and constant twists; shallow ones add profiles
+# whose iterates have ever more level solutions (a pole-crossing profile, a
+# cubic folding the line, a reflection whose even iterates are the identity
+# to rounding) and sloped twists, whose laps the grid bisects one scalar walk
+# of the iterate at a time: both cost minutes at orders in the hundreds
+DEEP_RADIALS = st.one_of(
+    st.builds("affine({},{})".format, st.sampled_from([-2, -1, -0.5, 0.5, 1, 1.5, 2]),
+              st.sampled_from([0, -0.3, 0.2, 1])),
+    st.sampled_from(["poly(0.1,1.5,0,0.3)", "poly(-1,1,0,0.01)", "pwl(-inf:-inf,0:0.5,inf:inf)",
+                     "pwl(-inf:-inf,-0.5:-0.2,0.7:1.4,inf:inf)"]))
+CONSTANT_TWISTS = st.sampled_from(["zero", "affine(0,0.1)", "affine(0,-2)"])
+PRODUCT_ITERATES = st.one_of(
+    st.tuples(DEEP_RADIALS, CONSTANT_TWISTS,
+              st.one_of(st.integers(1, 4), st.sampled_from([64, 700, 1100, 4096, 5000]))),
+    st.tuples(st.one_of(DEEP_RADIALS, st.sampled_from([
+                  "poly(0,3,0,-0.5)", "pwl(-inf:-inf,-1:inf,1:-inf,inf:inf)",
+                  "pwl(-inf:inf,0:0,inf:-inf)"])),
+              st.one_of(CONSTANT_TWISTS, st.builds("affine({},{})".format,
+                                                   st.sampled_from([0.3, -1]),
+                                                   st.sampled_from([0.1, -2, 0]))),
+              st.integers(1, 4)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=PRODUCT_ITERATES, d=st.integers(-3, 3))
+def test_product_iterates_answer_or_name_their_error(case, d):
+    """Product iterates of any order up to 5000 either answer (exit 0, or
+    check-h's fail or scope_unavailable) or exit 1 or 2 with one JSON line
+    on stderr naming a library error; no numpy warning and no bare builtin
+    error (RecursionError, MemoryError, OverflowError, ValueError)."""
+    q, h, n = case
+    spec = f"iter:n={n}(product:q={q};d={d};h={h})"
+    for argv in (("census", "--map", spec, "--n-max", "1"), ("degree", "--map", spec),
+                 ("annuli", "--map", spec), ("strip-index", "--map", spec),
+                 ("check-h", "--map", spec)):
+        out, err = StringIO(), StringIO()
+        with (redirect_stdout(out), redirect_stderr(err),
+              warnings.catch_warnings(record=True) as seen):
+            warnings.simplefilter("always")
+            code = main(list(argv))
+        assert [str(w.message) for w in seen] == [], argv
+        if code == 0 or (argv[0] == "check-h" and not err.getvalue()):
+            assert code in (0, 1) and err.getvalue() == "", argv
+            continue
+        assert code in (1, 2), argv
+        (line,) = err.getvalue().splitlines()
+        assert json.loads(line)["error"] in LIBRARY_ERRORS, (argv, line)
 
 
 def test_one_process_runs_many_queries_as_fresh_ones(capsys):
