@@ -123,7 +123,7 @@ def _rational_pole_preimages(spec: MapSpec) -> list[PolePreimage]:
     south, north = anchor_poles(spec)
     comps: list[PolePreimage] = []
     for target, to_north in ((south, False), (north, True)):
-        for x in degree_mod.find_preimages(spec, target):
+        for x in charts.sphere_points(*degree_mod.find_preimages(spec, target)):
             is_anchor = min(chordal(x, south), chordal(x, north)) < 1e-9
             kind = ComponentType.TYPE_I if is_anchor else ComponentType.TYPE_III
             comps.append(PolePreimage(kind, point=x, latitude=x.latitude(),

@@ -57,6 +57,7 @@ from .charts import (  # DEGREE_CAP and DegreeCapExceeded are census API too
     iterate_base,
     latitudes,
     solve_profile_level,
+    sphere_points,
     wrap_angle,
 )
 
@@ -105,8 +106,7 @@ class FixedPointSet:
 
     @cached_property
     def points(self) -> tuple[SpherePoint, ...]:
-        return tuple(SpherePoint(v, Chart.NORTH if nor else Chart.SOUTH)
-                     for v, nor in zip(self.values.tolist(), self.north.tolist()))
+        return sphere_points(self.values, self.north)
 
     @property
     def is_continuum(self) -> bool:

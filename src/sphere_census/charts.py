@@ -193,10 +193,10 @@ def dedup_many(values: np.ndarray, north: np.ndarray, radius: float) -> np.ndarr
     return np.flatnonzero(keep)
 
 
-def sphere_arrays(points) -> tuple[np.ndarray, np.ndarray]:
-    """A sequence of ``SpherePoint``s as (values, north)."""
-    return (np.array([p.value for p in points], dtype=complex),
-            np.array([p.chart is Chart.NORTH for p in points], dtype=bool))
+def sphere_points(values: np.ndarray, north: np.ndarray) -> tuple[SpherePoint, ...]:
+    """The ``SpherePoint`` of each chart point (values, north)."""
+    return tuple(SpherePoint(v, Chart.NORTH if up else Chart.SOUTH)
+                 for v, up in zip(values.tolist(), north.tolist()))
 
 
 def wrap_angle(a):
@@ -972,8 +972,11 @@ def _iterated_view(base: ProductMap, n: int) -> ProductMap:
     """The view of f^n from the view ``base`` of f: angular degree d^n, an
     affine radial folded stage by stage, (a_(k+1), b_(k+1)) = (a a_k, a b_k
     + b), else read off (base, n) by ``_Iterated`` as a nonzero twist is.
-    Refused: |d|^n past the float range, and a fold to nan or to slope 0."""
+    Refused: |d|^n past the float range, an order n over ``DEGREE_CAP`` at
+    |d| <= 1 (before its fold), and a fold to nan or to slope 0."""
     d = base.angular_degree
+    if abs(d) <= 1 and n > DEGREE_CAP:
+        raise DegreeCapExceeded(f"order {n} of a map of angular degree {d} exceeds {DEGREE_CAP}")
     if abs(d) > 1 and n >= math.log(sys.float_info.max) / math.log(abs(d)):
         raise DegreeCapExceeded(f"angular degree {d}^{n} of an iterate passes the float range")
     radial, lin = _Iterated(base, n), _affine_form(base.radial)

@@ -34,7 +34,6 @@ from .charts import (
     from_pairs,
     iterate_base,
     solve_profile_level,
-    sphere_arrays,
     wrap_angle,
 )
 from .winding import (
@@ -95,8 +94,8 @@ class DegreeReport:
 # ---------------------------------------------------------------------------
 
 
-def find_preimages(spec: MapSpec, y: SpherePoint) -> list[SpherePoint]:
-    """All preimages of y, sorted by ``_north_order``.
+def find_preimages(spec: MapSpec, y: SpherePoint) -> tuple[np.ndarray, np.ndarray]:
+    """All preimages of y as (values, north), sorted by ``_north_key``.
 
     A spec with a product view reduces to a latitude level-set solve plus
     the angular congruence: a power's preimages are its closed-form d-th
@@ -106,11 +105,11 @@ def find_preimages(spec: MapSpec, y: SpherePoint) -> list[SpherePoint]:
     chart: n calls of ``_preimages`` on 1, D, D^2, ... targets (a : b), f^n
     never expanded, close pairs kept to the last level; a root lost to
     infinity is N = (1 : 0) exactly.  The last level is deduplicated once,
-    in ``_north_order``, by ``dedup_many``.
+    after the sort, by ``dedup_many``.
     """
     view = as_product_view(spec)
     if view is not None:
-        return sorted(_product_preimages(view, y), key=_north_order)
+        return _north_sorted(*_product_preimages(view, y))
     base, n = iterate_base(spec)
     forms = as_rational(base)
     pair = (y.value, 1.0) if y.chart is Chart.NORTH else (1.0, y.value)
@@ -119,23 +118,21 @@ def find_preimages(spec: MapSpec, y: SpherePoint) -> list[SpherePoint]:
         w = _preimages(forms, a, b)
         finite = np.isfinite(w)
         a, b = np.where(finite, w, 1.0), finite.astype(complex)
-    values, north = from_pairs(a, b)
+    values, north = _north_sorted(*from_pairs(a, b))
+    kept = dedup_many(values, north, PREIMAGE_DEDUP)
+    return values[kept], north[kept]
+
+
+def _north_sorted(values: np.ndarray, north: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points (values, north) in the order of ``_north_key``."""
     keys = [_north_key(v, up) for v, up in zip(values.tolist(), north.tolist())]
     order = sorted(range(values.size), key=keys.__getitem__)
-    values, north = values[order], north[order]
-    kept = dedup_many(values, north, PREIMAGE_DEDUP)
-    return [SpherePoint(v, Chart.NORTH if up else Chart.SOUTH)
-            for v, up in zip(values[kept].tolist(), north[kept].tolist())]
-
-
-def _north_order(p: SpherePoint) -> tuple:
-    """The order of ``find_preimages``: north-chart value rounded to 9
-    places, N last."""
-    return _north_key(p.value, p.chart is Chart.NORTH)
+    return values[order], north[order]
 
 
 def _north_key(value: complex, north: bool) -> tuple:
-    """``_north_order`` of the chart point (value, north)."""
+    """The order of ``find_preimages`` at the chart point (value, north):
+    north-chart value rounded to 9 places, N last."""
     if not north and value == 0:
         return (1,)
     z = value if north else 1.0 / value
@@ -152,26 +149,26 @@ def _preimages(forms: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _companion_roots(np.outer(b * scale, forms[0]) - np.outer(a * scale, forms[1]))
 
 
-def _product_preimages(view, y: SpherePoint) -> list[SpherePoint]:
-    """The preimages of y under a product view, unsorted."""
+def _product_preimages(view, y: SpherePoint) -> tuple[np.ndarray, np.ndarray]:
+    """The preimages (values, north) of y under a product view, unsorted."""
     d = view.angular_degree
     s_y = y.latitude()
     theta_y = y.angle()
     if math.isinf(s_y):
         # preimages of a pole: crossing circles are continua, skip them here;
         # point preimages are the ends whose limit matches
-        return [pole for pole, end in zip((charts.S_POLE, charts.N_POLE),
-                                          view.radial.end_limits()) if end == s_y]
-    out: list[SpherePoint] = []
-    for s in solve_profile_level(view.radial, s_y):
-        h = view.twist(s)
+        ends = np.array([-math.inf, math.inf])[np.equal(view.radial.end_limits(), s_y)]
+        return charts.from_latlon_many(ends, np.zeros(ends.size))
+    levels = solve_profile_level(view.radial, s_y)
+    twists = [view.twist(s) for s in levels]
+    for s, h in zip(levels, twists):
         if not math.isfinite(h):  # a deep iterate's orbit of s left the float range
             raise charts.ChartError(f"the twist at level latitude {s:.6g} is not finite")
         # at d = 0 the image of this circle is a single point; generic y misses it
         if d == 0 and abs(wrap_angle(h - theta_y)) < 1e-9:
             raise PreimageClusterTooTight("angular-degree-0 circle preimage")
-        out += [from_latlon(s, (theta_y - h + 2 * math.pi * k) / d) for k in range(abs(d))]
-    return out
+    theta = (np.subtract(theta_y, twists)[:, None] + 2 * math.pi * np.arange(abs(d))) / d
+    return charts.from_latlon_many(np.repeat(levels, abs(d)), theta.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +176,8 @@ def _product_preimages(view, y: SpherePoint) -> list[SpherePoint]:
 # ---------------------------------------------------------------------------
 
 
-def local_degree(spec: MapSpec, xs, y: SpherePoint, radius: float) -> tuple[int, ...]:
-    """Winding of the image of the radius-circle about each x around y.
+def local_degree(spec: MapSpec, values, north, y: SpherePoint, radius: float) -> tuple[int, ...]:
+    """Winding about y of the image of the radius-circle about each witness.
 
     One ``evaluate_many`` batch maps the witnesses and all their 128-sample
     probe circles; each image is wound as one row of an array by ``settle``.
@@ -192,8 +189,7 @@ def local_degree(spec: MapSpec, xs, y: SpherePoint, radius: float) -> tuple[int,
     A point of the batch that fails to map raises its chart error.
     """
     y = y.normalized()
-    xs = [x.normalized() for x in xs]
-    values, north = sphere_arrays(xs)
+    values, north = charts._normalized_many(values, north)
     probes = values[:, None] + ring(radius, np.arange(PROBE_SAMPLES) / PROBE_SAMPLES)
     image, image_north = evaluate_many(
         spec, np.concatenate((values, probes.ravel())),
@@ -214,7 +210,7 @@ def local_degree(spec: MapSpec, xs, y: SpherePoint, radius: float) -> tuple[int,
         clear, bad, total, integral = settle(closed, y.value, 1e-9 * curve_diameter(rows))
     settled = ~repeats & clear & ~bad.any(axis=1) & integral
     out = []
-    for i, x in enumerate(xs):
+    for i, (x, up) in enumerate(zip(values.tolist(), north.tolist())):
         if misses[i]:
             raise NotAPreimage("x does not map to y")
         if through[i]:
@@ -222,7 +218,7 @@ def local_degree(spec: MapSpec, xs, y: SpherePoint, radius: float) -> tuple[int,
         if settled[i]:
             out.append(int(np.rint(total[i])))
         else:
-            probe = circle(x.value, radius, samples=PROBE_SAMPLES, chart=x.chart)
+            probe = circle(x, radius, PROBE_SAMPLES, Chart.NORTH if up else Chart.SOUTH)
             out.append(winding_number(image_curve(spec, probe, y.chart), y.value))
     return tuple(out)
 
@@ -278,28 +274,28 @@ def _degree_at(spec: MapSpec, y: SpherePoint, screen=None) -> DegreeReport:
     preimages of the point at infinity of y's chart (N for a north-chart
     value, S for a south-chart one): a disc holding one winds a pole of the
     chart image as well as its zero."""
-    pre = find_preimages(spec, y)
+    values, north = find_preimages(spec, y)
+    points = charts.sphere_points(values, north)
     if screen is not None:
-        screen(pre)
+        screen(points)
     infinity = charts.N_POLE if y.normalized().chart is Chart.NORTH else charts.S_POLE
-    radius = witness_radius(pre, find_preimages(spec, infinity))
-    witnesses = tuple(zip(pre, local_degree(spec, pre, y, radius)))
+    radius = witness_radius(values, north, find_preimages(spec, infinity))
+    witnesses = tuple(zip(points, local_degree(spec, values, north, y, radius)))
     total = sum(d for _, d in witnesses)
     return DegreeReport(total, witnesses, y)
 
 
-def witness_radius(preimages, clear=()) -> float:
+def witness_radius(values, north, clear=(np.empty(0, complex), np.empty(0, bool))) -> float:
     """Probe radius separated from every other witness by a factor >= 10.
 
-    S, N and the points of ``clear`` shrink it too, so that no probe circle
-    encloses its chart's pole or one of them, but only witnesses within 1e-4
-    of each other are too tight.  A witness at S or N is not measured
-    against itself.  Each block of at most ``PAIR_BLOCK`` separations is one
-    ``chordal_many`` batch of witnesses against every point.
+    S, N and the points (values, north) of ``clear`` shrink it too, so that
+    no probe circle encloses its chart's pole or one of them, but only
+    witnesses within 1e-4 of each other are too tight.  A witness at S or N
+    is not measured against itself.  Each block of at most ``PAIR_BLOCK``
+    separations is one ``chordal_many`` batch of witnesses against every point.
     """
-    values, north = sphere_arrays(preimages)
-    others = sphere_arrays([charts.S_POLE, charts.N_POLE, *clear])
-    cols = [np.concatenate(pair) for pair in zip((values, north), others)]
+    cols = (np.concatenate((values, [0j, 0j], clear[0])),
+            np.concatenate((north, [True, False], clear[1])))
     n = values.size
     tight = least = 2.0
     rows = max(1, PAIR_BLOCK // cols[0].size)

@@ -107,6 +107,12 @@ def test_parabolic_fixed_points_count_once():
         fps = fixed_points(Quadratic(0.25), n)
         assert fps.count == 2 ** n
         assert min(abs(p.value - 0.5) for p in fps.points) < 1e-6
+    # z^2 - 1.75, the airplane root, has a parabolic 3-cycle: its points are
+    # double roots of f^n(z) - z at every n divisible by 3
+    want = [2 ** n + 1 - 3 * (n % 3 == 0) for n in range(1, 11)]
+    assert [fixed_points(Quadratic(-1.75), n).count for n in range(1, 11)] == want
+    rows = census_csv(Quadratic(-1.75), 10).splitlines()[1:]
+    assert [int(row.split(",")[1]) for row in rows] == want
 
 
 def test_multipliers_match_the_derivative():

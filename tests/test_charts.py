@@ -45,7 +45,6 @@ from sphere_census.charts import (
     latitudes,
     parse_map,
     solve_profile_level,
-    sphere_arrays,
     to_chart,
     wrap_angle,
 )
@@ -220,11 +219,17 @@ coordinates = st.one_of(
 )
 
 
+def point_arrays(points) -> tuple[np.ndarray, np.ndarray]:
+    """A sequence of ``SpherePoint``s as (values, north)."""
+    return (np.array([p.value for p in points], dtype=complex),
+            np.array([p.chart is Chart.NORTH for p in points], dtype=bool))
+
+
 def chordal_to_points(values, north, points) -> np.ndarray:
     """Chordal distance of each batch image (values, north) from the scalar
     image, a ``SpherePoint``: the two may sit in different charts where
     |image| rounds to either side of 1."""
-    return chordal_many(values, north, *sphere_arrays(points))
+    return chordal_many(values, north, *point_arrays(points))
 
 
 # Batch and scalar images agree to rounding.  An iterate to n = 3 of a map of
@@ -512,7 +517,7 @@ ring_points = st.builds(
 @given(points=st.one_of(clustered_points, ring_points),
        radius=st.sampled_from([1e-7, 1e-6, 1e-4, 0.3]))
 def test_dedup_sweep_matches_all_pairs(points, radius):
-    kept = dedup_many(*sphere_arrays(points), radius)
+    kept = dedup_many(*point_arrays(points), radius)
     assert [points[i] for i in kept.tolist()] == dedup_all_pairs(points, radius)
 
 

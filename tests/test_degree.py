@@ -28,6 +28,7 @@ from sphere_census.charts import (
     format_map,
     from_latlon,
     parse_map,
+    sphere_points,
 )
 from sphere_census.degree import (
     DegreeMismatch,
@@ -59,6 +60,18 @@ def unwrap_turns(values):
     return (total[-1] - total[0]) / (2 * math.pi)
 
 
+def point_arrays(points):
+    """A sequence of ``SpherePoint``s as (values, north)."""
+    return (np.array([p.value for p in points], dtype=complex),
+            np.array([p.chart is Chart.NORTH for p in points], dtype=bool))
+
+
+def north_ordered(values, north):
+    """Whether the points (values, north) are in ``find_preimages``'s order."""
+    keys = [degree._north_key(v, up) for v, up in zip(values.tolist(), north.tolist())]
+    return keys == sorted(keys)
+
+
 # ---------------------------------------------------------------------------
 # Local degree
 # ---------------------------------------------------------------------------
@@ -69,7 +82,7 @@ def test_local_degree_cubing_at_origin():
     ts = np.linspace(0, 1, 4096)
     oracle = round(unwrap_turns([(0.1 * cmath.exp(2j * math.pi * t)) ** 3 for t in ts]))
     assert oracle == 3
-    assert local_degree(Power(3), [SpherePoint(0j)], SpherePoint(0j), 0.1) == (3,)
+    assert local_degree(Power(3), *point_arrays([SpherePoint(0j)]), SpherePoint(0j), 0.1) == (3,)
 
 
 def test_local_degree_regular_point_of_squaring():
@@ -81,13 +94,13 @@ def test_local_degree_regular_point_of_squaring():
     det = fx.real * fy.imag - fx.imag * fy.real
     assert det > 0
     one = SpherePoint(1 + 0j)
-    assert local_degree(Power(2), [one], one, 0.05) == (1,)
+    assert local_degree(Power(2), *point_arrays([one]), one, 0.05) == (1,)
 
 
 def test_local_degree_at_north_pole():
     # w -> w^2/(1 + c w^2) has a double point at w = 0
-    assert local_degree(Quadratic(0j), [N_POLE], N_POLE, 0.1) == (2,)
-    assert local_degree(Quadratic(0.1 + 0j), [N_POLE], N_POLE, 0.1) == (2,)
+    assert local_degree(Quadratic(0j), *point_arrays([N_POLE]), N_POLE, 0.1) == (2,)
+    assert local_degree(Quadratic(0.1 + 0j), *point_arrays([N_POLE]), N_POLE, 0.1) == (2,)
 
 
 def test_local_degree_orientation_reversal():
@@ -95,7 +108,7 @@ def test_local_degree_orientation_reversal():
     spec = ProductMap(AffineProfile(-1.0, 0.0), 1)
     x = from_latlon(0.3, 0.4)
     y = evaluate(spec, x)
-    assert local_degree(spec, [x], y, 0.02) == (-1,)
+    assert local_degree(spec, *point_arrays([x]), y, 0.02) == (-1,)
 
 
 def forbid_scalar_evaluate(monkeypatch):
@@ -112,14 +125,14 @@ def test_local_degree_refines_a_fast_winding_image(monkeypatch):
     image = image_curve(Power(40), circle(0j, 0.1, 128), Chart.NORTH)
     assert np.abs(np.angle(image.points / np.roll(image.points, 1))).min() > EDGE_CAP
     forbid_scalar_evaluate(monkeypatch)
-    assert local_degree(Power(40), [SpherePoint(0j)], SpherePoint(0j), 0.1) == (40,)
+    assert local_degree(Power(40), *point_arrays([SpherePoint(0j)]), SpherePoint(0j), 0.1) == (40,)
 
 
 def test_radius_too_large():
     one = SpherePoint(1 + 0j)
     with pytest.raises(RadiusTooLarge):
         # the circle of radius 2 about 1 passes through -1, whose image is y
-        local_degree(Power(2), [one], one, 2.0)
+        local_degree(Power(2), *point_arrays([one]), one, 2.0)
 
 
 def test_the_first_failing_witness_names_the_error(monkeypatch):
@@ -129,9 +142,9 @@ def test_the_first_failing_witness_names_the_error(monkeypatch):
     forbid_scalar_evaluate(monkeypatch)
     one, half = SpherePoint(1 + 0j), SpherePoint(0.5 + 0j)
     with pytest.raises(RadiusTooLarge):
-        local_degree(Power(2), [one, half], one, 2.0)
+        local_degree(Power(2), *point_arrays([one, half]), one, 2.0)
     with pytest.raises(ValueError, match="x does not map to y"):
-        local_degree(Power(2), [half, one], one, 2.0)
+        local_degree(Power(2), *point_arrays([half, one]), one, 2.0)
 
 
 def test_a_squashed_image_through_the_value_is_refused():
@@ -141,7 +154,7 @@ def test_a_squashed_image_through_the_value_is_refused():
     spec = ProductMap(AffineProfile(1.5e-9, 0.0), 1)
     x = from_latlon(0.3, 0.4)
     with pytest.raises(PointOnCurve):
-        local_degree(spec, [x], evaluate(spec, x), 0.01)
+        local_degree(spec, *point_arrays([x]), evaluate(spec, x), 0.01)
 
 
 def lone_degrees(spec, xs, y, radius):
@@ -178,12 +191,12 @@ def test_batched_local_degrees_match_the_lone_windings(spec):
         infinity = N_POLE if y.chart is Chart.NORTH else S_POLE
         try:
             pre = find_preimages(spec, y)
-            radius = witness_radius(pre, find_preimages(spec, infinity))
-            batch = local_degree(spec, pre, y, radius)
+            radius = witness_radius(*pre, find_preimages(spec, infinity))
+            batch = local_degree(spec, *pre, y, radius)
         except (PreimageClusterTooTight, RadiusTooLarge):
             continue
-        assert batch == lone_degrees(spec, pre, y, radius)
-        charts |= {x.normalized().chart for x in pre}
+        assert batch == lone_degrees(spec, sphere_points(*pre), y, radius)
+        charts |= {x.normalized().chart for x in sphere_points(*pre)}
     assert charts == {Chart.NORTH, Chart.SOUTH} or spec.declared_degree == 0
 
 
@@ -195,16 +208,16 @@ def test_only_rows_that_need_refinement_reach_winding_number(monkeypatch):
     wind = degree.winding_number
     monkeypatch.setattr(degree, "winding_number",
                         lambda curve, p: calls.append(p) or wind(curve, p))
-    assert local_degree(Power(40), [S_POLE], S_POLE, 0.1) == (40,)
+    assert local_degree(Power(40), *point_arrays([S_POLE]), S_POLE, 0.1) == (40,)
     assert len(calls) == 1
     calls.clear()
     spec = RationalPair((0,) * 40 + (-1, 1), (1,))
-    assert local_degree(spec, [S_POLE, SpherePoint(1 + 0j)], S_POLE, 0.05) == (40, 1)
+    assert local_degree(spec, *point_arrays([S_POLE, SpherePoint(1 + 0j)]), S_POLE, 0.05) == (40, 1)
     assert len(calls) == 1
     calls.clear()
     y = SpherePoint(0.3 + 0.4j)
     pre = find_preimages(Power(40), y)
-    assert local_degree(Power(40), pre, y, witness_radius(pre)) == (1,) * 40
+    assert local_degree(Power(40), *pre, y, witness_radius(*pre)) == (1,) * 40
     assert calls == []
 
 
@@ -214,7 +227,7 @@ def test_only_rows_that_need_refinement_reach_winding_number(monkeypatch):
 
 
 def test_preimages_of_squaring():
-    pre = find_preimages(Power(2), SpherePoint(1 + 0j))
+    pre = sphere_points(*find_preimages(Power(2), SpherePoint(1 + 0j)))
     assert len(pre) == 2
     assert any(abs(p.value - 1) < 1e-9 for p in pre)
     assert any(abs(p.value + 1) < 1e-9 for p in pre)
@@ -222,17 +235,17 @@ def test_preimages_of_squaring():
 
 def test_preimages_include_infinity():
     # f(z) = z^2 fixes N, so N is a preimage of N
-    pre = find_preimages(Power(2), N_POLE)
+    pre = sphere_points(*find_preimages(Power(2), N_POLE))
     assert any(p == N_POLE for p in pre)
     # 1/z sends N to S: N is the only preimage of S
-    pre = find_preimages(RationalPair((1,), (0, 1)), SpherePoint(0j))
-    assert pre == [N_POLE]
+    pre = sphere_points(*find_preimages(RationalPair((1,), (0, 1)), SpherePoint(0j)))
+    assert pre == (N_POLE,)
 
 
 def test_iterate_preimages_match_expanded_roots():
     # (z^2 + c)^2 + c with c = 1/2 is z^4 + z^2 + 3/4
     y = SpherePoint(0.3 - 0.2j)
-    pre = find_preimages(Iterate(Quadratic(0.5), 2), y)
+    pre = sphere_points(*find_preimages(Iterate(Quadratic(0.5), 2), y))
     want = np.roots([1, 0, 1, 0, 0.75 - y.value])
     assert len(pre) == 4
     zs = [chart_value(p, Chart.NORTH) for p in pre]
@@ -256,14 +269,14 @@ def test_preimage_routes_level_loop_and_product_view(monkeypatch):
     spec = Iterate(Quadratic(0.5), 3)
     pre = find_preimages(spec, y)
     assert calls == [1, 2, 4]
-    assert len(pre) == 8
-    assert pre == sorted(pre, key=degree._north_order)
-    assert all(chordal(evaluate(spec, x), y) < 1e-9 for x in pre)
+    assert len(pre[0]) == 8
+    assert north_ordered(*pre)
+    assert all(chordal(evaluate(spec, x), y) < 1e-9 for x in sphere_points(*pre))
     calls.clear()
     pre = find_preimages(Iterate(Power(2), 3), y)
     assert calls == []
-    assert pre == sorted(pre, key=degree._north_order)
-    zs = [chart_value(p, Chart.NORTH) for p in pre]
+    assert north_ordered(*pre)
+    zs = [chart_value(p, Chart.NORTH) for p in sphere_points(*pre)]
     want = [abs(y.value) ** (1 / 8) * cmath.exp(1j * (cmath.phase(y.value) + 2 * math.pi * k) / 8)
             for k in range(8)]
     assert len(zs) == 8
@@ -281,18 +294,18 @@ def test_power_preimages_skip_the_dedup(monkeypatch):
     monkeypatch.setattr(degree, "dedup_many", forbidden)
     y = SpherePoint(0.3 - 0.2j)
     pre = find_preimages(Power(4096), y)
-    assert len(pre) == 4096
-    assert pre == sorted(pre, key=degree._north_order)
-    assert witness_radius(pre) > 0
+    assert len(pre[0]) == 4096
+    assert north_ordered(*pre)
+    assert witness_radius(*pre) > 0
 
 
 def test_preimages_lost_to_infinity_are_n_exactly():
     # z + 1/z = (z^2 + 1)/z sends S and N to N: the equation of N, -z = 0,
     # drops degree at both ends, a root at 0 and one lost to infinity
     spec = parse_map("rational:P=1,0,1;Q=0,1")
-    assert find_preimages(spec, N_POLE) == [S_POLE, N_POLE]
+    assert sphere_points(*find_preimages(spec, N_POLE)) == (S_POLE, N_POLE)
     # under f^2 the preimages of S, z^2 + 1 = 0, join them
-    pre = find_preimages(Iterate(spec, 2), N_POLE)
+    pre = sphere_points(*find_preimages(Iterate(spec, 2), N_POLE))
     assert len(pre) == 4
     assert [x for x in pre if x.is_pole] == [S_POLE, N_POLE]
     zs = sorted((chart_value(x, Chart.NORTH) for x in pre if not x.is_pole), key=lambda z: z.imag)
@@ -306,10 +319,10 @@ def test_product_preimages_are_sorted_by_north_order():
     spec = ProductMap(PiecewiseLinearProfile(((-INF, -INF), (0.0, 1.0), (INF, -INF))), 3,
                       AffineProfile(0.0, 0.7))
     y = from_latlon(0.25, 2.0)
-    raw = degree._product_preimages(spec, y)
-    pre = find_preimages(spec, y)
+    raw = sphere_points(*degree._product_preimages(spec, y))
+    pre = sphere_points(*find_preimages(spec, y))
     assert raw != pre
-    assert pre == sorted(raw, key=degree._north_order)
+    assert pre == tuple(sorted(raw, key=lambda p: degree._north_key(p.value, p.chart is Chart.NORTH)))
     assert len(pre) == 6
     assert all(chordal(evaluate(spec, x), y) < 1e-9 for x in pre)
 
@@ -588,9 +601,10 @@ def test_probe_circles_keep_clear_of_the_preimages_of_the_chart_pole():
     assert report.total == 4
     assert [d for _, d in report.witnesses] == [1, 1, 1, 1]
     witnesses = [x for x, _ in report.witnesses]
-    bare = witness_radius(witnesses)
-    assert witness_radius(witnesses, find_preimages(spec, S_POLE)) < bare
-    assert [local_degree(spec, [x], report.regular_value, bare) for x in witnesses] == [(0,), (1,), (1,), (0,)]
+    bare = witness_radius(*point_arrays(witnesses))
+    assert witness_radius(*point_arrays(witnesses), find_preimages(spec, S_POLE)) < bare
+    assert [local_degree(spec, *point_arrays([x]), report.regular_value, bare)
+            for x in witnesses] == [(0,), (1,), (1,), (0,)]
 
 
 def scalar_witness_radius(preimages, clear=()):
@@ -629,9 +643,9 @@ def test_witness_radius_matches_the_scalar_pairs(block, monkeypatch):
             want = scalar_witness_radius(pre, clear)
         except PreimageClusterTooTight as exc:
             with pytest.raises(PreimageClusterTooTight, match=re.escape(str(exc))):
-                witness_radius(pre, clear)
+                witness_radius(*point_arrays(pre), point_arrays(clear))
             tight += 1
             continue
         # within a twentieth of the 1e-14 that chordal_many keeps to chordal
-        assert abs(witness_radius(pre, clear) - want) <= 1e-14 / 20
+        assert abs(witness_radius(*point_arrays(pre), point_arrays(clear)) - want) <= 1e-14 / 20
     assert 5 < tight < 100
