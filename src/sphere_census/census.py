@@ -5,7 +5,9 @@ Counts are of distinct fixed points (no multiplicity).  A map with a product
 view (powers, z^2, the monomials c*z^k, product maps, and their iterates) is
 solved from it, any other quadratic or rational map by Aberth-Ehrlich on
 f^n(z) - z through the n-fold recursion of the base map, one elementwise
-homogeneous Horner pass per level, for every order of a census at once.
+homogeneous Horner pass per level, for every order of a census at once, in
+a fixed unitary frame (a constant: a census draws no random numbers).  The
+multiplier of f^n is computed only where two approximations merge.
 On either route every point must pass the residual filter; a failure raises
 ``CensusIncomplete`` where it is found, never a short count: a batch of
 orders is checked in ascending order and raises the error of the first that
@@ -71,7 +73,6 @@ RATE_TOL = 0.05
 # relative to 1 + |w|, or once the correction stops shrinking below
 # ABERTH_STALL (rounding noise at a multiple root); pairwise sums are formed
 # PAIR_BLOCK differences at a time.
-ABERTH_SEED = 2017
 ABERTH_MAX_ITERS = 500
 ABERTH_TOL = 1e-13
 ABERTH_STALL = 1e-6
@@ -244,11 +245,12 @@ def _rational_fixed_points(base: MapSpec, orders: list[int]) -> dict:
             for n in orders}
 
 
-def _merged(iterate: MapSpec, values, north, multipliers, poles, total: int) -> FixedPointSet:
+def _merged(iterate: MapSpec, values, north, roots, poles, total: int) -> FixedPointSet:
     """The fixed points of ``iterate`` from its exact poles and the Aberth
-    approximations (values, north); two approximations may merge only where
-    the multiplier of f^n is within MULTIPLE_TOL of 1, or
-    ``CensusIncomplete`` is raised."""
+    approximations (values, north), whose w-chart coordinates are ``roots``;
+    two approximations may merge only where the multiplier of f^n is within
+    MULTIPLE_TOL of 1, or ``CensusIncomplete`` is raised.  The multiplier is
+    computed only at the approximations that merge into another."""
     # the exact poles (0 in the chart of each) go first, so that an
     # approximation of a multiple fixed point at a pole merges into the pole;
     # the others by (latitude, angle)
@@ -259,9 +261,12 @@ def _merged(iterate: MapSpec, values, north, multipliers, poles, total: int) -> 
     kept = dedup_many(values, north, DEDUP_RADIUS)
     merged = np.ones(values.size, dtype=bool)
     merged[kept] = False
-    shift = multipliers[order] - 1.0
-    simple = np.count_nonzero(
-        merged[ends.size:] & (np.hypot(shift.real, shift.imag) > MULTIPLE_TOL))
+    dropped = roots[order[merged[ends.size:]]]
+    simple = 0
+    if dropped.size:
+        base, n = iterate_base(iterate)
+        shift = _multipliers(as_rational(base), base.declared_degree, n, _frame(), dropped) - 1.0
+        simple = np.count_nonzero(np.hypot(shift.real, shift.imag) > MULTIPLE_TOL)
     if simple:
         raise CensusIncomplete(
             f"{format_map(iterate)}: {simple} of {total} approximations merge "
@@ -285,9 +290,10 @@ def _mobius_identity(coeffs, n: int) -> bool:
 def _aberth_fixed_points(coeffs, deg: int, poles: dict) -> tuple[dict, dict]:
     """Keyed by n, for each order n of ``poles``: the D^n + 1 - len(poles[n])
     fixed points of f^n other than poles[n], f with the rows ``coeffs`` of
-    ``as_rational``, as (values, north, multipliers) with the multiplier of
-    f^n at each, for the orders whose approximations all converged; and the
-    number each order left unconverged.
+    ``as_rational``, as (values, north, roots) with ``roots`` their w-chart
+    coordinates, for the orders whose approximations all converged; and the
+    number each order left unconverged.  No multiplier is computed here:
+    ``_merged`` computes it only where two approximations merge.
 
     Aberth-Ehrlich on G(w) = y1 - w y2, where (y1 : y2) is f^n at w after a
     fixed unitary change of coordinates U, so no root sits at w = infinity.
@@ -296,8 +302,8 @@ def _aberth_fixed_points(coeffs, deg: int, poles: dict) -> tuple[dict, dict]:
     one homogeneous Horner pass per level with the chain rule, and the
     coefficients of G are never formed.  The exact poles take part in the
     pairwise sums as fixed roots.  Each order is one block of a single
-    array, started by ``_starts``, and one ``_aberth`` run and one jet of
-    multipliers serve every block.
+    array, started by ``_starts``, and one ``_aberth`` run serves every
+    block.  U is the fixed frame of ``_frame``, so no random draw is made.
     """
     if not poles:
         return {}, {}
@@ -318,20 +324,29 @@ def _aberth_fixed_points(coeffs, deg: int, poles: dict) -> tuple[dict, dict]:
         lo += size
     if roots:
         rows = np.concatenate(list(roots.values()))
-        lam = _multipliers(coeffs, deg, np.repeat(list(roots), [r.size for r in roots.values()]),
-                           u, rows)
         values, north = from_pairs(u[0, 0] * rows + u[0, 1], u[1, 0] * rows + u[1, 1])
         lo = 0
         for n, r in roots.items():
-            found[n] = values[lo:lo + r.size], north[lo:lo + r.size], lam[lo:lo + r.size]
+            found[n] = values[lo:lo + r.size], north[lo:lo + r.size], r
             lo += r.size
     return found, left
 
 
+# The unitary change of coordinates U of the w chart: the Q factor of the QR
+# decomposition of the complex Gaussian 2 x 2 matrix drawn by
+# np.random.default_rng(2017), frozen to its bits (each repr round-trips), so
+# that a census draws nothing and its roots do not move with the LAPACK
+# build's rounding.
+_FRAME = np.array([
+    [-0.5757739511651692 + 0.25766144546910985j, 0.58609526389178 - 0.5085147768964465j],
+    [-0.48571970369037964 - 0.6051209020727578j, -0.5204207627671453 - 0.35646499547984245j],
+])
+_FRAME.flags.writeable = False
+
+
 def _frame() -> np.ndarray:
-    """The seeded unitary change of coordinates U of the w chart."""
-    rng = np.random.default_rng(ABERTH_SEED)
-    return np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    """The fixed unitary change of coordinates U of the w chart, read-only."""
+    return _FRAME
 
 
 def _aberth(coeffs, deg: int, u, w: np.ndarray, blocks) -> list[int]:
@@ -464,34 +479,41 @@ def _iterate_jet(coeffs, deg: int, n, u, w: np.ndarray):
     elementwise, so a row's jet does not depend on the other rows.  Each
     pair (x, dx) is scaled by one factor per point after every step; ratios
     that are homogeneous of degree 0 in it, such as G'/G or the derivative
-    of x1/x2 over that of x01/x02, are unchanged by that.
+    of x1/x2 over that of x01/x02, are unchanged by that.  The coefficient
+    columns and the level at which each row leaves are found once, before
+    the walk, and the jet is written only at the levels where rows leave.
     """
     a0, b0 = u[0, 0] * w + u[0, 1], u[1, 0] * w + u[1, 1]
     scale = 1.0 / np.maximum(np.abs(a0), np.abs(b0))
     a0, b0 = a0 * scale, b0 * scale
     da0, db0 = u[0, 0] * scale, u[1, 0] * scale
     orders = np.broadcast_to(n, w.shape)
+    # ends[k - 1]: the number of rows of order k or less, for k = 1 .. max(n)
+    ends = np.searchsorted(orders, np.arange(1, int(orders.max(initial=0)) + 1),
+                           side="right").tolist()
     jet = np.empty((4, w.size), dtype=complex)
+    c = [coeffs[:, i, None] for i in range(deg + 1)]  # c[i] multiplies a^i b^(D-i)
     a, b, da, db = a0, b0, da0, db0
-    c = coeffs[:, :, None]                       # c[:, i] multiplies a^i b^(D-i)
-    lo = 0                                       # the rows before lo have left
-    for level in range(1, int(orders.max(initial=0)) + 1):
-        x, dx = c[:, deg] * a, c[:, deg] * da
-        bp, dbp = b, db                          # b^(D-i) and its derivative
+    lo = 0                                            # the rows before lo have left
+    for hi in ends:
+        x, dx = c[deg] * a, c[deg] * da
+        bp, dbp = b, db                               # b^(D-i) and its derivative
         for i in range(deg - 1, -1, -1):
-            x += c[:, i] * bp
-            dx += c[:, i] * dbp
+            x += c[i] * bp
+            dx += c[i] * dbp
             if i:
-                dx = dx * a + x * da
-                x = x * a
+                dx *= a
+                dx += x * da
+                x *= a
                 bp, dbp = bp * b, dbp * b + bp * db
+        scale = 1.0 / np.maximum(*np.abs(x))
+        x *= scale
+        dx *= scale
         (a, b), (da, db) = x, dx
-        scale = 1.0 / np.maximum(np.abs(a), np.abs(b))
-        a, b, da, db = a * scale, b * scale, da * scale, db * scale
-        cut = int(np.searchsorted(orders, level, side="right")) - lo  # order `level` leaves
-        jet[:, lo:lo + cut] = a[:cut], b[:cut], da[:cut], db[:cut]
-        a, b, da, db = a[cut:], b[cut:], da[cut:], db[cut:]
-        lo += cut
+        if hi > lo:                                   # the rows of this order leave
+            jet[:2, lo:hi], jet[2:, lo:hi] = x[:, :hi - lo], dx[:, :hi - lo]
+            a, b, da, db = a[hi - lo:], b[hi - lo:], da[hi - lo:], db[hi - lo:]
+            lo = hi
     return (a0, b0, da0, db0), tuple(jet)
 
 

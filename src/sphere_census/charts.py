@@ -954,6 +954,13 @@ def as_product_view(spec: MapSpec) -> ProductMap | None:
     if isinstance(spec, Power):  # a power has no rational form: this is its normal form
         return ProductMap(AffineProfile(float(spec.d), 0.0), spec.d)
     if isinstance(spec, Iterate):
+        # at |d| <= 1 the total order of a nested iterate is held to the cap
+        # before any level of it is folded; each level is its own view
+        root, order = iterate_base(spec)
+        view = as_product_view(root)
+        if view is not None and abs(view.angular_degree) <= 1 and order > DEGREE_CAP:
+            raise DegreeCapExceeded(f"order {order} of a map of angular degree "
+                                    f"{view.angular_degree} exceeds {DEGREE_CAP}")
         base = as_product_view(spec.inner)
         return base if base is None or spec.n == 1 else _iterated_view(base, spec.n)
     rows = as_rational(spec)
@@ -972,11 +979,9 @@ def _iterated_view(base: ProductMap, n: int) -> ProductMap:
     """The view of f^n from the view ``base`` of f: angular degree d^n, an
     affine radial folded stage by stage, (a_(k+1), b_(k+1)) = (a a_k, a b_k
     + b), else read off (base, n) by ``_Iterated`` as a nonzero twist is.
-    Refused: |d|^n past the float range, an order n over ``DEGREE_CAP`` at
-    |d| <= 1 (before its fold), and a fold to nan or to slope 0."""
+    Refused: |d|^n past the float range, and a fold to nan or to slope 0;
+    ``as_product_view`` has held the order at |d| <= 1 to ``DEGREE_CAP``."""
     d = base.angular_degree
-    if abs(d) <= 1 and n > DEGREE_CAP:
-        raise DegreeCapExceeded(f"order {n} of a map of angular degree {d} exceeds {DEGREE_CAP}")
     if abs(d) > 1 and n >= math.log(sys.float_info.max) / math.log(abs(d)):
         raise DegreeCapExceeded(f"angular degree {d}^{n} of an iterate passes the float range")
     radial, lin = _Iterated(base, n), _affine_form(base.radial)

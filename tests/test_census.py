@@ -118,10 +118,11 @@ def test_parabolic_fixed_points_count_once():
 def test_multipliers_match_the_derivative():
     # the fixed points of z^2 + c other than infinity, with (f^n)' = prod 2 f^k(z);
     # at n = 2 the 2-cycle is returned in the south chart
-    solved, _ = census._aberth_fixed_points(as_rational(Quadratic(0.1)), 2,
-                                            {1: [N_POLE], 2: [N_POLE]})
+    coeffs = as_rational(Quadratic(0.1))
+    solved, _ = census._aberth_fixed_points(coeffs, 2, {1: [N_POLE], 2: [N_POLE]})
     for n in (1, 2):
-        values, north, lam = solved[n]
+        values, north, roots = solved[n]
+        lam = census._multipliers(coeffs, 2, n, census._frame(), roots)
         for z, got in zip(chart_values(values, north, Chart.NORTH).tolist(), lam.tolist()):
             want = 1.0
             for _ in range(n):
@@ -136,8 +137,8 @@ def merge_two_approximations(monkeypatch):
 
     def twice(*args):
         found, left = solve(*args)
-        for values, north, lam in found.values():
-            values[-1], north[-1], lam[-1] = values[0], north[0], lam[0]
+        for values, north, roots in found.values():
+            values[-1], north[-1], roots[-1] = values[0], north[0], roots[0]
         return found, left
 
     monkeypatch.setattr(census, "_aberth_fixed_points", twice)
@@ -443,6 +444,68 @@ def test_iterate_jet_matches_the_monomial_recursion(deg):
             assert np.array(alone).tobytes() == jet[:, k:k + 1].tobytes(), k
 
 
+def test_the_frame_is_the_frozen_seeded_qr():
+    u = census._frame()
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 1.0
+    assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-15
+    rng = np.random.default_rng(2017)
+    q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    assert np.abs(u - q).max() <= 1e-15
+
+
+def horner_jet(coeffs, deg, n, u, w):
+    """The Horner walk of ``census._iterate_jet`` with its bookkeeping done
+    at every level: the columns sliced, the leaving rows searched for and
+    the jet written each time, x and dx scaled as four arrays."""
+    a0, b0 = u[0, 0] * w + u[0, 1], u[1, 0] * w + u[1, 1]
+    scale = 1.0 / np.maximum(np.abs(a0), np.abs(b0))
+    a0, b0 = a0 * scale, b0 * scale
+    da0, db0 = u[0, 0] * scale, u[1, 0] * scale
+    orders = np.broadcast_to(n, w.shape)
+    jet = np.empty((4, w.size), dtype=complex)
+    a, b, da, db = a0, b0, da0, db0
+    c = coeffs[:, :, None]
+    lo = 0
+    for level in range(1, int(orders.max(initial=0)) + 1):
+        x, dx = c[:, deg] * a, c[:, deg] * da
+        bp, dbp = b, db
+        for i in range(deg - 1, -1, -1):
+            x += c[:, i] * bp
+            dx += c[:, i] * dbp
+            if i:
+                dx = dx * a + x * da
+                x = x * a
+                bp, dbp = bp * b, dbp * b + bp * db
+        (a, b), (da, db) = x, dx
+        scale = 1.0 / np.maximum(np.abs(a), np.abs(b))
+        a, b, da, db = a * scale, b * scale, da * scale, db * scale
+        cut = int(np.searchsorted(orders, level, side="right")) - lo
+        jet[:, lo:lo + cut] = a[:cut], b[:cut], da[:cut], db[:cut]
+        a, b, da, db = a[cut:], b[cut:], da[cut:], db[cut:]
+        lo += cut
+    return (a0, b0, da0, db0), tuple(jet)
+
+
+@pytest.mark.parametrize("deg", [1, 2, 3, 4])
+def test_iterate_jet_keeps_the_horner_walk_bits(deg):
+    rng = np.random.default_rng(100 + deg)
+    for _ in range(3):
+        coeffs = rng.normal(size=(2, deg + 1)) + 1j * rng.normal(size=(2, deg + 1))
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        # mixed orders with gaps, one order for all, and single rows
+        orders = np.sort(rng.integers(1, 7, size=40))
+        orders = orders[(orders != 3) | (rng.random(orders.size) < 0.5)]
+        w = rng.normal(size=orders.size) + 1j * rng.normal(size=orders.size)
+        cases = [(orders, w), (int(orders[-1]), w)] + [
+            (orders[k:k + 1], w[k:k + 1]) for k in range(0, orders.size, 7)]
+        for n, rows in cases:
+            got = census._iterate_jet(coeffs, deg, n, u, rows)
+            want = horner_jet(coeffs, deg, n, u, rows)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_one_orbit_walk_serves_every_order(monkeypatch):
     # solved one order at a time, this census walks 457 jet levels, 35
     # preimage levels, 36 residual levels and 8 frames
@@ -471,6 +534,21 @@ def test_one_orbit_walk_serves_every_order(monkeypatch):
     assert [k for k in preimages if k is not None] == [2 ** k for k in range(8)]
     assert len(frames) == 1
     assert residual == [Quadratic(0.1)] * 8
+
+
+def test_multipliers_are_computed_only_where_approximations_merge(monkeypatch):
+    # the starts read the multipliers of the 3 fixed points of f; with no
+    # merge, none of the 510 approximations of orders 1-8 is asked for one
+    rows = []
+    multipliers = census._multipliers
+
+    def counted(coeffs, deg, n, u, w):
+        rows.append(w.size)
+        return multipliers(coeffs, deg, n, u, w)
+
+    monkeypatch.setattr(census, "_multipliers", counted)
+    census_csv(Quadratic(0.1), 8)
+    assert sum(rows) == 3
 
 
 def test_close_fixed_points_are_refused_not_merged():

@@ -378,6 +378,29 @@ def test_the_package_does_not_import_numpy_polynomial():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def test_no_census_or_check_draws_random_numbers(tmp_path):
+    # a process of its own: the tests draw from numpy.random; the census's
+    # Aberth frame is a constant, and none of these commands draws a number
+    src = str(Path(sphere_census.__file__).resolve().parents[1])
+    curve = tmp_path / "circle.csv"
+    curve.write_text(dump_curve_csv(circle(0.3 + 0.1j, 0.7, 64)))
+    argvs = [["census", "--map", m, "--n-max", n] for m, n in (
+        ("quad:c=0.1+0.0i", "6"), ("rational:P=0,2,0,1;Q=1,0,3", "4"),
+        ("power:d=2", "5"), ("product:q=affine(2,0);d=3", "3"))] + [
+        ["check-h", "--map", "quad:c=0.1+0.0i"],
+        ["check-h", "--map", "rational:P=0,2,0,1;Q=1,0,3"],
+        ["annuli", "--map", "product:q=affine(2,0);d=3"],
+        ["index", "--map", "power:d=2", "--curve", str(curve)]]
+    code = ("import contextlib, io, sys; from sphere_census import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
+            "print(codes, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "[0, 0, 0, 0, 1, 1, 0, 0] False\n", "")
+
+
 def test_long_untwisted_iterates_do_not_nest(capsys):
     # each level of an iterate's view nested one more twist, to the
     # recursion limit; the slope 2^2000 overflows to inf, silently
@@ -413,14 +436,16 @@ def test_deep_product_iterates_are_one_loop(capsys, spec):
     ("annuli", "--map", "iter:n=1000000000000(power:d=1)"),
     ("strip-index", "--map", "iter:n=1000000000000(power:d=1)"),
     ("check-h", "--map", "iter:n=1000000000000(power:d=1)"),
+    *((command, "--map", "iter:n=4000(iter:n=4000(product:q=affine(1,0);d=1;h=affine(0,0.1)))")
+      for command in ("annuli", "check-h", "strip-index")),
 ], ids=["census-3^20", "census-3^5000", "census-power1-order", "degree-3^1e6",
         "check-h-float-range", "strip-index-float-range", "annuli-order", "strip-index-order",
-        "check-h-order"])
+        "check-h-order", "annuli-nested", "check-h-nested", "strip-index-nested"])
 def test_product_budgets_refuse_before_any_view(capsys, monkeypatch, argv):
     # the census and degree refuse at the cap before any view or array of
     # the iterate exists; the other subcommands refuse a view whose angular
-    # degree passes the float range, or whose order passes the cap at
-    # |d| <= 1, before its fold
+    # degree passes the float range, or whose total order, through every
+    # nested iterate, passes the cap at |d| <= 1, before its fold
     def forbidden(*args, **kwargs):
         raise AssertionError("built a view over the budget")
 
