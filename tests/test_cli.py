@@ -9,6 +9,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -512,6 +513,47 @@ def test_product_iterates_answer_or_name_their_error(case, d):
         assert code in (1, 2), argv
         (line,) = err.getvalue().splitlines()
         assert json.loads(line)["error"] in LIBRARY_ERRORS, (argv, line)
+
+
+# power, product (affine, poly and pwl radials, twisted or not), quadratic
+# and rational maps, and their second iterates
+SEED_FREE_BASES = st.one_of(
+    st.sampled_from(["power:d=2", "power:d=-2", "power:d=3"]),
+    st.builds("product:q={};d={};h={}".format,
+              st.sampled_from(["affine(2,0)", "affine(1.5,-0.3)", "poly(0.1,1.5,0,0.3)",
+                               "pwl(-inf:-inf,-0.5:-0.2,0.7:1.4,inf:inf)"]),
+              st.sampled_from([-2, 2, 3]), st.sampled_from(["zero", "affine(0.3,-2)"])),
+    st.sampled_from(["quad:c=0.1+0.0i", "quad:c=-0.12+0.05i", "quad:c=-1+0i"]),
+    st.sampled_from(["rational:P=0,2,0,1;Q=1,0,3", "rational:P=1,0,2;Q=3,1"]))
+SEED_FREE_SPECS = st.one_of(SEED_FREE_BASES, SEED_FREE_BASES.map("iter:n=2({})".format))
+
+
+@pytest.fixture(scope="module")
+def seed_free_curve(tmp_path_factory):
+    path = tmp_path_factory.mktemp("curve") / "circle.csv"
+    path.write_text(dump_curve_csv(circle(0.3 + 0.1j, 0.7, 64)))
+    return str(path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=SEED_FREE_SPECS, n_max=st.integers(1, 3))
+def test_seed_free_subcommands_print_the_same_bytes_under_any_seed(spec, n_max,
+                                                                   seed_free_curve):
+    """``census``, ``annuli``, ``strip-index``, ``check-h`` and ``index``
+    draw nothing from SPHERE_CENSUS_SEED: two seeds give the same exit code,
+    stdout and stderr, answer or error."""
+    argvs = [("census", "--map", spec, "--n-max", str(n_max)), ("annuli", "--map", spec),
+             ("strip-index", "--map", spec), ("check-h", "--map", spec),
+             ("index", "--map", spec, "--curve", seed_free_curve)]
+    runs = []
+    for seed in ("0", "9173"):
+        with mock.patch.dict(os.environ, {"SPHERE_CENSUS_SEED": seed}):
+            for argv in argvs:
+                out, err = StringIO(), StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(list(argv))
+                runs.append((argv, code, out.getvalue(), err.getvalue()))
+    assert runs[:len(argvs)] == runs[len(argvs):]
 
 
 def test_one_process_runs_many_queries_as_fresh_ones(capsys):

@@ -1,6 +1,7 @@
 """Strip lifts, the comparison loop, certified indices, Nielsen separation."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -361,6 +362,11 @@ def test_verify_index_maps_its_loop_in_one_pass(monkeypatch):
     assert len(calls) == 2
 
 
+def none_settled(disp, diam):
+    """``_settled`` with no row settled: each is wound alone."""
+    return np.zeros(len(disp), dtype=bool), np.zeros(len(disp))
+
+
 @pytest.mark.parametrize("text", [
     "product:q=affine(2,0);d=3", "product:q=affine(2.3,0.1);d=-3",
     "product:q=affine(2,0);d=-1;h=affine(0.5,0.2)",
@@ -368,7 +374,9 @@ def test_verify_index_maps_its_loop_in_one_pass(monkeypatch):
 def test_verify_index_refines_through_the_scalar_lift(text, monkeypatch):
     # the image refinement reads at a loop parameter is the scalar lift of
     # the scalar boundary point there: on the sample grid, at seeded
-    # parameters in [0, 2), on the closing side and just below t = 0
+    # parameters in [0, 2), on the closing side and just below t = 0; the
+    # row is forced off the batch, so the lone path winds it
+    monkeypatch.setattr(strip_lift, "_settled", none_settled)
     seen = []
     index_of = strip_lift._index_of_images
 
@@ -447,3 +455,148 @@ def test_lift_names_the_first_point_that_does_not_commute(monkeypatch):
                        match=re.escape(f"does not commute at (x, y) = ({x:.6g}, {y:.6g})")):
         lift(spec, component(spec))
 
+
+def reference_verify(F):
+    """The per-offset ``verify_index`` the batch replaced: the lift's own
+    pass along x = 0, its own loop image and a lone winding; (m, index)."""
+    lo, hi, margin = strip_lift.Y_LO, strip_lift.Y_HI, strip_lift.COND_MARGIN
+    d = F.translation_degree
+    if d == 1:
+        raise ValueError("translation degree 1 carries no certified index")
+    expected = 1 if d >= 2 else -1
+    refused = f"conditions never held for m <= {strip_lift.M_CAP}"
+    reach, heights = F.many(np.zeros(65), np.linspace(lo, hi, 65))
+    if heights[0] >= lo - margin or heights[-1] <= hi + margin:
+        raise MNotFound(refused)
+    width = (margin + float(np.abs(reach).max())) / abs(d - 1)
+    if not width < strip_lift.M_CAP:
+        raise MNotFound(refused)
+    m = math.floor(width) + 1
+    beta = build_beta(F, m)
+
+    def image_of(zs):
+        x, y = F.many(zs.real, zs.imag)
+        z = x.astype(complex)
+        z.imag = y
+        return z
+
+    idx = lefschetz._index_of_images(image_of(beta.points),
+                                     lambda t: image_of(beta.point_at(t)), beta)
+    if idx != expected:
+        raise strip_lift.IndexMismatch(f"loop index {idx} != certified {expected} for degree {d}")
+    return m, idx
+
+
+def outcome(fn, *args):
+    """The (k, m_used, index, strip point bits) that ``fn(*args)`` yields, or
+    the error's type and message."""
+    try:
+        return [(k, m, idx, repr(z)) for k, m, idx, z in fn(*args)]
+    except Exception as exc:  # the error is the outcome
+        return (type(exc), str(exc))
+
+
+def reference_nielsen(spec, comp, offsets):
+    """``nielsen_fixed_points`` as the sequential loop computed it: one
+    validation, then each offset verified alone and its fixed point read."""
+    lift(spec, comp)
+    for k in offsets:
+        F = StripMap(spec, comp, k)
+        m, idx = reference_verify(F)
+        yield k, m, idx, strip_lift.lift_fixed_point(F, m)
+
+
+def batched_nielsen(spec, comp, offsets):
+    for fp in nielsen_fixed_points(spec, comp, offsets):
+        yield fp.lift_offset, fp.m_used, fp.index, fp.strip_point
+
+
+def twisted_maps(seed, count):
+    """Seeded twisted affine product maps, drawn as the width search test
+    draws them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.choice([-4, -3, -2, -1, 0, 2, 3, 4, 5]))
+        reach = float(rng.choice([6.0, 60.0, 600.0]))
+        twist = AffineProfile(float(rng.uniform(-4.0, 4.0)), float(rng.uniform(-reach, reach)))
+        yield ProductMap(AffineProfile(float(rng.uniform(1.2, 3.0)),
+                                       float(rng.uniform(-0.5, 0.5))), d, twist)
+
+
+def test_the_batch_matches_the_offset_by_offset_loop(monkeypatch):
+    # every offset's width, index and strip point, bit for bit, or the same
+    # error; lift_fixed_point sees the same offsets, so an error is raised
+    # in offset order, after the fixed points of the offsets before it
+    seen = []
+    fixed_point = strip_lift.lift_fixed_point
+
+    def recording(F, m):
+        seen.append(F.lift_offset)
+        return fixed_point(F, m)
+
+    monkeypatch.setattr(strip_lift, "lift_fixed_point", recording)
+    cases = [(spec, None) for spec in twisted_maps(35, 60)]
+    cases += [(parse_map(text), None) for text in MANY_SPECS.values()]
+    # the twist moves x = 0 by about one domain; offset 100 is past M_CAP
+    cases.append((parse_map("product:q=affine(2,0);d=2;h=affine(0,6)"), [0, 1, 100, 2]))
+    cases.append((parse_map("product:q=affine(2,0);d=-3;h=affine(0.5,6)"), [3, -2, 0, -300, 1]))
+    errors = set()
+    for spec, offsets in cases:
+        for comp in (c for c in annuli.decompose(spec) if c.repelling):
+            ks = range(abs(comp.delta - 1)) if offsets is None else offsets
+            seen.clear()
+            want = outcome(reference_nielsen, spec, comp, ks)
+            want_seen = list(seen)
+            seen.clear()
+            got = outcome(batched_nielsen, spec, comp, offsets)
+            assert (got, seen) == (want, want_seen), (spec, offsets)
+            if isinstance(want, tuple):
+                errors.add(want[0])
+    assert MNotFound in errors
+    assert seen == [3, -2, 0]
+
+
+def test_a_row_off_the_batch_is_wound_alone(monkeypatch):
+    # the second offset's row is forced off the batch: it alone reaches
+    # _index_of_images, and every offset keeps its reference result
+    settled_rows = strip_lift._settled
+
+    def all_but_the_second(disp, diam):
+        settled, total = settled_rows(disp, diam)
+        settled[1] = False
+        return settled, total
+
+    lone = []
+    index_of = strip_lift._index_of_images
+
+    def counting(images, image_at, curve):
+        lone.append(images)
+        return index_of(images, image_at, curve)
+
+    spec = parse_map("product:q=affine(2,0);d=4;h=affine(0.5,2)")
+    comp = component(spec)
+    want = outcome(reference_nielsen, spec, comp, range(3))
+    monkeypatch.setattr(strip_lift, "_settled", all_but_the_second)
+    monkeypatch.setattr(strip_lift, "_index_of_images", counting)
+    got = outcome(batched_nielsen, spec, comp, None)
+    assert len(lone) == 1
+    assert got == want and len(want) == 3
+
+
+def test_nielsen_maps_each_loop_width_once(monkeypatch):
+    # the validation, the pass along x = 0 and the one loop width of the
+    # four offsets are one ``many`` batch each, where the validation made
+    # three and each offset its own two
+    batches = []
+    many = StripMap.many
+
+    def counting_many(self, x, y):
+        batches.append(np.size(x))
+        return many(self, x, y)
+
+    monkeypatch.setattr(StripMap, "many", counting_many)
+    spec = repel(-3)
+    fps = nielsen_fixed_points(spec, component(spec))
+    assert [(fp.lift_offset, fp.index, fp.m_used) for fp in fps] == [
+        (k, -1, 1) for k in range(4)]
+    assert batches == [120, 65, 96]
